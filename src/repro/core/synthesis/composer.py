@@ -14,14 +14,19 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-
 from repro.core.synthesis.requirements import RequirementSet
 from repro.errors import CompositionError
 from repro.net.topology import TopologySnapshot
 from repro.things.asset import Asset
 from repro.util.geometry import Point, Region, distance
 
-__all__ = ["CompositeAsset", "GreedyComposer", "coverage_fraction"]
+__all__ = [
+    "CompositeAsset",
+    "GreedyComposer",
+    "add_relays",
+    "coverage_fraction",
+    "finalize_metrics",
+]
 
 #: Grid resolution used to evaluate area coverage.
 _COVERAGE_GRID = 16
@@ -29,6 +34,26 @@ _COVERAGE_GRID = 16
 
 def _coverage_points(area: Region) -> Tuple[Point, ...]:
     return area.grid_points(_COVERAGE_GRID, _COVERAGE_GRID)
+
+
+def _coverage_mask(
+    position: Point, radius: float, area: Region, points: Sequence[Point]
+) -> int:
+    """Bitmask of the sample ``points`` of ``area`` within ``radius`` of ``position``.
+
+    Bit ``i`` stands for ``points[i]``.  Every sample point lies inside the
+    area rectangle, so a disc that cannot touch the rectangle covers none
+    and is rejected without visiting the grid.
+    """
+    if distance(position, area.clamp(position)) > radius:
+        return 0
+    mask = 0
+    bit = 1
+    for p in points:
+        if distance(position, p) <= radius:
+            mask |= bit
+        bit <<= 1
+    return mask
 
 
 def coverage_fraction(
@@ -39,15 +64,11 @@ def coverage_fraction(
     if not points:
         return 0.0
     covered = 0
-    ranges = [
-        (s.position, s.profile.sensing_range_m * range_scale) for s in sensors
-    ]
-    for p in points:
-        for pos, r in ranges:
-            if distance(pos, p) <= r:
-                covered += 1
-                break
-    return covered / len(points)
+    for s in sensors:
+        covered |= _coverage_mask(
+            s.position, s.profile.sensing_range_m * range_scale, area, points
+        )
+    return covered.bit_count() / len(points)
 
 
 @dataclass
@@ -145,8 +166,8 @@ class GreedyComposer:
         composite.sink = self._pick_sink(candidates, area, topology)
         self._add_sensors(composite, requirements, candidates, area)
         self._add_compute(composite, requirements, candidates)
-        self._add_relays(composite, by_id, topology)
-        self._finalize_metrics(composite, by_id, area, topology)
+        add_relays(composite, by_id, topology)
+        finalize_metrics(composite, by_id, area, topology)
         return composite
 
     # ------------------------------------------------------------------ roles
@@ -177,47 +198,45 @@ class GreedyComposer:
         candidates: Sequence[Asset],
         area: Region,
     ) -> None:
-        pool = [
-            a
-            for a in candidates
-            if a.profile.sensing & requirements.modalities
-            and a.profile.sensing_range_m > 0
-        ]
-        points = list(_coverage_points(area))
-        uncovered: Set[int] = set(range(len(points)))
-        chosen: List[Asset] = []
+        points = _coverage_points(area)
+        # (asset id, coverage mask, energy weight) of every sensor that sees
+        # at least one sample point, in candidate order: geometry is measured
+        # once here, the greedy rounds below are integer ops.
+        pool: List[Tuple[int, int, float]] = []
+        for a in candidates:
+            r = a.profile.sensing_range_m
+            if a.profile.sensing & requirements.modalities and r > 0:
+                mask = _coverage_mask(a.position, r, area, points)
+                if mask:
+                    pool.append((a.id, mask, self._energy_factor(a)))
+        uncovered = (1 << len(points)) - 1
+        chosen: List[int] = []
         budget = max(
             requirements.n_sensors,
             int(requirements.n_sensors * self.max_sensor_surplus),
         )
         while uncovered and len(chosen) < budget and pool:
-            best_asset = None
-            best_gain: Set[int] = set()
+            best = -1
             best_score = 0.0
-            for asset in pool:
-                r = asset.profile.sensing_range_m
-                gain = {
-                    i
-                    for i in uncovered
-                    if distance(asset.position, points[i]) <= r
-                }
-                score = len(gain) * self._energy_factor(asset)
+            for idx, (_aid, mask, weight) in enumerate(pool):
+                score = (mask & uncovered).bit_count() * weight
                 if score > best_score:
                     best_score = score
-                    best_gain = gain
-                    best_asset = asset
-            if best_asset is None or not best_gain:
+                    best = idx
+            if best < 0:
                 break
-            chosen.append(best_asset)
-            pool.remove(best_asset)
-            uncovered -= best_gain
-            covered_frac = 1.0 - len(uncovered) / len(points)
+            # pop by index: list.remove() would compare assets field by field
+            # and drop the first *equal* candidate, not the chosen one.
+            aid, mask, _weight = pool.pop(best)
+            chosen.append(aid)
+            uncovered &= ~mask
+            covered_frac = 1.0 - uncovered.bit_count() / len(points)
             if (
                 covered_frac >= requirements.coverage_target
                 and len(chosen) >= requirements.n_sensors
             ):
                 break
-        composite.sensors = [a.id for a in chosen]
+        composite.sensors = chosen
 
     def _add_compute(
         self,
@@ -247,62 +266,62 @@ class GreedyComposer:
         composite.compute = added
         composite.total_flops = flops
 
-    def _add_relays(
-        self,
-        composite: CompositeAsset,
-        by_id: Dict[int, Asset],
-        topology: TopologySnapshot,
-    ) -> None:
-        """Add path nodes so every member reaches the sink in the topology."""
-        sink_asset = by_id.get(composite.sink)
-        if sink_asset is None:
-            return
-        sink_node = sink_asset.node_id
-        node_to_asset = {a.node_id: a.id for a in by_id.values()}
-        member_ids = set(composite.members)
-        relays: List[int] = []
-        for aid in list(member_ids):
-            asset = by_id.get(aid)
-            if asset is None or asset.node_id == sink_node:
-                continue
-            path = topology.shortest_path(asset.node_id, sink_node)
-            if path is None:
-                continue
-            for node_id in path[1:-1]:
-                relay_aid = node_to_asset.get(node_id)
-                if relay_aid is not None and relay_aid not in member_ids:
-                    member_ids.add(relay_aid)
-                    relays.append(relay_aid)
-        composite.relays = relays
 
-    # ---------------------------------------------------------------- metrics
+def add_relays(
+    composite: CompositeAsset,
+    by_id: Dict[int, Asset],
+    topology: TopologySnapshot,
+) -> None:
+    """Add path nodes so every member reaches the sink in the topology."""
+    sink_asset = by_id.get(composite.sink)
+    if sink_asset is None:
+        return
+    sink_node = sink_asset.node_id
+    paths = topology.paths_to(sink_node)
+    node_to_asset = {a.node_id: a.id for a in by_id.values()}
+    member_ids = set(composite.members)
+    relays: List[int] = []
+    for aid in list(member_ids):
+        asset = by_id.get(aid)
+        if asset is None or asset.node_id == sink_node:
+            continue
+        path = paths.get(asset.node_id)
+        if path is None:
+            continue
+        for node_id in path[1:-1]:
+            relay_aid = node_to_asset.get(node_id)
+            if relay_aid is not None and relay_aid not in member_ids:
+                member_ids.add(relay_aid)
+                relays.append(relay_aid)
+    composite.relays = relays
 
-    def _finalize_metrics(
-        self,
-        composite: CompositeAsset,
-        by_id: Dict[int, Asset],
-        area: Region,
-        topology: TopologySnapshot,
-    ) -> None:
-        sensor_assets = [by_id[a] for a in composite.sensors if a in by_id]
-        composite.coverage = coverage_fraction(sensor_assets, area)
-        sink_asset = by_id.get(composite.sink)
-        if sink_asset is None:
-            composite.connected_fraction = 0.0
-            return
-        sink_node = sink_asset.node_id
-        reachable = 0
-        worst_etx = 0.0
-        others = [m for m in composite.members if m != composite.sink]
-        for aid in others:
-            asset = by_id.get(aid)
-            if asset is None:
-                continue
-            path = topology.shortest_path(asset.node_id, sink_node)
-            if path is not None:
-                reachable += 1
-                worst_etx = max(worst_etx, topology.path_etx(path))
-        composite.connected_fraction = (
-            reachable / len(others) if others else 1.0
-        )
-        composite.max_path_etx = worst_etx if reachable else math.inf
+
+def finalize_metrics(
+    composite: CompositeAsset,
+    by_id: Dict[int, Asset],
+    area: Region,
+    topology: TopologySnapshot,
+) -> None:
+    """Fill in achieved coverage, connectivity and worst member-to-sink ETX."""
+    sensor_assets = [by_id[a] for a in composite.sensors if a in by_id]
+    composite.coverage = coverage_fraction(sensor_assets, area)
+    sink_asset = by_id.get(composite.sink)
+    if sink_asset is None:
+        composite.connected_fraction = 0.0
+        return
+    paths = topology.paths_to(sink_asset.node_id)
+    reachable = 0
+    worst_etx = 0.0
+    others = [m for m in composite.members if m != composite.sink]
+    for aid in others:
+        asset = by_id.get(aid)
+        if asset is None:
+            continue
+        path = paths.get(asset.node_id)
+        if path is not None:
+            reachable += 1
+            worst_etx = max(worst_etx, topology.path_etx(path))
+    composite.connected_fraction = (
+        reachable / len(others) if others else 1.0
+    )
+    composite.max_path_etx = worst_etx if reachable else math.inf

@@ -20,6 +20,8 @@ import numpy as np
 from repro.core.synthesis.composer import (
     CompositeAsset,
     GreedyComposer,
+    add_relays,
+    finalize_metrics,
 )
 from repro.core.synthesis.requirements import RequirementSet
 from repro.errors import CompositionError
@@ -85,11 +87,8 @@ class RandomComposer:
             if a.profile.sensing & requirements.modalities and a.id != sink.id
         ]
         composite.compute = []
-        greedy = GreedyComposer()
-        greedy._add_relays(composite, by_id, topology)
-        greedy._finalize_metrics(
-            composite, by_id, requirements.goal.area, topology
-        )
+        add_relays(composite, by_id, topology)
+        finalize_metrics(composite, by_id, requirements.goal.area, topology)
         composite.total_flops = sum(
             by_id[m].profile.compute_flops for m in composite.members if m in by_id
         )
@@ -119,6 +118,7 @@ class AnnealingComposer:
         self.iterations = iterations
         self.t_start = t_start
         self.t_end = t_end
+        self._greedy = GreedyComposer()
 
     def compose(
         self,
@@ -126,8 +126,7 @@ class AnnealingComposer:
         candidates: Sequence[Asset],
         topology: TopologySnapshot,
     ) -> CompositeAsset:
-        greedy = GreedyComposer()
-        current = greedy.compose(requirements, candidates, topology)
+        current = self._greedy.compose(requirements, candidates, topology)
         by_id = {a.id: a for a in candidates}
         sensor_pool = [
             a.id
@@ -174,11 +173,7 @@ class AnnealingComposer:
     ) -> CompositeAsset:
         composite = CompositeAsset(requirements=requirements, sink=sink)
         composite.sensors = list(sensors)
-        greedy = GreedyComposer()
-        candidates = list(by_id.values())
-        greedy._add_compute(composite, requirements, candidates)
-        greedy._add_relays(composite, by_id, topology)
-        greedy._finalize_metrics(
-            composite, by_id, requirements.goal.area, topology
-        )
+        self._greedy._add_compute(composite, requirements, list(by_id.values()))
+        add_relays(composite, by_id, topology)
+        finalize_metrics(composite, by_id, requirements.goal.area, topology)
         return composite

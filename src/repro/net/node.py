@@ -113,12 +113,14 @@ class Network:
         #: liveness-filtered neighbor view) key on this *and* on
         #: :attr:`topology_version`.
         self.liveness_version = 0
-        # (node_id, include_down) -> sorted neighbor ids.  Broadcast asks
-        # for a node's neighborhood twice per transmission (MAC load + the
-        # fan-out list); on static worlds the answer never changes between
-        # topology/liveness transitions, so it is cached and dropped
-        # wholesale on grid rebuilds and up/down flips.
-        self._neighbor_cache: Dict[Tuple[int, bool], List[int]] = {}
+        # node_id -> sorted neighbor ids.  Broadcast asks for a node's
+        # neighborhood twice per transmission (MAC load + the fan-out list),
+        # so the answers are cached.  The geometric lists (everything in
+        # range, up or down) depend on positions only and live until the
+        # next grid rebuild; the up-only lists are filtered from them and
+        # are all a liveness flip has to drop.
+        self._geo_neighbors: Dict[int, List[int]] = {}
+        self._up_neighbors: Dict[int, List[int]] = {}
         # Listeners observing node liveness transitions (routers invalidate
         # stale state, services re-plan around losses).
         self._node_state_listeners: List[NodeStateListener] = []
@@ -168,7 +170,7 @@ class Network:
         if not node.up:
             return
         node.up = False
-        self._neighbor_cache.clear()
+        self._up_neighbors.clear()
         self.liveness_version += 1
         self.sim.trace.emit("net.node_down", node=node_id)
         self._notify_node_state(node_id, False)
@@ -179,7 +181,7 @@ class Network:
         if node.up:
             return
         node.up = True
-        self._neighbor_cache.clear()
+        self._up_neighbors.clear()
         self.liveness_version += 1
         self.sim.trace.emit("net.node_up", node=node_id)
         self._notify_node_state(node_id, True)
@@ -250,7 +252,8 @@ class Network:
             cell = self._cell_of(node.position)
             self._grid.setdefault(cell, set()).add(node.id)
         self._grid_dirty = False
-        self._neighbor_cache.clear()
+        self._geo_neighbors.clear()
+        self._up_neighbors.clear()
 
     def _cell_of(self, p: Point) -> Tuple[int, int]:
         return (int(math.floor(p.x / self._cell_size)), int(math.floor(p.y / self._cell_size)))
@@ -263,34 +266,40 @@ class Network:
     def neighbors(self, node_id: int, *, include_down: bool = False) -> List[int]:
         """Ids of nodes within (margin-extended) communication range.
 
-        The returned list is cached until the next topology or liveness
-        change — treat it as read-only.
+        The returned list is cached until the next topology change
+        (``include_down=True``: pure geometry) or the next topology or
+        liveness change (the default up-only view) — treat it as read-only.
         """
         if self._grid_dirty:
             self._rebuild_grid()
-        cache_key = (node_id, include_down)
-        cached = self._neighbor_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        node = self.node(node_id)
-        limit = self.channel.comm_range_m(
-            node.tx_power_dbm, margin_db=-self.neighbor_margin_db
-        )
-        cx, cy = self._cell_of(node.position)
-        found: List[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for other_id in self._grid.get((cx + dx, cy + dy), ()):
-                    if other_id == node_id:
-                        continue
-                    other = self.nodes[other_id]
-                    if not include_down and not other.up:
-                        continue
-                    if distance(node.position, other.position) <= limit:
-                        found.append(other_id)
-        found.sort()
-        self._neighbor_cache[cache_key] = found
-        return found
+        if not include_down:
+            cached = self._up_neighbors.get(node_id)
+            if cached is not None:
+                return cached
+        found = self._geo_neighbors.get(node_id)
+        if found is None:
+            node = self.node(node_id)
+            limit = self.channel.comm_range_m(
+                node.tx_power_dbm, margin_db=-self.neighbor_margin_db
+            )
+            cx, cy = self._cell_of(node.position)
+            found = []
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    for other_id in self._grid.get((cx + dx, cy + dy), ()):
+                        if other_id == node_id:
+                            continue
+                        other = self.nodes[other_id]
+                        if distance(node.position, other.position) <= limit:
+                            found.append(other_id)
+            found.sort()
+            self._geo_neighbors[node_id] = found
+        if include_down:
+            return found
+        nodes = self.nodes
+        up = [i for i in found if nodes[i].up]
+        self._up_neighbors[node_id] = up
+        return up
 
     # --------------------------------------------------------------- transmit
 

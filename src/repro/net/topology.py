@@ -35,12 +35,20 @@ __all__ = [
 ]
 
 
+#: Destinations whose min-ETX tree one snapshot remembers (synthesis routes
+#: nearly every member of an epoch to the same one or two sinks).
+_PATH_TREES_KEPT = 4
+
+
 @dataclass
 class TopologySnapshot:
     """A frozen connectivity graph with link-quality annotations."""
 
     graph: nx.Graph
     time: float
+    _path_trees: Dict[int, Dict[int, List[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def node_count(self) -> int:
@@ -72,6 +80,31 @@ class TopologySnapshot:
             return nx.shortest_path(self.graph, src, dst, weight=weight)
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             return None
+
+    def paths_to(self, dst: int) -> Dict[int, List[int]]:
+        """Min-ETX paths from every node that can reach ``dst``, keyed by source.
+
+        Each path runs source first, ``dst`` last (``dst`` maps to
+        ``[dst]``); sources in other components are absent, and a ``dst``
+        outside the graph yields an empty mapping.  One single-source
+        Dijkstra from ``dst`` serves every source, and the snapshot keeps
+        the trees of its last few destinations.  Which of several
+        equal-ETX paths a source gets is unspecified (it need not be the
+        one :meth:`shortest_path` returns); the cost is the same.  Treat
+        the mapping and its lists as read-only.
+        """
+        tree = self._path_trees.get(dst)
+        if tree is None:
+            if dst not in self.graph:
+                return {}
+            rooted = nx.single_source_dijkstra_path(self.graph, dst, weight="etx")
+            tree = {src: path[::-1] for src, path in rooted.items()}
+            # Copy-on-write, published by one assignment: threads composing
+            # on the same snapshot may both build a tree and one may be
+            # recomputed later, but no reader sees a dict mid-update.
+            kept = list(self._path_trees.items())[-(_PATH_TREES_KEPT - 1):]
+            self._path_trees = dict(kept + [(dst, tree)])
+        return tree
 
     def path_etx(self, path: List[int]) -> float:
         """Sum of ETX along a node path."""

@@ -93,12 +93,6 @@ class InventorySnapshot:
     assets: Tuple[SnapshotAsset, ...]
     topology: TopologySnapshot
 
-    def by_id(self, asset_id: int) -> Optional[SnapshotAsset]:
-        for a in self.assets:
-            if a.id == asset_id:
-                return a
-        return None
-
     def pool(self, *, blue_only: bool = True) -> List[SnapshotAsset]:
         """The recruitable candidate pool of this epoch."""
         if not blue_only:

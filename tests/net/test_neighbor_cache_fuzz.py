@@ -1,0 +1,164 @@
+"""Network.neighbors under random interleavings of topology and liveness changes.
+
+The neighbour lists are cached in two tiers: geometric lists (everything in
+range, up or down) that live until the next topology change, and up-only
+lists filtered from them that a liveness flip drops.  The state machine
+below drives every mutator in random order and, after each step, compares
+both views against a scan over all nodes that uses neither the cache nor
+the spatial grid.
+"""
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from repro.net.node import Network
+from repro.sim import Simulator
+from repro.util.geometry import Point, distance
+
+coords = st.floats(-200.0, 500.0, allow_nan=False, allow_infinity=False)
+points = st.builds(Point, coords, coords)
+
+
+def scan_neighbors(network, node_id, include_down):
+    node = network.nodes[node_id]
+    limit = network.channel.comm_range_m(
+        node.tx_power_dbm, margin_db=-network.neighbor_margin_db
+    )
+    return sorted(
+        other.id
+        for other in network.nodes.values()
+        if other.id != node_id
+        and (include_down or other.up)
+        and distance(node.position, other.position) <= limit
+    )
+
+
+class NeighborCacheMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.network = Network(Simulator(seed=11))
+        self.next_id = 0
+        self.topology_version = 0
+        self.liveness_version = 0
+
+    def _some_node(self, data):
+        return data.draw(st.sampled_from(sorted(self.network.nodes)), label="node")
+
+    @rule(position=points, tx_power_dbm=st.sampled_from([10.0, 20.0]))
+    def create_node(self, position, tx_power_dbm):
+        self.network.create_node(self.next_id, position, tx_power_dbm=tx_power_dbm)
+        self.next_id += 1
+        self.topology_version += 1
+
+    @precondition(lambda self: self.network.nodes)
+    @rule(data=st.data())
+    def remove_node(self, data):
+        self.network.remove_node(self._some_node(data))
+        self.topology_version += 1
+
+    @precondition(lambda self: self.network.nodes)
+    @rule(data=st.data(), position=points)
+    def set_position(self, data, position):
+        self.network.set_position(self._some_node(data), position)
+        self.topology_version += 1
+
+    @precondition(lambda self: self.network.nodes)
+    @rule(data=st.data(), position=points)
+    def bulk_move_then_invalidate(self, data, position):
+        # What MobilityManager does: write positions, then invalidate once.
+        self.network.node(self._some_node(data)).position = position
+        self.network.invalidate_topology()
+        self.topology_version += 1
+
+    @rule()
+    def invalidate_topology(self):
+        self.network.invalidate_topology()
+        self.topology_version += 1
+
+    @precondition(lambda self: self.network.nodes)
+    @rule(data=st.data())
+    def fail_node(self, data):
+        node = self.network.node(self._some_node(data))
+        self.liveness_version += node.up  # re-failing a down node is a no-op
+        self.network.fail_node(node.id)
+        assert not node.up
+
+    @precondition(lambda self: self.network.nodes)
+    @rule(data=st.data())
+    def restore_node(self, data):
+        node = self.network.node(self._some_node(data))
+        self.liveness_version += not node.up
+        self.network.restore_node(node.id)
+        assert node.up
+
+    @precondition(lambda self: self.network.nodes)
+    @rule(data=st.data())
+    def query(self, data):
+        # Fills the caches between mutations, in either order of the views.
+        node_id = self._some_node(data)
+        include_down = data.draw(st.booleans(), label="include_down")
+        self.network.neighbors(node_id, include_down=include_down)
+
+    @invariant()
+    def views_match_a_cache_free_scan(self):
+        for node_id in sorted(self.network.nodes)[:6]:
+            for include_down in (False, True):
+                assert self.network.neighbors(
+                    node_id, include_down=include_down
+                ) == scan_neighbors(self.network, node_id, include_down)
+
+    @invariant()
+    def versions_count_every_change(self):
+        assert self.network.topology_version == self.topology_version
+        assert self.network.liveness_version == self.liveness_version
+
+
+NeighborCacheMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestNeighborCacheFuzz = NeighborCacheMachine.TestCase
+
+
+def line_network(n=5, spacing_m=40.0):
+    network = Network(Simulator(seed=3))
+    for node_id in range(n):
+        network.create_node(node_id, Point(spacing_m * node_id, 0.0))
+    return network
+
+
+def test_fail_node_keeps_geometric_lists_and_drops_up_only_ones():
+    network = line_network()
+    geometric = network.neighbors(1, include_down=True)
+    up_only = network.neighbors(1)
+    assert up_only == geometric and 2 in geometric
+
+    network.fail_node(2)
+    assert network.neighbors(1, include_down=True) is geometric
+    assert network.neighbors(1) == [n for n in geometric if n != 2]
+
+    network.restore_node(2)
+    assert network.neighbors(1, include_down=True) is geometric
+    assert network.neighbors(1) == geometric
+
+    network.set_position(2, Point(5000.0, 0.0))
+    assert 2 not in network.neighbors(1, include_down=True)
+    assert network.neighbors(1, include_down=True) is not geometric
+
+
+def test_version_counters_bump_once_per_real_transition():
+    network = line_network()
+    topology, liveness = network.topology_version, network.liveness_version
+    network.fail_node(2)
+    network.fail_node(2)  # idempotent
+    assert (network.topology_version, network.liveness_version) == (topology, liveness + 1)
+    network.restore_node(2)
+    network.restore_node(2)
+    assert (network.topology_version, network.liveness_version) == (topology, liveness + 2)
+    network.neighbors(0)
+    network.neighbors(0, include_down=True)
+    assert (network.topology_version, network.liveness_version) == (topology, liveness + 2)
+    network.set_position(0, Point(1.0, 1.0))
+    network.invalidate_topology()
+    network.remove_node(4)
+    assert (network.topology_version, network.liveness_version) == (topology + 3, liveness + 2)

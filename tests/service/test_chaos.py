@@ -121,9 +121,13 @@ class TestErrorChaos:
 
 class TestChurnChaos:
     def test_inventory_churn_mid_query(self, small_world):
+        # Every live compose outlasts a churn tick (30 ms against 20 ms): the
+        # first wave holds all twelve client slots across an epoch change, so
+        # later queries are admitted under a newer epoch however fast the
+        # composer itself is.
         backend = ChaosBackend(
             GreedyComposer(),
-            ChaosConfig(slow_prob=0.5, slow_s=0.03, seed=9),
+            ChaosConfig(slow_prob=1.0, slow_s=0.03, seed=9),
         )
 
         async def scenario():

@@ -4,32 +4,37 @@
 from repro.service import SnapshotHub
 
 
+def _asset(snap, asset_id):
+    """The frozen record of ``asset_id`` in ``snap``, or None when absent."""
+    return {a.id: a for a in snap.assets}.get(asset_id)
+
+
 class TestEpochIsolation:
     def test_snapshot_survives_node_kill(self, small_world):
         w = small_world
         snap = w.hub.publish()
         victim = w.inventory.all()[0]
-        assert snap.by_id(victim.id).alive
+        assert _asset(snap, victim.id).alive
         w.network.fail_node(victim.node_id)
         # The live asset is down; the captured epoch still says alive.
         assert not victim.alive
-        assert snap.by_id(victim.id).alive
+        assert _asset(snap, victim.id).alive
         assert victim.node_id in snap.topology.graph
 
     def test_snapshot_survives_battery_drain(self, small_world):
         w = small_world
         asset = w.inventory.all()[0]
         snap = w.hub.publish()
-        frozen = snap.by_id(asset.id).battery.fraction_remaining
+        frozen = _asset(snap, asset.id).battery.fraction_remaining
         asset.battery.remaining_j = 0.0
-        assert snap.by_id(asset.id).battery.fraction_remaining == frozen
+        assert _asset(snap, asset.id).battery.fraction_remaining == frozen
 
     def test_pool_excludes_dead_assets_at_publish(self, small_world):
         w = small_world
         victim = w.inventory.all()[3]
         w.network.fail_node(victim.node_id)
         snap = w.hub.publish()
-        assert snap.by_id(victim.id) is None
+        assert _asset(snap, victim.id) is None
         assert snap.size == len(w.inventory.all()) - 1
 
 
@@ -55,8 +60,8 @@ class TestHub:
         w.network.fail_node(victim.node_id)
         after = w.hub.current()  # min_refresh_s=0 -> republish immediately
         assert after.epoch == before.epoch + 1
-        assert after.by_id(victim.id) is None
-        assert before.by_id(victim.id) is not None
+        assert _asset(after, victim.id) is None
+        assert _asset(before, victim.id) is not None
 
     def test_refresh_is_rate_limited(self, small_world):
         w = small_world
