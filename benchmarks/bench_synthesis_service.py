@@ -11,15 +11,18 @@ This benchmark measures that contract at 1k- and 10k-asset inventories:
 * **chaos on** — the backend raises on every call and node churn advances
   the inventory epoch between timed batches, so fresh-cache entries are
   invalidated; the breaker opens and the service answers from its stale
-  store, flagged degraded.  Headline: chaos p99 within ``P99_FACTOR`` x
-  the chaos-off p99 — resilience must not cost the tail.
+  store, flagged degraded.  Headline: chaos p99 within
+  ``CHAOS_P99_BUDGET_MS`` — resilience must not cost the tail.  (The gate
+  was a ratio to the chaos-off p99 until a fresh-cache hit stopped costing
+  an event-loop round trip: chaos-off p99 went 4 ms -> 0.01 ms and took
+  the ratio's meaning with it; the budget is what 5x amounted to then.)
 
 Epoch publishes (a full topology rebuild: ~0.4 s at 1k assets, ~8 s at
 10k) happen *between* timed batches, exactly as a production hub would
 rebuild off the serving path; query latencies measure serving, not world
 rebuilding.
 
-Writes ``BENCH_pr6.json`` (schema ``bench-pr6/1``).  Run directly::
+Writes ``BENCH_pr6.json`` (schema ``bench-pr6/2``).  Run directly::
 
     PYTHONPATH=src:benchmarks python benchmarks/bench_synthesis_service.py
 """
@@ -41,9 +44,9 @@ from repro.things.capabilities import SensingModality
 from repro.util.backoff import BackoffPolicy
 from repro.util.geometry import Region
 
-BENCH_PR6_SCHEMA = "bench-pr6/1"
-QPS_FLOOR = 1000.0   # chaos-off queries/sec on the 1k inventory
-P99_FACTOR = 5.0     # chaos p99 <= factor * chaos-off p99 (1k inventory)
+BENCH_PR6_SCHEMA = "bench-pr6/2"
+QPS_FLOOR = 1000.0          # chaos-off queries/sec on the 1k inventory
+CHAOS_P99_BUDGET_MS = 20.0  # chaos p99 on the 1k inventory
 
 SIZES = (1000, 10_000)
 N_GOALS = 8
@@ -224,7 +227,7 @@ def bench(sizes=SIZES, n_queries: int = 4000) -> Dict[str, object]:
     anchor = inventories["1000"]
     slos = {
         "qps_floor": QPS_FLOOR,
-        "p99_factor": P99_FACTOR,
+        "chaos_p99_budget_ms": CHAOS_P99_BUDGET_MS,
         "qps_1k_chaos_off": anchor["chaos_off"]["qps"],
         "qps_1k_ok": anchor["chaos_off"]["qps"] >= QPS_FLOOR,
         "chaos_p99_ratio": (
@@ -232,10 +235,7 @@ def bench(sizes=SIZES, n_queries: int = 4000) -> Dict[str, object]:
             if anchor["chaos_off"]["p99_ms"] > 0
             else float("inf")
         ),
-        "chaos_p99_ok": (
-            anchor["chaos_on"]["p99_ms"]
-            <= P99_FACTOR * anchor["chaos_off"]["p99_ms"]
-        ),
+        "chaos_p99_ok": anchor["chaos_on"]["p99_ms"] <= CHAOS_P99_BUDGET_MS,
         "all_terminal": all(
             mode["all_terminal"]
             for entry in inventories.values()
@@ -271,8 +271,9 @@ def main() -> int:
         f"SLOs: qps_1k={slos['qps_1k_chaos_off']:,.0f} "
         f"(floor {slos['qps_floor']:,.0f}) -> "
         f"{'OK' if slos['qps_1k_ok'] else 'FAIL'}; "
-        f"chaos p99 ratio={slos['chaos_p99_ratio']:.2f} "
-        f"(cap {slos['p99_factor']}) -> "
+        f"chaos p99={payload['inventories']['1000']['chaos_on']['p99_ms']:.2f}ms "
+        f"(budget {slos['chaos_p99_budget_ms']:.0f}ms, "
+        f"{slos['chaos_p99_ratio']:.0f}x chaos-off) -> "
         f"{'OK' if slos['chaos_p99_ok'] else 'FAIL'}; "
         f"all_terminal={'OK' if slos['all_terminal'] else 'FAIL'}"
     )

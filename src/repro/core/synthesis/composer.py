@@ -32,43 +32,55 @@ __all__ = [
 _COVERAGE_GRID = 16
 
 
-def _coverage_points(area: Region) -> Tuple[Point, ...]:
-    return area.grid_points(_COVERAGE_GRID, _COVERAGE_GRID)
+class _CoverageGrid:
+    """The sample lattice of one area: which of its points a sensing disc covers.
 
-
-def _coverage_mask(
-    position: Point, radius: float, area: Region, points: Sequence[Point]
-) -> int:
-    """Bitmask of the sample ``points`` of ``area`` within ``radius`` of ``position``.
-
-    Bit ``i`` stands for ``points[i]``.  Every sample point lies inside the
-    area rectangle, so a disc that cannot touch the rectangle covers none
-    and is rejected without visiting the grid.
+    ``points`` is row-major, as :meth:`Region.grid_points` lays it out: index
+    ``row * _COVERAGE_GRID + col`` sits at ``(xs[col], ys[row])``.
     """
-    if distance(position, area.clamp(position)) > radius:
-        return 0
-    mask = 0
-    bit = 1
-    for p in points:
-        if distance(position, p) <= radius:
-            mask |= bit
-        bit <<= 1
-    return mask
+
+    def __init__(self, area: Region):
+        self.area = area
+        self.points = area.grid_points(_COVERAGE_GRID, _COVERAGE_GRID)
+        self.xs = [p.x for p in self.points[:_COVERAGE_GRID]]
+        self.ys = [p.y for p in self.points[::_COVERAGE_GRID]]
+
+    def mask(self, position: Point, radius: float) -> int:
+        """Bitmask of the sample points within ``radius`` of ``position``.
+
+        Bit ``i`` stands for ``points[i]``.  Every sample point lies inside
+        the area rectangle, so a disc that cannot touch the rectangle covers
+        none and is rejected without visiting the grid; otherwise only the
+        columns and rows within ``radius`` along their own axis are measured
+        (a point is never nearer than its offset along one axis).
+        """
+        if distance(position, self.area.clamp(position)) > radius:
+            return 0
+        px, py = position.x, position.y
+        cols = [c for c, x in enumerate(self.xs) if abs(px - x) <= radius]
+        if not cols:
+            return 0
+        points = self.points
+        mask = 0
+        for row, y in enumerate(self.ys):
+            if abs(py - y) > radius:
+                continue
+            base = row * _COVERAGE_GRID
+            for col in cols:
+                if distance(position, points[base + col]) <= radius:
+                    mask |= 1 << (base + col)
+        return mask
 
 
 def coverage_fraction(
     sensors: Sequence[Asset], area: Region, *, range_scale: float = 1.0
 ) -> float:
     """Fraction of a sample grid of ``area`` within some sensor's range."""
-    points = _coverage_points(area)
-    if not points:
-        return 0.0
+    grid = _CoverageGrid(area)
     covered = 0
     for s in sensors:
-        covered |= _coverage_mask(
-            s.position, s.profile.sensing_range_m * range_scale, area, points
-        )
-    return covered.bit_count() / len(points)
+        covered |= grid.mask(s.position, s.profile.sensing_range_m * range_scale)
+    return covered.bit_count() / len(grid.points)
 
 
 @dataclass
@@ -178,17 +190,25 @@ class GreedyComposer:
         area: Region,
         topology: TopologySnapshot,
     ) -> int:
-        """Highest-compute candidate near the area, biased to connectivity."""
-        def sink_score(asset: Asset) -> Tuple[float, float]:
-            d = distance(asset.position, area.center)
-            degree = (
-                topology.graph.degree(asset.node_id)
-                if asset.node_id in topology.graph
-                else 0
-            )
-            return (asset.profile.compute_flops * (1 + degree), -d)
+        """Highest-compute candidate near the area, biased to connectivity.
 
-        best = max(candidates, key=sink_score)
+        The first candidate with the greatest ``compute_flops * (1 + degree)``
+        wins; only candidates that tie on it are compared by distance to the
+        area's centre (nearer wins, earliest on a further tie).
+        """
+        degree_of = dict(topology.graph.degree())
+        center = area.center
+        best = best_score = best_distance = None
+        for asset in candidates:
+            score = asset.profile.compute_flops * (1 + degree_of.get(asset.node_id, 0))
+            if best is None or score > best_score:
+                best, best_score, best_distance = asset, score, None
+            elif score == best_score:
+                if best_distance is None:
+                    best_distance = distance(best.position, center)
+                d = distance(asset.position, center)
+                if d < best_distance:
+                    best, best_distance = asset, d
         return best.id
 
     def _add_sensors(
@@ -198,7 +218,8 @@ class GreedyComposer:
         candidates: Sequence[Asset],
         area: Region,
     ) -> None:
-        points = _coverage_points(area)
+        grid = _CoverageGrid(area)
+        points = grid.points
         # (asset id, coverage mask, energy weight) of every sensor that sees
         # at least one sample point, in candidate order: geometry is measured
         # once here, the greedy rounds below are integer ops.
@@ -206,7 +227,7 @@ class GreedyComposer:
         for a in candidates:
             r = a.profile.sensing_range_m
             if a.profile.sensing & requirements.modalities and r > 0:
-                mask = _coverage_mask(a.position, r, area, points)
+                mask = grid.mask(a.position, r)
                 if mask:
                     pool.append((a.id, mask, self._energy_factor(a)))
         uncovered = (1 << len(points)) - 1
@@ -250,19 +271,20 @@ class GreedyComposer:
             for a in candidates
             if a.id in have
         )
-        pool = sorted(
-            (a for a in candidates if a.id not in have),
-            key=lambda a: a.profile.compute_flops * self._energy_factor(a),
-            reverse=True,
-        )
         added: List[int] = []
-        for asset in pool:
-            if flops >= requirements.compute_flops:
-                break
-            if asset.profile.compute_flops <= 0:
-                break
-            flops += asset.profile.compute_flops
-            added.append(asset.id)
+        if flops < requirements.compute_flops:
+            pool = sorted(
+                (a for a in candidates if a.id not in have),
+                key=lambda a: a.profile.compute_flops * self._energy_factor(a),
+                reverse=True,
+            )
+            for asset in pool:
+                if flops >= requirements.compute_flops:
+                    break
+                if asset.profile.compute_flops <= 0:
+                    break
+                flops += asset.profile.compute_flops
+                added.append(asset.id)
         composite.compute = added
         composite.total_flops = flops
 

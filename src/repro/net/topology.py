@@ -129,31 +129,46 @@ def build_topology(
     *,
     min_delivery_probability: float = 0.1,
     include_down: bool = False,
+    link_p: Optional[Dict[int, Dict[int, float]]] = None,
 ) -> TopologySnapshot:
     """Snapshot the network's connectivity graph.
 
     An edge is added between each neighbor pair whose (fading-free) delivery
     probability exceeds ``min_delivery_probability``; edge attributes are
     ``p`` (delivery probability, min of both directions) and ``etx`` (1/p).
+
+    ``link_p`` is a neighbour-pair table, ``{node id: {higher neighbour id:
+    p}}``, that the build reads before asking the channel and fills with
+    what it had to compute.  A pair's ``p`` depends on positions, powers and
+    jamming but not on which nodes are up, so whoever keeps a table across
+    builds owes it one rule: drop it when
+    ``(network.topology_version, network.channel.jam_signature())`` changes.
     """
     graph = nx.Graph()
     nodes = network.nodes.values() if include_down else network.up_nodes()
     for node in nodes:
         graph.add_node(node.id, pos=(node.position.x, node.position.y))
+    if link_p is None:
+        link_p = {}
+    delivery_probability = network.channel.delivery_probability
     for node in nodes:
-        for other_id in network.neighbors(node.id, include_down=include_down):
-            if other_id <= node.id or other_id not in graph:
+        node_id = node.id
+        row = link_p.setdefault(node_id, {})
+        for other_id in network.neighbors(node_id, include_down=include_down):
+            if other_id <= node_id or other_id not in graph:
                 continue
-            other = network.node(other_id)
-            p_fwd = network.channel.delivery_probability(
-                node.tx_power_dbm, node.position, other.position, node.id, other.id
-            )
-            p_rev = network.channel.delivery_probability(
-                other.tx_power_dbm, other.position, node.position, other.id, node.id
-            )
-            p = min(p_fwd, p_rev)
+            p = row.get(other_id)
+            if p is None:
+                other = network.node(other_id)
+                p_fwd = delivery_probability(
+                    node.tx_power_dbm, node.position, other.position, node_id, other_id
+                )
+                p_rev = delivery_probability(
+                    other.tx_power_dbm, other.position, node.position, other_id, node_id
+                )
+                p = row[other_id] = min(p_fwd, p_rev)
             if p >= min_delivery_probability:
-                graph.add_edge(node.id, other_id, p=p, etx=1.0 / p)
+                graph.add_edge(node_id, other_id, p=p, etx=1.0 / p)
     return TopologySnapshot(graph=graph, time=network.sim.now)
 
 

@@ -25,6 +25,10 @@ inventory.  Robustness is the design axis, layered as::
 * **Bulkhead + load shedding** — the live path runs on a bounded thread
   pool guarded by :class:`~repro.service.admission.Bulkhead`; overload is
   shed immediately with a typed :class:`~repro.service.admission.QueryRejected`.
+* **Single flight** — concurrent misses on one ``(question, epoch)`` share
+  one live attempt: the first query leads it (bulkhead slot, breaker
+  outcome, retries), the rest wait for its result inside their own
+  deadlines and end the way it ends.
 * **Snapshot isolation** — queries compose against one immutable
   :class:`~repro.service.snapshot.InventorySnapshot` epoch captured at
   admission; churn underneath cannot tear a query's world view.
@@ -186,6 +190,17 @@ class _StaleEntry:
     epoch: int
 
 
+@dataclass
+class _LiveResult:
+    """How the live path ended for one ``(question, epoch)``: an answer
+    record, or why there is none.  Shared by every query of the flight."""
+
+    record: Optional[Dict[str, Any]] = None
+    attempts: int = 0
+    last_error: Optional[str] = None
+    rejection: Optional[RejectReason] = None
+
+
 class SynthesisService:
     """Resilient mission-synthesis front-end over a snapshot hub.
 
@@ -272,6 +287,22 @@ class SynthesisService:
         self._stale: "OrderedDict[str, _StaleEntry]" = OrderedDict()
         self._stale_capacity = stale_capacity
         self._requirements: Dict[str, RequirementSet] = {}
+        self._answer_keys: Dict[Tuple[str, MissionGoal], str] = {}
+        self._pool: Tuple[int, Sequence[Any]] = (0, ())  # (epoch, candidates)
+        self._flights: "Dict[Tuple[str, int], asyncio.Future[_LiveResult]]" = {}
+        # Instruments every query touches, looked up once.
+        m = self.metrics
+        self._m_queries = m.counter("service.queries")
+        self._m_ok_cached = m.counter("service.ok_cached")
+        self._m_status = {
+            status: m.counter(f"service.{status.value}") for status in OutcomeStatus
+        }
+        self._m_latency = m.histogram("service.latency_s")
+        self._m_epoch = m.gauge("service.epoch")
+        self._m_queue_depth = m.gauge("service.queue_depth")
+        self._m_inflight = m.gauge("service.inflight")
+        self._m_shed = m.gauge("service.shed")
+        self._m_degraded_ratio = m.gauge("service.degraded_ratio")
         self._executor: Optional[ThreadPoolExecutor] = None
         self._stopping = False
         self._started = False
@@ -336,7 +367,22 @@ class SynthesisService:
         return self.breakers[backend]
 
     def answer_key(self, query: SynthesisQuery) -> str:
-        return config_key(query_config(query))
+        """Content address of the question, hashed once per distinct one."""
+        question = (query.composer, query.goal)
+        key = self._answer_keys.get(question)
+        if key is None:
+            if len(self._answer_keys) >= self._stale_capacity:
+                self._answer_keys.clear()
+            key = self._answer_keys[question] = config_key(query_config(query))
+        return key
+
+    def _pool_for(self, snapshot: InventorySnapshot) -> Sequence[Any]:
+        """The candidate pool of ``snapshot``, built once per epoch."""
+        epoch, pool = self._pool
+        if epoch != snapshot.epoch:
+            pool = tuple(self.pool_fn(snapshot))
+            self._pool = (snapshot.epoch, pool)
+        return pool
 
     def _requirements_for(self, key: str, query: SynthesisQuery) -> RequirementSet:
         req = self._requirements.get(key)
@@ -392,14 +438,21 @@ class SynthesisService:
     # ------------------------------------------------------------------ submit
 
     async def submit(self, query: SynthesisQuery) -> QueryOutcome:
-        """Answer one query; always returns a terminal :class:`QueryOutcome`."""
+        """Answer one query; always returns a terminal :class:`QueryOutcome`.
+
+        A query that needs no live attempt — a refusal, or an answer already
+        composed at the current epoch — is settled before the first ``await``:
+        no task, no timer, the caller never leaves its own coroutine.
+        """
         t0 = self._clock()
-        self.metrics.counter("service.queries").inc()
+        self._m_queries.inc()
         try:
-            outcome = await asyncio.wait_for(
-                self._submit_inner(query, t0),
-                timeout=query.deadline_s + self.deadline_grace_s,
-            )
+            outcome, key, snapshot = self._settle_now(query)
+            if outcome is None:
+                outcome = await asyncio.wait_for(
+                    self._settle_live(query, key, snapshot, t0),
+                    timeout=query.deadline_s + self.deadline_grace_s,
+                )
         except asyncio.TimeoutError:
             # The inner loop bounds every await by the remaining budget, so
             # this fires only if something slipped past those bounds.
@@ -415,7 +468,7 @@ class SynthesisService:
         return outcome
 
     def _account(self, outcome: QueryOutcome) -> None:
-        self.metrics.counter(f"service.{outcome.status.value}").inc()
+        self._m_status[outcome.status].inc()
         if outcome.status is OutcomeStatus.REJECTED and outcome.reason:
             self.metrics.counter(f"service.rejected.{outcome.reason}").inc()
         if outcome.degraded and outcome.stale_age_s is not None:
@@ -424,113 +477,111 @@ class SynthesisService:
             self.metrics.histogram("service.stale_age_s").observe(
                 outcome.stale_age_s
             )
-        self.metrics.histogram("service.latency_s").observe(outcome.elapsed_s)
-        self.metrics.gauge("service.queue_depth").set(float(self.bulkhead.waiting))
-        self.metrics.gauge("service.inflight").set(float(self.bulkhead.held))
-        self.metrics.gauge("service.shed").set(float(self.bulkhead.shed_count))
-        total = self.metrics.counter("service.queries").value
-        degraded = self.metrics.counter("service.degraded").value
-        if total:
-            self.metrics.gauge("service.degraded_ratio").set(degraded / total)
+        self._m_latency.observe(outcome.elapsed_s)
+        bulkhead = self.bulkhead
+        self._m_queue_depth.set(bulkhead.waiting)
+        self._m_inflight.set(bulkhead.held)
+        self._m_shed.set(bulkhead.shed_count)
+        self._m_degraded_ratio.set(
+            self._m_status[OutcomeStatus.DEGRADED].value / self._m_queries.value
+        )
 
-    async def _submit_inner(self, query: SynthesisQuery, t0: float) -> QueryOutcome:
+    def _settle_now(
+        self, query: SynthesisQuery
+    ) -> Tuple[Optional[QueryOutcome], str, Optional[InventorySnapshot]]:
+        """Everything that needs no waiting: refusals, the inventory epoch and
+        an answer already composed at it.  ``(None, key, snapshot)`` hands the
+        query on to the live path."""
         if self._stopping or not self._started:
-            return QueryOutcome(
-                query, OutcomeStatus.REJECTED, reason=RejectReason.SHUTDOWN.value
-            )
+            return self._rejected(query, RejectReason.SHUTDOWN), "", None
         if query.composer not in self.backends:
-            return QueryOutcome(
-                query, OutcomeStatus.REJECTED, reason=RejectReason.NO_BACKEND.value
-            )
+            return self._rejected(query, RejectReason.NO_BACKEND), "", None
         key = self.answer_key(query)
         try:
             snapshot = self.hub.current()
         except Exception:  # the inventory path itself is a backend that can fail
-            snapshot = None
-        now_wall = time.time()
-        if snapshot is None:
-            stale = self._stale_lookup(key, query.max_stale_s, now_wall)
+            stale = self._stale_lookup(key, query.max_stale_s, time.time())
             if stale is not None:
                 record, age, rec_epoch = stale
                 return QueryOutcome(
                     query, OutcomeStatus.DEGRADED, answer=record, degraded=True,
                     stale_age_s=age, epochs_behind=None, epoch=rec_epoch,
                     reason="inventory unavailable",
-                )
-            return QueryOutcome(
-                query, OutcomeStatus.REJECTED, reason=RejectReason.NO_SNAPSHOT.value
-            )
-        self.metrics.gauge("service.epoch").set(float(snapshot.epoch))
-
-        # 1. Fresh answer at this very epoch — consistent and current.
+                ), key, None
+            return self._rejected(query, RejectReason.NO_SNAPSHOT), key, None
+        self._m_epoch.set(snapshot.epoch)
+        # Fresh answer at this very epoch — consistent and current.
         fresh = self._fresh.get((key, snapshot.epoch))
         if fresh is not None:
-            self.metrics.counter("service.ok_cached").inc()
-            return QueryOutcome(
-                query, OutcomeStatus.OK, answer=fresh, cached=True,
-                epoch=snapshot.epoch,
-            )
+            return self._ok_cached(query, fresh, snapshot.epoch), key, snapshot
+        return None, key, snapshot
 
-        # 2. Live path: bulkhead → breaker → backend, with deadline + retries.
+    @staticmethod
+    def _rejected(
+        query: SynthesisQuery, reason: RejectReason, *, attempts: int = 0
+    ) -> QueryOutcome:
+        return QueryOutcome(
+            query, OutcomeStatus.REJECTED, reason=reason.value, attempts=attempts
+        )
+
+    def _ok_cached(
+        self, query: SynthesisQuery, record: Dict[str, Any], epoch: int
+    ) -> QueryOutcome:
+        self._m_ok_cached.inc()
+        return QueryOutcome(
+            query, OutcomeStatus.OK, answer=record, cached=True, epoch=epoch
+        )
+
+    async def _settle_live(
+        self,
+        query: SynthesisQuery,
+        key: str,
+        snapshot: InventorySnapshot,
+        t0: float,
+    ) -> QueryOutcome:
+        """A miss: lead the live attempt for ``(key, epoch)`` or wait for the
+        query that already does, then degrade or refuse if it gave no answer."""
+        now_wall = time.time()
         deadline = t0 + query.deadline_s
-        breaker = self.breaker_for(query.composer)
-        attempts = 0
-        last_error: Optional[str] = None
-        rejection: Optional[RejectReason] = None
-        while attempts <= self.max_retries:
-            remaining = deadline - self._clock()
-            if remaining <= 1e-3:
-                rejection = rejection or RejectReason.DEADLINE
-                break
-            if not breaker.allow():
-                rejection = RejectReason.BREAKER_OPEN
-                break
-            # breaker.allow() may have consumed a half-open probe slot; from
-            # here every exit path must record exactly one outcome on it.
-            recorded = False
+        flight_key = (key, snapshot.epoch)
+        flight = self._flights.get(flight_key)
+        if flight is None:
+            # Leader: holds the bulkhead slot and answers to the breaker.
+            flight = asyncio.get_running_loop().create_future()
+            self._flights[flight_key] = flight
+            live = _LiveResult()
             try:
-                try:
-                    await self.bulkhead.acquire(timeout_s=remaining)
-                except QueryRejected as rej:
-                    breaker.record_success()  # admission refusal, not backend sickness
-                    recorded = True
-                    rejection = rej.reason
-                    break
-                attempts += 1
-                try:
-                    record = await self._call_backend(
-                        query, key, snapshot, timeout_s=deadline - self._clock()
-                    )
-                except Exception as exc:  # noqa: BLE001 - retry boundary
-                    breaker.record_failure()
-                    recorded = True
-                    self.metrics.counter("service.live_failure").inc()
-                    last_error = repr(exc)
-                else:
-                    breaker.record_success()
-                    recorded = True
-                    self.metrics.counter("service.live_success").inc()
-                    self._remember(key, snapshot.epoch, record)
-                    return QueryOutcome(
-                        query, OutcomeStatus.OK, answer=record,
-                        epoch=snapshot.epoch, attempts=attempts,
-                    )
+                await self._run_live(query, key, snapshot, deadline, live)
+            except BaseException as exc:  # cancelled: the followers still get a reason
+                live.last_error = live.last_error or repr(exc)
+                raise
             finally:
-                if not recorded:
-                    # Cancelled mid-attempt: count it against the backend so
-                    # half-open probe slots can never leak.
-                    breaker.record_failure()
-            if attempts > self.max_retries:
-                break
-            delay = min(
-                self.backoff.delay_s(attempts, self._rng),
-                max(0.0, deadline - self._clock()),
-            )
-            if delay > 0:
-                self.metrics.counter("service.retries").inc()
-                await asyncio.sleep(delay)
+                # _run_live has already stored a fresh answer, so a query
+                # arriving after this line hits the cache, not a new flight.
+                del self._flights[flight_key]
+                flight.set_result(live)
+            if live.record is not None:
+                return QueryOutcome(
+                    query, OutcomeStatus.OK, answer=live.record,
+                    epoch=snapshot.epoch, attempts=live.attempts,
+                )
+            attempts = live.attempts
+        else:
+            # Follower: no slot, no breaker outcome, no attempt of its own.
+            attempts = 0
+            try:
+                live = await asyncio.wait_for(
+                    asyncio.shield(flight), timeout=max(0.0, deadline - self._clock())
+                )
+            except asyncio.TimeoutError:
+                live = _LiveResult(rejection=RejectReason.DEADLINE)
+            if self._stopping:
+                return self._rejected(query, RejectReason.SHUTDOWN)
+            if live.record is not None:
+                return self._ok_cached(query, live.record, snapshot.epoch)
 
-        # 3. Degraded path: a stale answer beats no answer — flagged as such.
+        # Degraded path: a stale answer beats no answer — flagged as such.
+        rejection, last_error = live.rejection, live.last_error
         stale = self._stale_lookup(key, query.max_stale_s, now_wall)
         if stale is not None:
             record, age, rec_epoch = stale
@@ -546,15 +597,77 @@ class SynthesisService:
                 epoch=rec_epoch, reason=reason, attempts=attempts,
             )
 
-        # 4. Typed terminal refusal.
+        # Typed terminal refusal.
         if last_error is not None:
             return QueryOutcome(
                 query, OutcomeStatus.FAILED, reason=last_error, attempts=attempts,
             )
-        reason = (rejection or RejectReason.DEADLINE).value
-        return QueryOutcome(
-            query, OutcomeStatus.REJECTED, reason=reason, attempts=attempts,
+        return self._rejected(
+            query, rejection or RejectReason.DEADLINE, attempts=attempts
         )
+
+    async def _run_live(
+        self,
+        query: SynthesisQuery,
+        key: str,
+        snapshot: InventorySnapshot,
+        deadline: float,
+        live: _LiveResult,
+    ) -> None:
+        """Bulkhead → breaker → backend, with deadline + retries; how it went
+        is written into ``live`` as it goes, so a cancelled leader still
+        leaves its followers an account."""
+        breaker = self.breaker_for(query.composer)
+        while live.attempts <= self.max_retries:
+            remaining = deadline - self._clock()
+            if remaining <= 1e-3:
+                live.rejection = live.rejection or RejectReason.DEADLINE
+                return
+            if not breaker.allow():
+                live.rejection = RejectReason.BREAKER_OPEN
+                return
+            # breaker.allow() may have consumed a half-open probe slot; from
+            # here every exit path must record exactly one outcome on it.
+            recorded = False
+            try:
+                try:
+                    await self.bulkhead.acquire(timeout_s=remaining)
+                except QueryRejected as rej:
+                    breaker.record_success()  # admission refusal, not backend sickness
+                    recorded = True
+                    live.rejection = rej.reason
+                    return
+                live.attempts += 1
+                try:
+                    record = await self._call_backend(
+                        query, key, snapshot, timeout_s=deadline - self._clock()
+                    )
+                except Exception as exc:  # noqa: BLE001 - retry boundary
+                    breaker.record_failure()
+                    recorded = True
+                    self.metrics.counter("service.live_failure").inc()
+                    live.last_error = repr(exc)
+                else:
+                    breaker.record_success()
+                    recorded = True
+                    self.metrics.counter("service.live_success").inc()
+                    self._remember(key, snapshot.epoch, record)
+                    live.record = record
+                    return
+            finally:
+                if not recorded:
+                    # Cancelled mid-attempt: count it against the backend so
+                    # half-open probe slots can never leak.
+                    breaker.record_failure()
+            if live.attempts > self.max_retries:
+                return
+            delay = min(
+                self.backoff.delay_s(live.attempts, self._rng),
+                max(0.0, deadline - self._clock()),
+            )
+            if delay > 0:
+                self.metrics.counter("service.retries").inc()
+                await asyncio.sleep(delay)
 
     async def _call_backend(
         self,
@@ -576,9 +689,9 @@ class SynthesisService:
         loop = asyncio.get_running_loop()
         backend = self.backends[query.composer]
         requirements = self._requirements_for(key, query)
-        pool = list(self.pool_fn(snapshot))
         future = self._executor.submit(
-            self._invoke, backend, query, key, requirements, pool, snapshot
+            self._invoke, backend, query, key, requirements,
+            self._pool_for(snapshot), snapshot,
         )
         future.add_done_callback(
             lambda _f: loop.call_soon_threadsafe(self.bulkhead.release)

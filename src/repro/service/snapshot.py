@@ -14,16 +14,20 @@ and compose against that epoch no matter what happens underneath —
 copy-on-write at epoch granularity.
 
 The hub subscribes to node-lifecycle transitions, so fault churn marks it
-dirty; ``current()`` republishes lazily, rate-limited by
-``min_refresh_s`` (building a topology over thousands of assets is the
-expensive part, so epochs advance at a bounded rate, not per-event).
+dirty, and it notices moved nodes and jamming changes by comparing
+``(network.topology_version, channel.jam_signature())`` with the value the
+current epoch was built under; ``current()`` republishes lazily,
+rate-limited by ``min_refresh_s``.  The same pair of values guards the
+hub's table of neighbour-pair delivery probabilities: while it holds, an
+epoch re-derives only which links have both ends up, so publishing after
+churn costs the nodes that are up, not a channel evaluation per link.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.node import Network
 from repro.net.topology import TopologySnapshot, build_topology
@@ -131,6 +135,10 @@ class SnapshotHub:
         self._current: Optional[InventorySnapshot] = None
         self._dirty = True
         self._last_build = -float("inf")
+        # Neighbour-pair delivery probabilities carried from epoch to epoch
+        # (see build_topology), and the world state they were measured in.
+        self._link_p: Dict[int, Dict[int, float]] = {}
+        self._link_token: Optional[Tuple] = None
         self.publishes = 0
         self.network.on_node_state(self._on_node_state)
 
@@ -141,8 +149,22 @@ class SnapshotHub:
         """Force the next ``current()`` to republish (inventory mutated)."""
         self._dirty = True
 
+    def _world_token(self) -> Tuple:
+        """Changes whenever a node moves, joins or leaves, or jamming changes."""
+        network = self.network
+        return (network.topology_version, network.channel.jam_signature())
+
     def publish(self) -> InventorySnapshot:
-        """Build and install a new epoch from the live world, right now."""
+        """Build and install a new epoch from the live world, right now.
+
+        Up/down flips since the last epoch cost a pass over the up nodes with
+        every surviving link's probability read from the table; anything that
+        changes :meth:`_world_token` drops the table and is measured afresh.
+        """
+        token = self._world_token()
+        if token != self._link_token:
+            self._link_p = {}
+            self._link_token = token
         self._epoch += 1
         assets = tuple(
             _freeze_asset(a) for a in self.inventory.all() if a.alive
@@ -152,7 +174,7 @@ class SnapshotHub:
             time=self.network.sim.now,
             wall_time=self._clock(),
             assets=assets,
-            topology=build_topology(self.network),
+            topology=build_topology(self.network, link_p=self._link_p),
         )
         self._current = snapshot
         self._dirty = False
@@ -161,10 +183,13 @@ class SnapshotHub:
         return snapshot
 
     def current(self) -> InventorySnapshot:
-        """Latest epoch, lazily refreshed when dirty and old enough."""
+        """Latest epoch, lazily refreshed when the world changed (a liveness
+        flip, ``mark_dirty()``, a moved node, jamming) and it is old enough."""
         if self._current is None:
             return self.publish()
-        if self._dirty and self._clock() - self._last_build >= self.min_refresh_s:
+        if (
+            self._dirty or self._world_token() != self._link_token
+        ) and self._clock() - self._last_build >= self.min_refresh_s:
             return self.publish()
         return self._current
 

@@ -1,26 +1,32 @@
 """GreedyComposer against its pre-bitmask self, frozen here as the oracle.
 
-``ReferenceComposer`` is the composer as it stood before coverage bitmasks
-and per-sink path trees: every greedy round re-measures every pooled sensor
-against every uncovered sample point, and every member gets its own
-``shortest_path`` to the sink.  Sink choice and compute sizing are shared
-with the production class (they did not change); everything the rewrite
-touched is re-implemented below and must agree field for field.
+``ReferenceComposer`` is the composer as it stood before coverage bitmasks,
+per-sink path trees and the shortcuts that followed them (sample points
+pruned by row and column, a sink score that measures distance only on ties,
+one degree table per compose, compute candidates sorted only when compute
+is short): every greedy round re-measures every pooled sensor against every
+uncovered sample point, every member gets its own ``shortest_path`` to the
+sink, every candidate is scored in full for the sink role and sorted for the
+compute role.  It shares only ``_energy_factor`` with the production class;
+every step is re-implemented below and must agree field for field.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Simulator
+from repro import ScenarioBuilder, Simulator
 from repro.core.mission import MissionGoal, MissionType
 from repro.core.synthesis import GreedyComposer, compile_goal
 from repro.core.synthesis.composer import CompositeAsset, coverage_fraction
 from repro.net.node import Network
 from repro.net.topology import build_topology
+from repro.service import SnapshotHub
 from repro.service.snapshot import SnapshotAsset, SnapshotBattery
 from repro.things.asset import Affiliation
 from repro.things.capabilities import CapabilityProfile, SensingModality
@@ -72,6 +78,37 @@ class ReferenceComposer(GreedyComposer):
         comp.max_path_etx = max([0.0] + etx) if etx else math.inf
         return comp
 
+    def _pick_sink(self, candidates, area, topology):
+        def sink_score(asset):
+            d = distance(asset.position, area.center)
+            degree = (
+                topology.graph.degree(asset.node_id)
+                if asset.node_id in topology.graph
+                else 0
+            )
+            return (asset.profile.compute_flops * (1 + degree), -d)
+
+        return max(candidates, key=sink_score).id
+
+    def _add_compute(self, composite, requirements, candidates):
+        have = {composite.sink, *composite.sensors}
+        flops = sum(a.profile.compute_flops for a in candidates if a.id in have)
+        pool = sorted(
+            (a for a in candidates if a.id not in have),
+            key=lambda a: a.profile.compute_flops * self._energy_factor(a),
+            reverse=True,
+        )
+        added = []
+        for asset in pool:
+            if flops >= requirements.compute_flops:
+                break
+            if asset.profile.compute_flops <= 0:
+                break
+            flops += asset.profile.compute_flops
+            added.append(asset.id)
+        composite.compute = added
+        composite.total_flops = flops
+
     def _add_sensors(self, composite, requirements, candidates, area):
         pool = [
             a
@@ -121,10 +158,16 @@ def make_asset(aid, node_id, position, *, sensing=MODALITIES, range_m=0.0, flops
     )
 
 
-def make_requirements(area, *, n_sensors, coverage_target):
+def make_requirements(area, *, n_sensors, coverage_target, compute_scale=1.0):
     goal = MissionGoal(MissionType.SURVEIL, area, min_coverage=0.5, modalities=MODALITIES)
+    compiled = compile_goal(goal)
     return dataclasses.replace(
-        compile_goal(goal), n_sensors=n_sensors, coverage_target=coverage_target
+        compiled,
+        n_sensors=n_sensors,
+        coverage_target=coverage_target,
+        # 1.0: the sink's own compute nearly always suffices; above it the
+        # composer has to recruit compute members, up to the whole pool.
+        compute_flops=compiled.compute_flops * compute_scale,
     )
 
 
@@ -191,10 +234,19 @@ def make_world(seed, n_nodes, *, degenerate_area, sink_down, n_failed):
     failed_share=st.sampled_from([0.0, 0.1, 0.4]),
     n_sensors=st.integers(1, 6),
     coverage_target=st.sampled_from([0.05, 0.3, 0.6, 1.0]),
+    compute_scale=st.sampled_from([1.0, 3.0, 10.0, 1000.0]),
 )
 @settings(max_examples=250, deadline=None)
 def test_composite_equals_reference(
-    seed, n_nodes, energy_aware, degenerate_area, sink_down, failed_share, n_sensors, coverage_target
+    seed,
+    n_nodes,
+    energy_aware,
+    degenerate_area,
+    sink_down,
+    failed_share,
+    n_sensors,
+    coverage_target,
+    compute_scale,
 ):
     pool, area, topology = make_world(
         seed,
@@ -203,7 +255,9 @@ def test_composite_equals_reference(
         sink_down=sink_down,
         n_failed=int(failed_share * (n_nodes - 1)),
     )
-    requirements = make_requirements(area, n_sensors=n_sensors, coverage_target=coverage_target)
+    requirements = make_requirements(
+        area, n_sensors=n_sensors, coverage_target=coverage_target, compute_scale=compute_scale
+    )
     got = GreedyComposer(energy_aware=energy_aware).compose(requirements, pool, topology)
     want = ReferenceComposer(energy_aware=energy_aware).compose(requirements, pool, topology)
     assert got == want  # sink, sensors, compute, relays and all four metrics
@@ -244,6 +298,42 @@ def test_budget_runs_out_before_the_coverage_target():
     assert comp.coverage < 1.0
 
 
+def test_disc_ending_exactly_on_a_sample_point_covers_it():
+    # 16 x 16 samples of a 150 m square sit on multiples of 10 m; each sensor
+    # below reaches exactly one of them, at a distance equal to its range, on
+    # the outermost column or row its disc touches.
+    area = Region(0.0, 0.0, 150.0, 150.0)
+    assert [p.x for p in area.grid_points(16, 16)[:16]] == [10.0 * i for i in range(16)]
+    for k, position in enumerate(
+        [Point(-30.0, 50.0), Point(180.0, 50.0), Point(50.0, -30.0), Point(50.0, 180.0)]
+    ):
+        sensor = [make_asset(k, 0, position, range_m=30.0)]
+        assert reference_coverage(sensor, area) == 1 / 256
+        assert coverage_fraction(sensor, area) == 1 / 256
+    inside = [make_asset(9, 0, Point(70.0, 70.0), range_m=20.0)]  # 13 points, 4 at exactly 20 m
+    assert coverage_fraction(inside, area) == reference_coverage(inside, area) == 13 / 256
+
+
+@given(
+    dx=st.floats(-1e7, 1e7, allow_nan=False), dy=st.floats(-1e7, 1e7, allow_nan=False)
+)
+@settings(max_examples=500, deadline=None)
+def test_a_distance_is_never_shorter_than_its_offset_along_one_axis(dx, dy):
+    # What lets the coverage grid skip a column or row whose offset alone
+    # exceeds the sensing radius: rounding never takes hypot below a leg.
+    origin = Point(0.0, 0.0)
+    assert distance(origin, Point(dx, dy)) >= max(abs(0.0 - dx), abs(0.0 - dy))
+
+
+def test_compute_is_recruited_in_reference_order_when_the_sink_falls_short():
+    pool, area, topology = make_world(11, 30, degenerate_area=False, sink_down=False, n_failed=0)
+    comp = _compose_both(pool, area, topology, n_sensors=2, coverage_target=0.3, compute_scale=10.0)
+    assert len(comp.compute) >= 2
+    assert comp.total_flops >= comp.requirements.compute_flops
+    short = _compose_both(pool, area, topology, n_sensors=2, coverage_target=0.3, compute_scale=1000.0)
+    assert short.total_flops < short.requirements.compute_flops  # every asset with compute is in
+
+
 def test_sink_missing_from_topology_disconnects_everyone():
     pool, area, topology = make_world(8, 20, degenerate_area=False, sink_down=True, n_failed=0)
     comp = _compose_both(pool, area, topology, n_sensors=3, coverage_target=0.3)
@@ -272,3 +362,77 @@ def test_zero_width_area_and_out_of_reach_sensors():
     # sample points of one column at most, never none by a rounding slip.
     edge = [a for a in pool if a.id == 901]
     assert coverage_fraction(edge, area) == reference_coverage(edge, area)
+
+
+# ------------------------------------------------- the ledger's 1k inventory
+
+
+def ledger_world(seed):
+    """The world, goals and churn victims of the perf ledger's
+    ``service_churn_1k`` (benchmarks/ledger/workloads.py, ``ServiceChurn``)."""
+    n_assets, n_goals, side, churn_share = 1000, 6, 0.35, 0.02
+    rng = np.random.default_rng([seed, 6])
+    rng.permutation(n_goals)  # the rank -> goal map; drawn before the churn seed
+    churn_rng = np.random.default_rng(int(rng.integers(0, 2**31)))
+    scenario = (
+        ScenarioBuilder(Simulator(seed=seed))
+        .urban_grid(blocks=int(math.sqrt(n_assets / 2.0)), block_size_m=100.0, density=0.4)
+        .population(n_blue=n_assets, n_red=0, n_gray=0)
+        .build()
+    )
+    region = scenario.region
+    width, height = region.x_max - region.x_min, region.y_max - region.y_min
+    goals = [
+        MissionGoal(
+            MissionType.SURVEIL,
+            Region(
+                region.x_min + x0 * width,
+                region.y_min + y0 * height,
+                region.x_min + (x0 + side) * width,
+                region.y_min + (y0 + side) * height,
+            ),
+            min_coverage=0.3,
+            modalities=MODALITIES,
+        )
+        for x0 in (0.0, (1.0 - side) / 2.0, 1.0 - side)
+        for y0 in (0.0, 1.0 - side)
+    ]
+    network = scenario.inventory.network
+
+    def churn():
+        up = sorted(n.id for n in network.up_nodes())
+        for node_id in churn_rng.choice(up, size=max(1, int(len(up) * churn_share)), replace=False):
+            network.fail_node(int(node_id))
+
+    return SnapshotHub(scenario.inventory, min_refresh_s=3600.0), goals, churn
+
+
+#: ``exact.answers`` of ``run.py --workload service_churn_1k`` at each seed:
+#: the ledger's digest of {(goal, epoch): (sink, sensors)}, recomputed below.
+LEDGER_ANSWERS = {12: "fb8088964744bcb5"}
+
+
+@pytest.mark.parametrize("seed", sorted(LEDGER_ANSWERS))
+def test_ledger_inventory_composites_equal_reference_at_both_epochs(seed):
+    hub, goals, churn = ledger_world(seed)
+    requirements = [compile_goal(goal) for goal in goals]
+    composer = GreedyComposer()  # one instance across goals and epochs, as the service holds it
+    answers = {}
+    for epoch in (1, 2):
+        snapshot = hub.publish()  # epoch 2 is republished from epoch 1's link table
+        assert snapshot.epoch == epoch
+        pool = snapshot.pool()
+        assert len(pool) == (1000 if epoch == 1 else 980)
+        for index, req in enumerate(requirements):
+            got = composer.compose(req, pool, snapshot.topology)
+            want = ReferenceComposer().compose(req, pool, snapshot.topology)
+            assert (got.sink, got.sensors, got.compute, got.relays) == (
+                want.sink, want.sensors, want.compute, want.relays
+            )
+            assert (got.coverage, got.max_path_etx) == (want.coverage, want.max_path_etx)
+            assert got == want
+            assert got.sensors and got.relays and got.coverage >= 0.3
+            answers[(index, epoch)] = (got.sink, tuple(got.sensors))
+        churn()
+    digest = hashlib.blake2b(repr(sorted(answers.items())).encode(), digest_size=8)
+    assert digest.hexdigest() == LEDGER_ANSWERS[seed]

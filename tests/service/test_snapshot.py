@@ -1,7 +1,9 @@
 """Snapshot isolation: epochs are immutable views over a churning world."""
 
 
+from repro.net.channel import Jammer
 from repro.service import SnapshotHub
+from repro.util.geometry import Point
 
 
 def _asset(snap, asset_id):
@@ -81,6 +83,35 @@ class TestHub:
         first = hub.current()
         hub.mark_dirty()
         assert hub.current().epoch == first.epoch + 1
+
+    def test_moved_node_triggers_lazy_republish(self, small_world):
+        w = small_world
+        clock = FakeClock()
+        hub = SnapshotHub(w.inventory, min_refresh_s=10.0, clock=clock)
+        first = hub.current()
+        mover = w.inventory.all()[0]
+        w.network.set_position(mover.node_id, Point(5000.0, 5000.0))
+        assert hub.current() is first  # rate limit applies to moves too
+        clock.advance(11.0)
+        second = hub.current()
+        assert second.epoch == first.epoch + 1
+        assert _asset(second, mover.id).position == Point(5000.0, 5000.0)
+        assert second.topology.graph.degree(mover.node_id) == 0
+        assert first.topology.graph.degree(mover.node_id) > 0
+        assert hub.current() is second
+
+    def test_jamming_change_triggers_lazy_republish(self, small_world):
+        w = small_world
+        first = w.hub.current()
+        jammer = w.network.channel.add_jammer(Jammer(Point(200.0, 200.0), power_dbm=40.0))
+        second = w.hub.current()  # min_refresh_s=0 -> republish immediately
+        assert second.epoch == first.epoch + 1
+        assert second.topology.edge_count < first.topology.edge_count
+        assert w.hub.current() is second
+        jammer.active = False  # flipped in place, behind the channel's back
+        third = w.hub.current()
+        assert third.epoch == second.epoch + 1
+        assert third.topology.edge_count == first.topology.edge_count
 
 
 class FakeClock:
