@@ -13,16 +13,18 @@ Hot-path notes
 Propagation parameters are construction-time constants, which makes the
 expensive scalar cores memoizable:
 
-* :meth:`Channel.shadowing_db` used to build a fresh seeded generator
-  (SHA-256 seed derivation + PCG64 init) on *every* call — per link, per
-  packet.  Links are static, so the draw is cached per node pair.
+* :meth:`Channel.shadowing_db` is static per link, so the draw is cached per
+  node pair.  A miss constructs the link's seeded generator (11 of its 15 us);
+  a whole-world pass calls :meth:`Channel.prime_shadowing` first, which does
+  the seeding of all its links at once and seats one reused generator on
+  each link's stream for the same draw, bit for bit.
 * :meth:`Channel.path_loss_db` caches per distinct distance (static worlds
   repeat the same distances forever; the cache is size-capped so mobile
   worlds cannot grow it without bound).
 * :meth:`Channel.comm_range_m` caches per ``(tx_power_dbm, margin_db)``.
 
-All caches are invalidated on :meth:`add_jammer` / :meth:`clear_jammers`,
-and every jammer-dependent result carries the :meth:`jam_signature` of the
+None of the three depends on jamming, so a jammer edit drops none of them;
+every jammer-dependent result carries the :meth:`jam_signature` of the
 moment it was computed — attack scenarios flip ``Jammer.active`` in place,
 which must never serve stale interference from a cache.
 
@@ -41,14 +43,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.net import fastpath
 from repro.util.geometry import Point, distance
-from repro.util.rng import derive_seed
+from repro.util.rng import derive_seed, pcg64_seed_states
 
 __all__ = ["Channel", "Jammer"]
 
@@ -137,6 +139,8 @@ class Channel:
         self.seed = seed
         self.jammers: List[Jammer] = []
         self._fading_rng = np.random.default_rng(derive_seed(seed, "fading"))
+        # The one generator prime_shadowing re-seats on each link's stream.
+        self._shadow_rng = np.random.Generator(np.random.PCG64(0))
         # Memo caches (see module docstring).  Bumping _jam_epoch is how
         # add/clear_jammers invalidates anything keyed on a jam signature.
         self._shadow_cache: Dict[Tuple[int, int], float] = {}
@@ -176,6 +180,26 @@ class Channel:
         value = float(rng.normal(0.0, self.shadowing_sigma_db))
         self._shadow_cache[key] = value
         return value
+
+    def prime_shadowing(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        """Fill the shadowing memo for every pair it lacks, in one batch.
+
+        Each link keeps its ``derive_seed`` stream and ``normal(0.0, sigma)``
+        draw, so :meth:`shadowing_db` returns the same bits either way; saved
+        is a generator per link (:func:`~repro.util.rng.pcg64_seed_states`).
+        """
+        sigma, cache, rng = self.shadowing_sigma_db, self._shadow_cache, self._shadow_rng
+        canonical = dict.fromkeys((a, b) if a <= b else (b, a) for a, b in pairs)
+        keys = [key for key in canonical if key not in cache]
+        if sigma <= 0 or not keys:
+            return
+        seeds = [derive_seed(self.seed, "shadow", str(a), str(b)) for a, b in keys]
+        stream = {"state": 0, "inc": 1}
+        seat = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
+        for key, (state, inc) in zip(keys, pcg64_seed_states(seeds)):
+            stream["state"], stream["inc"] = state, inc
+            rng.bit_generator.state = seat
+            cache[key] = float(rng.normal(0.0, sigma))
 
     def rx_power_dbm(
         self,
@@ -333,13 +357,13 @@ class Channel:
             with_fading=False,
             extra_interference_mw=extra_interference_mw,
         )
-        inv_soft = 1.0 / max(self.sinr_softness_db, 1e-6)
+        softness = max(self.sinr_softness_db, 1e-6)
         threshold = self.sinr_threshold_db
         exp = math.exp
         out = []
         append = out.append
         for sinr in sinrs:
-            z = (sinr - threshold) * inv_soft
+            z = (sinr - threshold) / softness
             z = min(max(z, -40.0), 40.0)
             append(1.0 / (1.0 + exp(-z)))
         return out
@@ -416,20 +440,14 @@ class Channel:
             tuple((j.active, j.power_dbm) for j in jammers),
         )
 
-    def _invalidate_caches(self) -> None:
-        self._jam_epoch += 1
-        self._shadow_cache.clear()
-        self._pl_cache.clear()
-        self._range_cache.clear()
-
     def add_jammer(self, jammer: Jammer) -> Jammer:
         self.jammers.append(jammer)
-        self._invalidate_caches()
+        self._jam_epoch += 1
         return jammer
 
     def clear_jammers(self) -> None:
         self.jammers.clear()
-        self._invalidate_caches()
+        self._jam_epoch += 1
 
     def __repr__(self) -> str:
         return (

@@ -13,7 +13,7 @@ by delegation, so routers and fault injectors are unchanged callers.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.net.channel import Channel
@@ -21,7 +21,7 @@ from repro.net.mac import ContentionMac
 from repro.net.packet import Packet, PacketKind
 from repro.net.stack import SPEED_OF_LIGHT_M_S, FaultLayer, NetworkStack, RouterPort
 from repro.sim.kernel import Simulator
-from repro.util.geometry import Point, distance
+from repro.util.geometry import Point
 
 __all__ = ["NetNode", "Network", "SPEED_OF_LIGHT_M_S"]
 
@@ -101,7 +101,8 @@ class Network:
         self.neighbor_margin_db = neighbor_margin_db
         self.nodes: Dict[int, NetNode] = {}
         self._rng = sim.rng.get("net")
-        self._grid: Dict[Tuple[int, int], Set[int]] = {}
+        # cell -> rows of (node id, x, y), so a scan reads no node object.
+        self._grid: Dict[Tuple[int, int], List[Tuple[int, float, float]]] = {}
         self._cell_size = 0.0
         self._grid_dirty = True
         #: Bumped on every membership/position change; position-dependent
@@ -246,11 +247,12 @@ class Network:
         return self.channel.comm_range_m(max_power, margin_db=-self.neighbor_margin_db)
 
     def _rebuild_grid(self) -> None:
-        self._cell_size = max(self._max_range(), 1.0)
+        # A hair over the widest range, or a pair exactly at its limit can sit two rows apart.
+        self._cell_size = max(self._max_range(), 1.0) * (1.0 + 1e-9)
         self._grid = {}
         for node in self.nodes.values():
-            cell = self._cell_of(node.position)
-            self._grid.setdefault(cell, set()).add(node.id)
+            p = node.position
+            self._grid.setdefault(self._cell_of(p), []).append((node.id, p.x, p.y))
         self._grid_dirty = False
         self._geo_neighbors.clear()
         self._up_neighbors.clear()
@@ -282,16 +284,18 @@ class Network:
             limit = self.channel.comm_range_m(
                 node.tx_power_dbm, margin_db=-self.neighbor_margin_db
             )
+            x, y = node.position.x, node.position.y
             cx, cy = self._cell_of(node.position)
+            hypot = math.hypot
             found = []
             for dx in (-1, 0, 1):
                 for dy in (-1, 0, 1):
-                    for other_id in self._grid.get((cx + dx, cy + dy), ()):
-                        if other_id == node_id:
-                            continue
-                        other = self.nodes[other_id]
-                        if distance(node.position, other.position) <= limit:
-                            found.append(other_id)
+                    # distance(node.position, other.position) <= limit, inline.
+                    found += [
+                        other_id
+                        for other_id, ox, oy in self._grid.get((cx + dx, cy + dy), ())
+                        if hypot(x - ox, y - oy) <= limit and other_id != node_id
+                    ]
             found.sort()
             self._geo_neighbors[node_id] = found
         if include_down:

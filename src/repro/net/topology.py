@@ -150,23 +150,38 @@ def build_topology(
         graph.add_node(node.id, pos=(node.position.x, node.position.y))
     if link_p is None:
         link_p = {}
-    delivery_probability = network.channel.delivery_probability
+    # Geometry: every node's higher-id neighbours; a pair the table lacks goes under both ends.
+    rows = []
+    receivers: Dict[int, List[int]] = {}
+    in_graph = set(graph)  # `in graph` without a Python frame per candidate
     for node in nodes:
         node_id = node.id
         row = link_p.setdefault(node_id, {})
-        for other_id in network.neighbors(node_id, include_down=include_down):
-            if other_id <= node_id or other_id not in graph:
-                continue
-            p = row.get(other_id)
-            if p is None:
-                other = network.node(other_id)
-                p_fwd = delivery_probability(
-                    node.tx_power_dbm, node.position, other.position, node_id, other_id
-                )
-                p_rev = delivery_probability(
-                    other.tx_power_dbm, other.position, node.position, other_id, node_id
-                )
-                p = row[other_id] = min(p_fwd, p_rev)
+        near = network.neighbors(node_id, include_down=include_down)
+        higher = [other_id for other_id in near if other_id > node_id and other_id in in_graph]
+        rows.append((row, node_id, higher))
+        for other_id in higher:
+            if other_id not in row:
+                receivers.setdefault(node_id, []).append(other_id)
+                receivers.setdefault(other_id, []).append(node_id)
+    # Shadowing of all those pairs at once, then one channel batch per
+    # transmitter: both directions of a pair read the same memoized terms.
+    channel, by_id = network.channel, network.nodes
+    channel.prime_shadowing((a, b) for a, bs in receivers.items() for b in bs if a < b)
+    directed: Dict[int, Dict[int, float]] = {}
+    for tx_id, rx_ids in receivers.items():
+        tx = by_id[tx_id]
+        probs = channel.delivery_probability_batch(
+            tx.tx_power_dbm, tx.position, [by_id[i].position for i in rx_ids], rx_ids, tx_id
+        )
+        directed[tx_id] = dict(zip(rx_ids, probs))
+    for a, forward in directed.items():
+        for b, p in forward.items():
+            if a < b:
+                link_p[a][b] = min(p, directed[b][a])
+    for row, node_id, higher in rows:
+        for other_id in higher:
+            p = row[other_id]
             if p >= min_delivery_probability:
                 graph.add_edge(node_id, other_id, p=p, etx=1.0 / p)
     return TopologySnapshot(graph=graph, time=network.sim.now)

@@ -9,11 +9,11 @@ independent, so adding a new consumer does not perturb existing ones.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["derive_seed", "RngStreams", "generator_draws", "generator_digest"]
+__all__ = ["derive_seed", "RngStreams", "generator_draws", "generator_digest", "pcg64_seed_states"]
 
 #: The PCG64 LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``); the state
 #: advances ``s' = s * MULT + inc (mod 2**128)`` once per 64-bit output.
@@ -69,6 +69,49 @@ def generator_draws(gen: np.random.Generator, seed: int) -> Optional[int]:
         state["state"]["inc"],
         _PCG64_MASK,
     )
+
+
+def pcg64_seed_states(seeds: Sequence[int]) -> List[Tuple[int, int]]:
+    """``(state, inc)`` of ``np.random.default_rng(seed)`` for each seed below 2**64.
+
+    ``SeedSequence``'s documented mixing (a pool of four uint32 words, then
+    eight output words) runs once over the batch in wrapping uint32 numpy
+    arithmetic; PCG64's ``srandom`` finishes each seed in Python integers.
+    A PCG64 whose ``state`` is set to a pair continues as one constructed
+    from that seed would, for far less than constructing it.
+    """
+    entropy = np.asarray(seeds, dtype=np.uint64)
+    zeros = np.zeros(len(entropy), dtype=np.uint32)
+    pool = [(entropy & 0xFFFFFFFF).astype(np.uint32), (entropy >> 32).astype(np.uint32)]
+    pool += [zeros, zeros]
+
+    def hashmix(value: np.ndarray, const: int, mult: int) -> Tuple[np.ndarray, int]:
+        bumped = const * mult & 0xFFFFFFFF
+        value = (value ^ np.uint32(const)) * np.uint32(bumped)
+        return value ^ (value >> 16), bumped
+
+    const = 0x43B0D7E5
+    for i in range(4):
+        pool[i], const = hashmix(pool[i], const, 0x931E8875)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed, const = hashmix(pool[src], const, 0x931E8875)
+                mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * mixed
+                pool[dst] = mixed ^ (mixed >> 16)
+    const = 0x8B51F9DD
+    words = []
+    for i in range(8):
+        word, const = hashmix(pool[i % 4], const, 0x58F38DED)
+        words.append(word.astype(np.uint64))
+    # Little-endian word pairs make four uint64: initial state (w0 << 64 | w1),
+    # stream selector (w2 << 64 | w3); srandom is two LCG steps around adding the first.
+    w0, w1, w2, w3 = ((words[k] | (words[k + 1] << 32)).tolist() for k in (0, 2, 4, 6))
+    out = []
+    for hi, lo, seq_hi, seq_lo in zip(w0, w1, w2, w3):
+        inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _PCG64_MASK
+        out.append((((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _PCG64_MASK, inc))
+    return out
 
 
 def generator_digest(gen: np.random.Generator) -> str:

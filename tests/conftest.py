@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import ScenarioBuilder, Simulator
@@ -10,6 +11,24 @@ from repro import ScenarioBuilder, Simulator
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator(seed=42)
+
+
+@pytest.fixture
+def generators_built(monkeypatch):
+    """Live list of the numpy bit-generator constructors called from here on.
+
+    Constructing one costs more than a link's whole propagation math, so
+    "how many" is a cost a test can require exactly where a timing cannot.
+    """
+    built = []
+    for name in ("default_rng", "PCG64"):
+        real = getattr(np.random, name)
+        monkeypatch.setattr(
+            np.random,
+            name,
+            lambda *a, _name=name, _real=real, **k: built.append(_name) or _real(*a, **k),
+        )
+    return built
 
 
 @pytest.fixture

@@ -4,7 +4,8 @@ PR 10 memoized ``path_loss_db``, ``shadowing_db`` and ``comm_range_m`` and
 gave the stack a pair-probability cache keyed on ``jam_signature()``.
 Caching propagation math is only safe if every way jamming state can
 change — roster edits through the channel API *and* in-place attribute
-flips by attack scenarios — invalidates the dependent values.  These are
+flips by attack scenarios — invalidates the dependent values, and only
+those: the three channel memos hold nothing jamming can change.  These are
 the regression tests for that contract.
 """
 
@@ -44,19 +45,34 @@ def test_comm_range_cached_per_power_and_margin():
     assert Channel(seed=3).comm_range_m(20.0) == r0  # matches uncached
 
 
-def test_jammer_roster_edits_invalidate_caches():
+def test_jammer_edits_change_the_signature_and_no_jam_free_memo(generators_built):
+    """Shadowing is seeded per link, path loss is a function of distance and
+    ``comm_range_m`` is documented "no jamming": a roster edit or an in-place
+    toggle must re-derive none of them, only move ``jam_signature()``."""
+
+    def read(channel):
+        return (
+            [channel.shadowing_db(a, b) for a, b in [(1, 2), (2, 7), (40, 3)]],
+            [channel.path_loss_db(d) for d in (1.0, 50.0, 333.3)],
+            [channel.comm_range_m(20.0), channel.comm_range_m(10.0, margin_db=-3.0)],
+        )
+
     channel = Channel(seed=3)
-    channel.path_loss_db(50.0)
-    channel.comm_range_m(20.0)
-    channel.shadowing_db(1, 2)
-    sig0 = channel.jam_signature()
-    channel.add_jammer(Jammer(Point(10.0, 10.0), power_dbm=30.0))
-    assert channel.jam_signature() != sig0
-    assert not channel._pl_cache and not channel._range_cache
-    assert not channel._shadow_cache
-    sig1 = channel.jam_signature()
+    before = read(channel)
+    assert before == read(Channel(seed=3))  # a second channel derives the same values
+    generators_built.clear()
+    signatures = [channel.jam_signature()]
+    jammer = channel.add_jammer(Jammer(Point(10.0, 10.0), power_dbm=30.0))
+    signatures.append(channel.jam_signature())
+    assert read(channel) == before
+    jammer.active = False
+    signatures.append(channel.jam_signature())
+    assert read(channel) == before
     channel.clear_jammers()
-    assert channel.jam_signature() != sig1
+    signatures.append(channel.jam_signature())
+    assert read(channel) == before
+    assert len(set(signatures)) == len(signatures)
+    assert generators_built == []
 
 
 def test_in_place_jammer_toggle_changes_signature():

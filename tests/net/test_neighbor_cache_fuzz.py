@@ -4,8 +4,12 @@ The neighbour lists are cached in two tiers: geometric lists (everything in
 range, up or down) that live until the next topology change, and up-only
 lists filtered from them that a liveness flip drops.  The state machine
 below drives every mutator in random order and, after each step, compares
-both views against a scan over all nodes that uses neither the cache nor
-the spatial grid.
+both views against ``frozen_neighbors``: a scan over all nodes that uses
+neither the cache nor the spatial grid.  Random floats never land a node
+exactly on a cell border or exactly at another node's range limit, so two
+rules place them there.  Mutations of ``Network`` this was shown to catch:
+``<`` for ``<=`` in the scan, one of the nine cells dropped, and
+``set_position`` leaving the old cell rows in place.
 """
 
 from hypothesis import settings
@@ -14,24 +18,12 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.net.node import Network
 from repro.sim import Simulator
-from repro.util.geometry import Point, distance
+from repro.util.geometry import Point
+from tests.net.frozen_oracles import frozen_neighbors
 
 coords = st.floats(-200.0, 500.0, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
-
-
-def scan_neighbors(network, node_id, include_down):
-    node = network.nodes[node_id]
-    limit = network.channel.comm_range_m(
-        node.tx_power_dbm, margin_db=-network.neighbor_margin_db
-    )
-    return sorted(
-        other.id
-        for other in network.nodes.values()
-        if other.id != node_id
-        and (include_down or other.up)
-        and distance(node.position, other.position) <= limit
-    )
+tx_powers = st.sampled_from([10.0, 17.5, 20.0])
 
 
 class NeighborCacheMachine(RuleBasedStateMachine):
@@ -45,11 +37,38 @@ class NeighborCacheMachine(RuleBasedStateMachine):
     def _some_node(self, data):
         return data.draw(st.sampled_from(sorted(self.network.nodes)), label="node")
 
-    @rule(position=points, tx_power_dbm=st.sampled_from([10.0, 20.0]))
-    def create_node(self, position, tx_power_dbm):
+    def _range_m(self, tx_power_dbm):
+        network = self.network
+        return network.channel.comm_range_m(
+            tx_power_dbm, margin_db=-network.neighbor_margin_db
+        )
+
+    def _create(self, position, tx_power_dbm):
         self.network.create_node(self.next_id, position, tx_power_dbm=tx_power_dbm)
         self.next_id += 1
         self.topology_version += 1
+
+    @rule(position=points, tx_power_dbm=tx_powers)
+    def create_node(self, position, tx_power_dbm):
+        self._create(position, tx_power_dbm)
+
+    @rule(kx=st.integers(-1, 2), ky=st.integers(-1, 2), tx_power_dbm=tx_powers)
+    def create_node_on_a_cell_border(self, kx, ky, tx_power_dbm):
+        # A border of the grid as it stands (it moves only if this node's
+        # range is the widest yet); a small multiple of the edge is exact.
+        network = self.network
+        if network._grid_dirty:
+            network._rebuild_grid()
+        cell = network._cell_size
+        assert network._cell_of(Point(kx * cell, ky * cell)) == (kx, ky)
+        self._create(Point(kx * cell, ky * cell), tx_power_dbm)
+
+    @rule(y=coords, tx_power_dbm=tx_powers, other_power_dbm=tx_powers, flip=st.booleans())
+    def create_pair_exactly_at_limit(self, y, tx_power_dbm, other_power_dbm, flip):
+        # hypot(0.0 - limit, 0.0) == limit to the bit: in range under <= only.
+        limit = self._range_m(tx_power_dbm)
+        self._create(Point(0.0, y), tx_power_dbm)
+        self._create(Point(-limit if flip else limit, y), other_power_dbm)
 
     @precondition(lambda self: self.network.nodes)
     @rule(data=st.data())
@@ -102,11 +121,11 @@ class NeighborCacheMachine(RuleBasedStateMachine):
 
     @invariant()
     def views_match_a_cache_free_scan(self):
-        for node_id in sorted(self.network.nodes)[:6]:
+        for node_id in sorted(self.network.nodes):
             for include_down in (False, True):
                 assert self.network.neighbors(
                     node_id, include_down=include_down
-                ) == scan_neighbors(self.network, node_id, include_down)
+                ) == frozen_neighbors(self.network, node_id, include_down)
 
     @invariant()
     def versions_count_every_change(self):
@@ -162,3 +181,16 @@ def test_version_counters_bump_once_per_real_transition():
     network.invalidate_topology()
     network.remove_node(4)
     assert (network.topology_version, network.liveness_version) == (topology + 3, liveness + 2)
+
+
+def test_a_pair_at_its_limit_is_found_across_two_cell_borders():
+    """Found by the state machine: with cells exactly one range wide, a node a
+    denormal below y = 0 and one at y = range sit in cell rows -1 and 1, two
+    apart, while their distance rounds to exactly the range."""
+    network = Network(Simulator(seed=11))
+    limit = network.channel.comm_range_m(10.0, margin_db=-network.neighbor_margin_db)
+    network.create_node(0, Point(0.0, -1.0011225260755786e-36), tx_power_dbm=10.0)
+    network.create_node(1, Point(0.0, limit), tx_power_dbm=10.0)
+    assert frozen_neighbors(network, 0, True) == [1]
+    assert network.neighbors(0, include_down=True) == [1]
+    assert network.neighbors(1, include_down=True) == [0]

@@ -3,11 +3,14 @@
 The hub carries neighbour-pair delivery probabilities from epoch to epoch
 and drops them when ``(topology_version, jam_signature())`` changes.
 ``reference_build_topology`` is ``build_topology`` as it stood before the
-table existed: both directions of every neighbour pair asked of the channel
-on every call.  The state machine drives every mutator that can change a
-link or its ends in random order and, after every publish, requires the
-hub's graph to equal the reference's — node order, adjacency order, edge
-order and every attribute.
+table, the cell-row neighbour scan and the batched channel passes existed:
+all-pairs geometry, and both directions of every neighbour pair computed on
+every call from a generator constructed for that link (``frozen_oracles``:
+it shares neither ``network.neighbors`` nor any channel memo with the code
+it checks).  The state machine drives every mutator that can change a link
+or its ends in random order and, after every publish, requires the hub's
+graph to equal the reference's — node order, adjacency order, edge order
+and every attribute.
 """
 
 import networkx as nx
@@ -22,6 +25,7 @@ from repro.service import SnapshotHub
 from repro.sim import Simulator
 from repro.things.asset import AssetInventory
 from repro.util.geometry import Point
+from tests.net.frozen_oracles import frozen_delivery_probability, frozen_neighbors
 
 coords = st.floats(0.0, 400.0, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -33,16 +37,17 @@ def reference_build_topology(network, *, min_delivery_probability=0.1):
     nodes = network.up_nodes()
     for node in nodes:
         graph.add_node(node.id, pos=(node.position.x, node.position.y))
+    channel = network.channel
     for node in nodes:
-        for other_id in network.neighbors(node.id):
+        for other_id in frozen_neighbors(network, node.id, include_down=False):
             if other_id <= node.id or other_id not in graph:
                 continue
             other = network.node(other_id)
-            p_fwd = network.channel.delivery_probability(
-                node.tx_power_dbm, node.position, other.position, node.id, other.id
+            p_fwd = frozen_delivery_probability(
+                channel, node.tx_power_dbm, node.position, other.position, node.id, other.id
             )
-            p_rev = network.channel.delivery_probability(
-                other.tx_power_dbm, other.position, node.position, other.id, node.id
+            p_rev = frozen_delivery_probability(
+                channel, other.tx_power_dbm, other.position, node.position, other.id, node.id
             )
             p = min(p_fwd, p_rev)
             if p >= min_delivery_probability:
