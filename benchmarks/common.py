@@ -10,6 +10,10 @@ run in two modes:
 * ``python benchmarks/bench_*.py`` — *full* mode: the complete sweep for
   the experiment writeup (EXPERIMENTS.md numbers come from these).
 
+These scripts reproduce the paper's series; they are not where speed is
+compared across commits — that is the perf ledger (``benchmarks/ledger``,
+declared in ``BENCHMARK.json``).
+
 Sweep-shaped benchmarks run through :mod:`repro.campaign`;
 :func:`campaign_runner` wires a runner to the benchmark environment:
 
@@ -41,35 +45,7 @@ __all__ = [
     "write_table_json",
     "campaign_runner",
     "sim_rate",
-    "write_bench_pr4",
-    "write_bench_pr8",
-    "manifest_paths",
-    "BENCH_PR4_SCHEMA",
-    "BENCH_PR8_SCHEMA",
 ]
-
-
-def manifest_paths() -> list:
-    """RunManifests stamped by this process's env-wired exports, sorted.
-
-    Scans the ``REPRO_OBS_*`` export locations for ``*.manifest.json``
-    files (see :mod:`repro.obs.forensics`): every ``BENCH_*.json`` records
-    them so a benchmark number can always be traced back to the exact
-    seeds, RNG draw counts, and spec hashes that produced it.
-    """
-    import glob
-
-    candidates = []
-    for var in ("REPRO_OBS_RING_DIR", "REPRO_OBS_NDJSON_DIR"):
-        directory = os.environ.get(var)
-        if directory and os.path.isdir(directory):
-            candidates.extend(
-                glob.glob(os.path.join(directory, "*.manifest.json"))
-            )
-    single = os.environ.get("REPRO_OBS_NDJSON")
-    if single and os.path.exists(single + ".manifest.json"):
-        candidates.append(single + ".manifest.json")
-    return sorted(set(candidates))
 
 
 def standard_scenario(
@@ -141,91 +117,6 @@ def sim_rate(sim: Simulator) -> Dict[str, float]:
 def write_table_json(table: ResultTable, path: str) -> None:
     """Write a table as a JSON document with non-finite values nulled."""
     table.to_json(path)
-
-
-#: Schema tag for the PR4 perf baseline file; bump only with a migration
-#: note so future PRs can diff against older baselines.
-BENCH_PR4_SCHEMA = "bench-pr4/1"
-
-
-def write_bench_pr4(
-    *,
-    events_per_sec: Dict[str, float],
-    routers: Dict[str, Dict[str, Any]],
-    path: Optional[str] = None,
-) -> str:
-    """Write the PR4 perf baseline (``BENCH_pr4.json``) in a stable schema.
-
-    ``events_per_sec`` carries ``{"tracing_off", "tracing_on",
-    "overhead_frac"}`` kernel-throughput numbers; ``routers`` maps router
-    name -> ``{"delivery_ratio": float, "latency_s": {"p50","p90","p99"}}``.
-    Default location is the repository root (next to ROADMAP.md), so
-    successive PRs diff one well-known file; ``REPRO_BENCH_JSON_DIR``
-    redirects it alongside the other benchmark JSON artifacts.
-    """
-    import json
-
-    if path is None:
-        out_dir = os.environ.get("REPRO_BENCH_JSON_DIR") or os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))
-        )
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "BENCH_pr4.json")
-    payload = {
-        "schema": BENCH_PR4_SCHEMA,
-        "events_per_sec": events_per_sec,
-        "routers": routers,
-        "run_manifests": manifest_paths(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(json_safe(payload), fh, indent=2, allow_nan=False)
-        fh.write("\n")
-    return path
-
-
-#: Schema tag for the PR8 telemetry-plane overhead pin (``BENCH_pr8.json``).
-BENCH_PR8_SCHEMA = "bench-pr8/1"
-
-
-def write_bench_pr8(
-    *,
-    events_per_sec: Dict[str, float],
-    routers: Dict[str, Dict[str, Any]],
-    baseline: Dict[str, Any],
-    methodology: Dict[str, Any],
-    path: Optional[str] = None,
-) -> str:
-    """Write the PR8 tracing-overhead pin (``BENCH_pr8.json``).
-
-    ``events_per_sec`` carries the cross-router ``{"tracing_off",
-    "tracing_on", "overhead_frac"}`` summary measured on the PR4 workload
-    with the binary staging path; ``routers`` maps router name ->
-    per-arm best-of rates and overhead; ``baseline`` records the
-    BENCH_pr4 numbers this run is compared against (so the artifact is
-    self-contained); ``methodology`` pins how the numbers were taken
-    (rounds, interleaving, GC control) — a future reader must be able to
-    reproduce the measurement, not just the value.
-    """
-    import json
-
-    if path is None:
-        out_dir = os.environ.get("REPRO_BENCH_JSON_DIR") or os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))
-        )
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "BENCH_pr8.json")
-    payload = {
-        "schema": BENCH_PR8_SCHEMA,
-        "events_per_sec": events_per_sec,
-        "routers": routers,
-        "baseline": baseline,
-        "methodology": methodology,
-        "run_manifests": manifest_paths(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(json_safe(payload), fh, indent=2, allow_nan=False)
-        fh.write("\n")
-    return path
 
 
 def table_slug(title: str) -> str:

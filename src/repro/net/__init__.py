@@ -7,9 +7,8 @@ under :mod:`repro.net.routing`.
 
 Per-node protocol machinery is organized as an explicit layered pipeline
 (:mod:`repro.net.stack`: PHY/channel -> MAC -> queue -> routing ->
-transport -> app) behind a uniform :class:`~repro.net.stack.Layer`
-interface, and every swappable component (channels, MACs, routers, mobility
-models, transports) is addressable by string name through
+transport -> app), and every swappable component (channels, MACs, routers,
+mobility models, transports) is addressable by string name through
 :mod:`repro.net.registry`, so scenario builders and campaign sweeps can
 compose stacks declaratively (``router="aodv"``, ``mac="csma"``).
 """
@@ -19,7 +18,6 @@ from repro.net.channel import Channel, Jammer
 from repro.net.node import NetNode, Network
 from repro.net.mac import ContentionMac, IdealMac, MacAccess
 from repro.net.stack import (
-    Layer,
     LayerBase,
     NetworkStack,
     RouterPort,
@@ -58,7 +56,6 @@ __all__ = [
     "ContentionMac",
     "IdealMac",
     "MacAccess",
-    "Layer",
     "LayerBase",
     "NetworkStack",
     "RouterPort",

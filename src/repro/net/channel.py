@@ -33,10 +33,10 @@ The batch API (:meth:`rx_power_dbm_batch` / :meth:`sinr_db_batch` /
 single fused pass over those memoized cores.  Transcendentals
 (``log10``/``exp``) deliberately stay on scalar ``math.*``: numpy's SIMD
 loops are *not* bit-identical to libm on all hardware, and the PR5 golden
-fingerprints pin exact trace bytes.  numpy (via :mod:`repro.net.fastpath`)
-is used only where it is IEEE-exact — elementwise multiply and compare of
-the final verdicts — so the vectorized and pure-Python paths return the
-same bits.
+fingerprints pin exact trace bytes.  numpy is used only where it is
+IEEE-exact — elementwise multiply and compare of the final verdicts — so a
+wide batch through numpy and a narrow one through the list comprehension
+return the same bits.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.net import fastpath
 from repro.util.geometry import Point, distance
 from repro.util.rng import derive_seed, pcg64_seed_states
 
@@ -383,15 +382,14 @@ class Channel:
         batching never perturbs it.  Receiver ``i`` decodes iff
         ``draws[i] < probs[i] * survival`` — the same float multiply and
         compare as the scalar dispatcher, evaluated through numpy when the
-        fast path is on and the batch is large enough (elementwise ``*``
-        and ``<`` on float64 are IEEE-exact, so both paths agree bitwise).
+        batch is large enough (elementwise ``*`` and ``<`` on float64 are
+        IEEE-exact, so both widths agree bitwise).
         """
-        xp = fastpath.numpy_or_none()
-        if xp is not None and len(probs) >= _NP_VERDICT_MIN:
-            p = xp.asarray(probs, dtype=xp.float64)
+        if len(probs) >= _NP_VERDICT_MIN:
+            p = np.asarray(probs, dtype=np.float64)
             if survival != 1.0:
                 p = p * survival
-            return (xp.asarray(draws, dtype=xp.float64) < p).tolist()
+            return (np.asarray(draws, dtype=np.float64) < p).tolist()
         if survival != 1.0:
             return [d < p * survival for p, d in zip(probs, draws)]
         return [d < p for p, d in zip(probs, draws)]

@@ -11,8 +11,6 @@ local density and offered load, which is the effect the IoBT arguments need
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -88,23 +86,6 @@ class ContentionMac:
             collision_survival=self.collision_survival(busy_neighbors),
         )
 
-    # ------------------------------------------------------------ layer surface
-    #
-    # MAC backends occupy the mac slot of a NetworkStack; the grant logic
-    # above is the whole behavior, so the remaining Layer methods are no-ops.
-
-    def attach(self, ctx: Any) -> None:
-        """Layer-interface attachment; the MAC is stateless per-context."""
-
-    def on_send(self, node: Any, packet: Any) -> None:
-        """No per-packet send-side state (grants happen via access())."""
-
-    def on_receive(self, node: Any, packet: Any, from_id: int) -> None:
-        """No receive-side MAC state in the mean-field model."""
-
-    def on_timer(self, now: float) -> None:
-        """No periodic MAC maintenance."""
-
 
 @dataclass
 class IdealMac:
@@ -127,18 +108,6 @@ class IdealMac:
 
     def access(self, busy_neighbors: int, rng: np.random.Generator) -> MacAccess:
         return MacAccess(backoff_s=0.0, collision_survival=1.0)
-
-    def attach(self, ctx: Any) -> None:
-        """Layer-interface attachment; nothing to bind."""
-
-    def on_send(self, node: Any, packet: Any) -> None:
-        """No send-side state."""
-
-    def on_receive(self, node: Any, packet: Any, from_id: int) -> None:
-        """No receive-side state."""
-
-    def on_timer(self, now: float) -> None:
-        """No periodic maintenance."""
 
 
 register("mac", ContentionMac.name, ContentionMac)

@@ -276,9 +276,7 @@ def compose(
     With ``network=None`` a fresh :class:`~repro.net.node.Network` is built
     around the spec's channel and MAC; passing an existing network instead
     plugs the router/transport into it (the builder does this so its world
-    geometry owns the channel).  The router and transport are installed in
-    the stack's routing/transport slots, so per-layer hooks and profiling
-    see the full composition.
+    geometry owns the channel).
 
     ``attach`` names the node ids the router serves.  Transports install
     their packet handlers on the router's attached nodes at construction,
@@ -298,7 +296,6 @@ def compose(
         mac = reg.create("mac", spec.mac, **spec.mac_params)
         network = Network(sim, channel, mac)
     router = reg.create("router", spec.router, network, **spec.router_params)
-    network.stack.set_router(router)
     if attach is not None:
         router.attach_all(attach)
     transport = None
@@ -306,5 +303,4 @@ def compose(
         transport = reg.create(
             "transport", spec.transport, router, **spec.transport_params
         )
-        network.stack.set_transport(transport)
     return ComposedStack(spec=spec, network=network, router=router, transport=transport)

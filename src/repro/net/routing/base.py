@@ -62,22 +62,6 @@ class Router:
         """Handle a packet delivered by the network to ``node``."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------ layer surface
-    #
-    # Routers occupy the routing slot of a NetworkStack; these two methods
-    # complete the Layer-facing surface (stack.RoutingLayer adapts them).
-
-    def on_send(self, node: NetNode, packet: Packet) -> None:
-        """Layer-interface entry: originate ``packet`` at ``node``."""
-        self.send(node.id, packet)
-
-    def on_timer(self, now: float) -> None:
-        """Periodic maintenance hook (DTN contact sweeps, route expiry).
-
-        Default is a no-op; protocols with periodic work override it and
-        own their scheduling cadence.
-        """
-
     # ------------------------------------------------------------ accounting
 
     def _tracer(self):

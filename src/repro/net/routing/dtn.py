@@ -62,7 +62,7 @@ class _StoreCarryForwardRouter(Router):
             )
 
     def on_timer(self, now: float) -> None:
-        """Contact sweeps run through the stack's timer surface."""
+        """One contact sweep; :meth:`start` schedules it every period."""
         self._sweep()
 
     def on_node_state(self, node_id: int, up: bool) -> None:

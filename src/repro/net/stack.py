@@ -7,12 +7,14 @@ makes the stack explicit: an ordered pipeline
 
     PHY/channel -> MAC -> queue -> routing -> transport -> app
 
-behind one :class:`Layer` protocol (``on_send`` / ``on_receive`` /
-``on_timer`` / ``attach(ctx)``).  A :class:`StackContext` owns the clock,
-the RNG stream, and the emit hooks, so tracing (:mod:`repro.obs.tracing`),
-fault callbacks (:mod:`repro.faults`), and metrics
-(:mod:`repro.obs.registry`) plug in at layer boundaries exactly once instead
-of being re-implemented per router.
+whose bottom five stages are concrete layer objects (:class:`PhyLayer`,
+:class:`MacLayer`, :class:`QueueLayer`, :class:`FaultLayer`,
+:class:`AppLayer`) the dispatcher calls by name; routers and transports
+plug in per node through :class:`RouterPort` / :class:`TransportPort`.  A
+:class:`StackContext` owns the simulator handle, the RNG stream, and the
+emit hooks, so tracing (:mod:`repro.obs.tracing`), fault callbacks
+(:mod:`repro.faults`), and metrics (:mod:`repro.obs.registry`) plug in at
+layer boundaries exactly once instead of being re-implemented per router.
 
 The per-packet hot path is :class:`FastPathDispatcher`: one batched dispatch
 loop over the layers that :class:`~repro.net.node.Network` delegates to.  It
@@ -42,7 +44,6 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.net import fastpath
 from repro.net.mac import ContentionMac, MacAccess
 from repro.net.packet import Packet, PacketKind
 from repro.util.geometry import distance
@@ -55,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
 __all__ = [
-    "Layer",
     "RouterPort",
     "TransportPort",
     "LayerBase",
@@ -64,47 +64,19 @@ __all__ = [
     "MacLayer",
     "QueueLayer",
     "FaultLayer",
-    "RoutingLayer",
-    "TransportLayer",
     "AppLayer",
     "NetworkStack",
     "FastPathDispatcher",
     "SPEED_OF_LIGHT_M_S",
-    "LAYER_ORDER",
 ]
 
 SPEED_OF_LIGHT_M_S = 3.0e8
-
-#: Canonical bottom-up layer order of the pipeline.
-LAYER_ORDER: Tuple[str, ...] = ("phy", "mac", "queue", "routing", "transport", "app")
 
 SendResult = Callable[[bool], None]
 Sniffer = Callable[[Packet, int, int], None]
 
 
 # --------------------------------------------------------------- protocols
-
-
-@runtime_checkable
-class Layer(Protocol):
-    """The uniform interface every stack layer implements.
-
-    ``attach(ctx)`` binds the layer to its stack's shared context;
-    ``on_send`` / ``on_receive`` are the downward/upward data-path hooks;
-    ``on_timer`` is the periodic maintenance hook (DTN contact sweeps, MAC
-    housekeeping).  Layers that do not participate in a direction simply
-    inherit the no-op from :class:`LayerBase`.
-    """
-
-    name: str
-
-    def attach(self, ctx: "StackContext") -> None: ...
-
-    def on_send(self, node: "NetNode", packet: Packet) -> None: ...
-
-    def on_receive(self, node: "NetNode", packet: Packet, from_id: int) -> None: ...
-
-    def on_timer(self, now: float) -> None: ...
 
 
 @runtime_checkable
@@ -139,7 +111,7 @@ class TransportPort(Protocol):
 
 
 class LayerBase:
-    """Default no-op implementation of the :class:`Layer` protocol."""
+    """What every stack layer shares: a name and the stack's context."""
 
     name = "layer"
 
@@ -149,15 +121,6 @@ class LayerBase:
     def attach(self, ctx: "StackContext") -> None:
         self.ctx = ctx
 
-    def on_send(self, node: "NetNode", packet: Packet) -> None:
-        pass
-
-    def on_receive(self, node: "NetNode", packet: Packet, from_id: int) -> None:
-        pass
-
-    def on_timer(self, now: float) -> None:
-        pass
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -166,7 +129,7 @@ class LayerBase:
 
 
 class StackContext:
-    """Shared state every layer sees: clock, RNG stream, and emit hooks.
+    """Shared state every layer sees: simulator, RNG stream, emit hooks.
 
     The context is the single place where cross-cutting concerns plug into
     the stack.  Tracing hooks come from :attr:`tracer` (``None`` while
@@ -193,14 +156,7 @@ class StackContext:
         # live SLO snapshot derives per-router delivery ratios from.
         self._route_counters: Dict[str, Tuple[Any, Any]] = {}
 
-    # ------------------------------------------------------------- clock/rng
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    def call_in(self, delay: float, fn: Callable[[], None]) -> Any:
-        return self.sim.call_in(delay, fn)
+    # ----------------------------------------------------------------- clock
 
     def call_in_fast(self, delay: float, fn: Callable[[], None]) -> None:
         """Fast-lane ``call_in`` for never-cancelled packet completions."""
@@ -532,48 +488,6 @@ class FaultLayer(LayerBase):
         return drop, duplicate, corrupt, extra_delay
 
 
-class RoutingLayer(LayerBase):
-    """Adapter putting a :class:`~repro.net.routing.base.Router` in the
-    stack's routing slot.  Down-calls map ``on_send`` to the router's
-    ``send``; up-calls go to the router's own ``on_receive``."""
-
-    name = "routing"
-
-    def __init__(self, router: RouterPort):
-        super().__init__()
-        self.router = router
-
-    def on_send(self, node: "NetNode", packet: Packet) -> None:
-        self.router.send(node.id, packet)
-
-    def on_receive(self, node: "NetNode", packet: Packet, from_id: int) -> None:
-        self.router.on_receive(node, packet, from_id)
-
-    def on_timer(self, now: float) -> None:
-        timer = getattr(self.router, "on_timer", None)
-        if timer is not None:
-            timer(now)
-
-
-class TransportLayer(LayerBase):
-    """Adapter putting a transport service (:class:`MessageService` /
-    :class:`ReliableMessageService`) in the stack's transport slot."""
-
-    name = "transport"
-
-    def __init__(self, service: TransportPort):
-        super().__init__()
-        self.service = service
-
-    def on_send(self, node: "NetNode", packet: Packet) -> None:
-        self.service.send(node.id, packet.dst, packet.payload)
-
-    def on_receive(self, node: "NetNode", packet: Packet, from_id: int) -> None:
-        # Transports register per-kind node handlers; delivery reaches them
-        # through the app layer.  Nothing extra to do on the adapter.
-        pass
-
-
 class AppLayer(LayerBase):
     """Top of the stack: sniffer taps, router up-call, local handlers.
 
@@ -600,9 +514,6 @@ class AppLayer(LayerBase):
             receiver.router.on_receive(receiver, packet, from_id)
         else:
             receiver.deliver_local(packet, from_id)
-
-    def on_receive(self, node: "NetNode", packet: Packet, from_id: int) -> None:
-        self.deliver(node, packet, from_id)
 
 
 # --------------------------------------------------------------- dispatcher
@@ -638,39 +549,8 @@ class FastPathDispatcher:
         self.queue = queue
         self.faults = faults
         self.app = app
-        # Resolved once per dispatcher: whether broadcast draws come as one
-        # numpy slab (bit-identical to sequential draws) or one at a time.
-        self._fast = fastpath.fast_path_enabled()
 
     # ---------------------------------------------------------- shared core
-
-    def _hop_verdict(
-        self,
-        sender: "NetNode",
-        receiver: "NetNode",
-        packet: Packet,
-        survival: float,
-    ) -> Tuple[bool, Optional[str], bool, bool, float]:
-        """One receiver's delivery draw plus the fault-layer verdicts.
-
-        Returns ``(success, drop_reason, duplicate, corrupt, extra_delay)``.
-        Exactly one RNG draw (the delivery Bernoulli) unless gremlins add
-        their own from their named stream.
-        """
-        ctx = self.ctx
-        p_ok = self.phy.delivery_probability(sender, receiver) * survival
-        if ctx.rng.random() >= p_ok:
-            return False, "loss", False, False, 0.0
-        if self.faults.link_blocked(sender.id, receiver.id):
-            ctx.incr("net.link_blocked")
-            return False, "link_blocked", False, False, 0.0
-        verdict = self.faults.gremlin_verdict(sender.id, receiver.id, packet)
-        if verdict is not None:
-            drop, duplicate, corrupt, extra_delay = verdict
-            if drop:
-                return False, "gremlin", duplicate, corrupt, extra_delay
-            return True, None, duplicate, corrupt, extra_delay
-        return True, None, False, False, 0.0
 
     def _charge_tx(self, sender: "NetNode", packet: Packet) -> None:
         """Per-transmission accounting at the queue/MAC boundary."""
@@ -826,18 +706,13 @@ class FastPathDispatcher:
         # cast walks it once per neighbor).  Probabilities come from the
         # PHY pair cache / fused channel kernel in one call, the delivery
         # Bernoullis as one RNG slab (``Generator.random(n)`` yields the
-        # same doubles as n sequential ``random()`` calls, so the draw-
-        # per-receiver contract of the scalar path is preserved exactly),
+        # same doubles as n sequential ``random()`` calls, so each
+        # receiver still consumes exactly one draw, in neighbor order),
         # and the verdicts as one batched compare.
         nodes = ctx.network.nodes
         receivers = [nodes[nid] for nid in neighbor_ids]
         probs = self.phy.delivery_probability_batch(sender, receivers)
-        n = len(receivers)
-        if self._fast:
-            draws = ctx.rng.random(n)
-        else:
-            rng_random = ctx.rng.random
-            draws = [rng_random() for _ in range(n)]
+        draws = ctx.rng.random(len(receivers))
         verdicts = self.phy.channel.delivery_verdicts(probs, draws, survival=survival)
         link_blocked = self.faults.link_blocked
         gremlin_verdict = (
@@ -918,10 +793,10 @@ class FastPathDispatcher:
 class NetworkStack:
     """The assembled layered pipeline of one network.
 
-    Owns the context, the mandatory bottom layers (PHY, MAC, queue, faults,
-    app), the optional routing/transport slots, and the fast-path
-    dispatcher.  :class:`~repro.net.node.Network` builds a default stack at
-    construction and delegates its transmit and fault APIs here.
+    Owns the context, the five layers (PHY, MAC, queue, faults, app) and
+    the fast-path dispatcher.  :class:`~repro.net.node.Network` builds a
+    default stack at construction and delegates its transmit and fault
+    APIs here.
     """
 
     def __init__(
@@ -939,47 +814,8 @@ class NetworkStack:
         self.queue = QueueLayer()
         self.faults = FaultLayer()
         self.app = AppLayer()
-        #: Optional slots filled by composition (registry / builder).
-        self.routing: Optional[RoutingLayer] = None
-        self.transport: Optional[TransportLayer] = None
         for layer in (self.phy, self.mac, self.queue, self.faults, self.app):
             layer.attach(self.ctx)
         self.dispatcher = FastPathDispatcher(
             self.ctx, self.phy, self.mac, self.queue, self.faults, self.app
         )
-
-    # ------------------------------------------------------------- pipeline
-
-    @property
-    def layers(self) -> List[Layer]:
-        """Bottom-up pipeline view (only filled slots appear)."""
-        out: List[Layer] = [self.phy, self.mac, self.queue]
-        if self.routing is not None:
-            out.append(self.routing)
-        if self.transport is not None:
-            out.append(self.transport)
-        out.append(self.app)
-        return out
-
-    def set_router(self, router: RouterPort) -> RoutingLayer:
-        """Fill the routing slot with an adapter around ``router``."""
-        layer = RoutingLayer(router)
-        layer.attach(self.ctx)
-        self.routing = layer
-        return layer
-
-    def set_transport(self, service: TransportPort) -> TransportLayer:
-        """Fill the transport slot with an adapter around ``service``."""
-        layer = TransportLayer(service)
-        layer.attach(self.ctx)
-        self.transport = layer
-        return layer
-
-    def on_timer(self, now: float) -> None:
-        """Propagate a maintenance tick through every layer, bottom-up."""
-        for layer in self.layers:
-            layer.on_timer(now)
-
-    def __repr__(self) -> str:
-        names = "->".join(layer.name for layer in self.layers)
-        return f"NetworkStack({names})"

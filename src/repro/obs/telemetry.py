@@ -2,8 +2,8 @@
 
 The per-event cost of tracing used to be dict construction plus a sorted
 tuple plus a frozen dataclass — ~4 µs per record, a 51% kernel tax on
-traced runs (BENCH_pr4).  This module moves all of that off the timed
-path.  The hot path *stages* a record as one cheap tuple append; packing
+traced runs.  This module moves all of that off the timed path.  The
+hot path *stages* a record as one cheap tuple append; packing
 into a struct-encoded binary ring and decoding back into
 :class:`~repro.sim.trace.TraceRecord` form happen lazily, only when a
 sink, a fingerprint, or ``python -m repro.obs report`` actually reads the

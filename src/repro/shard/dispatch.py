@@ -154,18 +154,13 @@ class ShardDispatcher(FastPathDispatcher):
             self.phy.delivery_probability(sender, receiver)
             * access.collision_survival
         )
-        drop_reason: Optional[str] = None
         if not receiver.up:
             success = False
-            drop_reason = "receiver_down"
         else:
             rng.rekey("rx", sender_id, seq, receiver_id)
             success = rng.random() < p_ok
-            if not success:
-                drop_reason = "loss"
         if success and self.faults.link_blocked(sender_id, receiver_id):
             success = False
-            drop_reason = "link_blocked"
             ctx.incr("net.link_blocked")
         self._charge_tx(sender, packet)
 
@@ -198,7 +193,6 @@ class ShardDispatcher(FastPathDispatcher):
                     on_result(False)
 
         ctx.call_in_fast(delay, complete)
-        _ = drop_reason  # parity with the serial path's bookkeeping
 
     # ------------------------------------------------------------ broadcast
 

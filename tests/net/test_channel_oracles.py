@@ -7,10 +7,12 @@ promise the same bits.  The references are in ``frozen_oracles``; mutations
 these tests were shown to catch: a wrong ``SeedSequence`` constant, the
 eight output words cycling the pool from the wrong offset, a seed below
 2**32 mixed as two words, PCG64's second increment dropped, the sorted pair
-key dropped, and the batch multiplying by ``1 / softness`` where the scalar
-divides.
+key dropped, the batch multiplying by ``1 / softness`` where the scalar
+divides, and in ``delivery_verdicts`` a ``<=`` for the ``<``, a float32
+cast and a dropped ``survival`` on one side of the width switch.
 """
 
+import math
 import random
 
 import numpy as np
@@ -151,3 +153,41 @@ def test_scalar_batch_and_frozen_delivery_probability_agree(softness, jamming):
             assert p == frozen_delivery_probability(channel, tx_power, tx_pos, pos, tx_id, rx_id)
             mid_band += 0.01 < p < 0.99
     assert mid_band >= 40
+
+
+def test_wide_verdict_batch_equals_its_narrow_slices():
+    """64 receivers go through the numpy compare, 4 through the list
+    comprehension; the batch width must never decide a verdict.  A draw in
+    four sits on ``p * survival`` exactly (lost: the compare is strict), one
+    an ulp below (received), one an ulp above (lost)."""
+    rng = random.Random(99)
+    probs = [rng.random() for _ in range(64)]
+    channel = Channel(seed=5)
+    for survival in (1.0, 0.85):
+        draws = []
+        for i, p in enumerate(probs):
+            edge = p * survival
+            draws.append(
+                (edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0), rng.random())[i % 4]
+            )
+        wide = channel.delivery_verdicts(probs, draws, survival=survival)
+        narrow = []
+        for i in range(0, 64, 4):
+            narrow += channel.delivery_verdicts(
+                probs[i : i + 4], draws[i : i + 4], survival=survival
+            )
+        assert wide == narrow
+        assert wide[0::4] == [False] * 16 and wide[1::4] == [True] * 16
+        assert wide[2::4] == [False] * 16
+        assert all(isinstance(v, bool) for v in wide + narrow)
+
+
+def test_one_rng_slab_is_n_sequential_draws():
+    """``FastPathDispatcher.broadcast`` draws its receivers' uniforms as one
+    ``random(n)`` and still charges each receiver one draw, in order."""
+    for seed in (0, 12, 2**40 + 7):
+        for n in (1, 7, 8, 26):
+            slab, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert slab.random(n).tolist() == [one_by_one.random() for _ in range(n)]
+            # Both generators are left at the same point of the stream.
+            assert slab.random() == one_by_one.random()

@@ -1,11 +1,12 @@
 """Unit tests for the layered stack and the component registry."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.net import registry
 from repro.net.channel import Channel
-from repro.net.mac import ContentionMac, IdealMac
+from repro.net.mac import ContentionMac, IdealMac, MacAccess
 from repro.net.node import NetNode, Network
 from repro.net.packet import Packet
 from repro.net.registry import ComponentRegistry, StackSpec, compose
@@ -17,7 +18,7 @@ from repro.net.routing import (
     GreedyGeoRouter,
     SprayAndWaitRouter,
 )
-from repro.net.stack import Layer, LayerBase, NetworkStack, RouterPort, TransportPort
+from repro.net.stack import NetworkStack, RouterPort, TransportPort
 from repro.net.transport import MessageService, ReliableMessageService
 from repro.sim import Simulator
 from repro.util.geometry import Point
@@ -31,12 +32,15 @@ def _line_network(sim, n=4, spacing=60.0):
 
 
 class TestLayerProtocol:
-    def test_layerbase_satisfies_protocol(self):
-        assert isinstance(LayerBase(), Layer)
-
     def test_mac_backends_satisfy_protocol(self):
-        assert isinstance(ContentionMac(), Layer)
-        assert isinstance(IdealMac(), Layer)
+        # What MacLayer.grant needs of a backend: access(busy, rng) -> MacAccess.
+        for mac, draws in ((ContentionMac(), True), (IdealMac(), False)):
+            rng = np.random.default_rng(3)
+            before = rng.bit_generator.state
+            access = mac.access(2, rng)
+            assert isinstance(access, MacAccess)
+            assert access.backoff_s >= 0.0 and 0.0 < access.collision_survival <= 1.0
+            assert (rng.bit_generator.state != before) is draws
 
     def test_routers_satisfy_router_port(self):
         sim = Simulator(seed=1)
@@ -71,36 +75,22 @@ class TestNetworkStack:
         net = _line_network(sim)
         stack = net.stack
         assert isinstance(stack, NetworkStack)
-        # Mandatory pipeline, bottom-up: phy -> mac -> queue -> app.
-        assert [layer.name for layer in stack.layers] == [
+        # The five layers the dispatcher calls, bottom-up.
+        layers = (stack.phy, stack.mac, stack.queue, stack.faults, stack.app)
+        assert [layer.name for layer in layers] == [
             "phy",
             "mac",
             "queue",
-            "app",
-        ]
-
-    def test_slots_extend_pipeline(self):
-        sim = Simulator(seed=2)
-        net = _line_network(sim)
-        router = FloodingRouter(net)
-        router.attach_all(sorted(net.nodes))
-        net.stack.set_router(router)
-        svc = MessageService(router)
-        net.stack.set_transport(svc)
-        assert [layer.name for layer in net.stack.layers] == [
-            "phy",
-            "mac",
-            "queue",
-            "routing",
-            "transport",
+            "faults",
             "app",
         ]
 
     def test_every_layer_attached_once(self):
         sim = Simulator(seed=2)
         net = _line_network(sim)
-        for layer in net.stack.layers:
-            assert layer.ctx is net.stack.ctx
+        stack = net.stack
+        for layer in (stack.phy, stack.mac, stack.queue, stack.faults, stack.app):
+            assert layer.ctx is stack.ctx
 
     def test_fault_state_lives_in_fault_layer(self):
         sim = Simulator(seed=2)
@@ -110,21 +100,6 @@ class TestNetworkStack:
         assert net.link_blocked(2, 1)  # unordered, via delegation
         net.unblock_link(1, 2)
         assert not net.link_blocked(1, 2)
-
-    def test_timer_propagates_to_router(self):
-        sim = Simulator(seed=2)
-        net = _line_network(sim)
-        ticks = []
-
-        class TickRouter(FloodingRouter):
-            def on_timer(self, now):
-                ticks.append(now)
-
-        router = TickRouter(net)
-        router.attach_all(sorted(net.nodes))
-        net.stack.set_router(router)
-        net.stack.on_timer(3.5)
-        assert ticks == [3.5]
 
     def test_unicast_delivers_between_neighbors(self):
         sim = Simulator(seed=3)
@@ -208,11 +183,14 @@ class TestStackSpec:
         net = composed.network
         for i in range(3):
             net.create_node(i + 1, Point(i * 50.0, 0.0))
-        composed.router.attach_all(sorted(net.nodes))
+        composed.attach_all(sorted(net.nodes))
         assert isinstance(net.mac, IdealMac)
         assert composed.router.name == "flooding"
-        assert net.stack.routing is not None
-        assert net.stack.transport is not None
+        for i in sorted(net.nodes):
+            assert net.node(i).router is composed.router
+        receipt = composed.transport.send(1, 2, payload="x")
+        sim.run(until=10.0)
+        assert receipt.delivered
 
     def test_compose_attaches_before_transport(self):
         # Transports install handlers on already-attached nodes at
