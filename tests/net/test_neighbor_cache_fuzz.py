@@ -10,12 +10,24 @@ exactly on a cell border or exactly at another node's range limit, so two
 rules place them there.  Mutations of ``Network`` this was shown to catch:
 ``<`` for ``<=`` in the scan, one of the nine cells dropped, and
 ``set_position`` leaving the old cell rows in place.
+
+The transmit path keeps one more memo on top of those lists: the per-sender
+fan-out row (``StackContext.fanout_row``: the live neighbours' nodes, plus
+the delivery-probability vector ``PhyLayer.delivery_probability_batch``
+leaves on it).  The same machine, with jammer rules added (roster edits and
+the in-place ``active`` / ``power_dbm`` writes attack scenarios make), holds
+every sender's row to ``frozen_neighbors``, to the scalar
+``Channel.delivery_probability`` of each pair, bit for bit, and
+``busy_neighbors`` to a direct sum.  Mutations of the row this was shown to
+catch: the era keyed on ``topology_version`` alone (a liveness flip keeps
+the row) and the vector read back without comparing ``jam_signature()``.
 """
 
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from repro.net.channel import Jammer
 from repro.net.node import Network
 from repro.sim import Simulator
 from repro.util.geometry import Point
@@ -118,6 +130,47 @@ class NeighborCacheMachine(RuleBasedStateMachine):
         node_id = self._some_node(data)
         include_down = data.draw(st.booleans(), label="include_down")
         self.network.neighbors(node_id, include_down=include_down)
+
+    @rule(position=points, power_dbm=st.sampled_from([10.0, 30.0]))
+    def add_jammer(self, position, power_dbm):
+        self.network.channel.add_jammer(Jammer(position, power_dbm=power_dbm))
+
+    @rule()
+    def clear_jammers(self):
+        self.network.channel.clear_jammers()
+
+    @precondition(lambda self: self.network.channel.jammers)
+    @rule(data=st.data(), retune=st.booleans())
+    def edit_jammer_in_place(self, data, retune):
+        jammer = data.draw(st.sampled_from(self.network.channel.jammers), label="jammer")
+        if retune:
+            jammer.power_dbm = 40.0 - jammer.power_dbm
+        else:
+            jammer.active = not jammer.active
+
+    @precondition(lambda self: self.network.nodes)
+    @rule(data=st.data(), in_flight=st.integers(0, 3))
+    def set_queue_load(self, data, in_flight):
+        self.network.node(self._some_node(data)).busy_tx = in_flight
+
+    @invariant()
+    def fanout_rows_match_oracles_they_did_not_write(self):
+        network = self.network
+        stack, channel = network.stack, network.channel
+        for node_id in sorted(network.nodes):
+            sender = network.nodes[node_id]
+            expected = [network.nodes[i] for i in frozen_neighbors(network, node_id, False)]
+            row = stack.ctx.fanout_row(sender)
+            assert list(row) == expected
+            probs = stack.phy.delivery_probability_batch(sender, row)
+            assert probs is row.probs
+            assert [float(p).hex() for p in probs] == [
+                channel.delivery_probability(
+                    sender.tx_power_dbm, sender.position, n.position, node_id, n.id
+                ).hex()
+                for n in expected
+            ]
+            assert stack.queue.busy_neighbors(sender) == sum(n.busy_tx for n in expected)
 
     @invariant()
     def views_match_a_cache_free_scan(self):
