@@ -11,6 +11,8 @@ local density and offered load, which is the effect the IoBT arguments need
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -19,14 +21,14 @@ from repro.net.registry import register
 __all__ = ["ContentionMac", "IdealMac", "MacAccess"]
 
 
-@dataclass(frozen=True)
-class MacAccess:
+class MacAccess(NamedTuple):
     """One channel-access grant: the backoff charged and the collision
     survival probability at the load observed when access was requested.
 
     Bundling the pair keeps the transmit paths (and the packet tracer's
     per-hop latency attribution) working from a single consistent sample
-    of neighborhood load.
+    of neighborhood load.  A named tuple: immutable, and the dispatchers
+    unpack it as ``backoff, survival = grant``.
     """
 
     backoff_s: float
@@ -78,12 +80,19 @@ class ContentionMac:
     def access(self, busy_neighbors: int, rng: np.random.Generator) -> MacAccess:
         """Draw one channel access: backoff plus survival, as a pair.
 
+        :meth:`access_delay` and :meth:`collision_survival` in one frame,
+        with the same arithmetic, so the pair is theirs bit for bit.
         Exactly one RNG draw (the backoff), so substituting this for a
         bare :meth:`access_delay` call leaves RNG streams bit-identical.
         """
+        k = busy_neighbors if busy_neighbors > 0 else 0
         return MacAccess(
-            backoff_s=self.access_delay(busy_neighbors, rng),
-            collision_survival=self.collision_survival(busy_neighbors),
+            float(
+                rng.exponential(
+                    self.mean_backoff_slots * (1.0 + self.load_factor * k) * self.slot_time_s
+                )
+            ),
+            (1.0 - self.collision_rho) ** k,
         )
 
 

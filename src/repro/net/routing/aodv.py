@@ -69,6 +69,11 @@ class AodvRouter(Router):
         self._seen_rreq: Dict[int, Set[Tuple[int, int]]] = {}
         self._pending: Dict[Tuple[int, int], List[Packet]] = {}
         self._discovery_tries: Dict[Tuple[int, int], int] = {}
+        # Metric names of the per-packet paths, built once.
+        self._m_rreq = f"route.{self.name}.rreq"
+        self._m_rrep = f"route.{self.name}.rrep"
+        self._m_link_break = f"route.{self.name}.link_break"
+        self._m_dropped = f"route.{self.name}.dropped"
 
     # --------------------------------------------------------------- plumbing
 
@@ -104,7 +109,7 @@ class AodvRouter(Router):
             dropped = self._pending.pop(key, [])
             self._discovery_tries.pop(key, None)
             if dropped:
-                self.sim.metrics.incr(f"route.{self.name}.dropped", len(dropped))
+                self.sim.metrics.incr(self._m_dropped, len(dropped))
                 for packet in dropped:
                     self._trace_drop(node_id, packet, "node_down")
 
@@ -174,12 +179,12 @@ class AodvRouter(Router):
                 return
             # Link break: purge the route and retry via rediscovery.
             self._table(node_id).pop(packet.dst, None)
-            self.sim.metrics.incr(f"route.{self.name}.link_break")
+            self.sim.metrics.incr(self._m_link_break)
             if packet.ttl > 0:
                 packet.ttl -= 1
                 self._dispatch(node_id, packet)
             else:
-                self.sim.metrics.incr(f"route.{self.name}.dropped")
+                self.sim.metrics.incr(self._m_dropped)
                 self._trace_drop(node_id, packet, "ttl_expired")
 
         self.send_reliable(node_id, next_hop, packet, on_result=result)
@@ -206,7 +211,7 @@ class AodvRouter(Router):
         )
         self._stamp_origin(origin, rreq)
         self._seen_rreq.setdefault(origin, set()).add(rreq_key)
-        self.sim.metrics.incr(f"route.{self.name}.rreq")
+        self.sim.metrics.incr(self._m_rreq)
         self.network.broadcast(origin, rreq)
         self.sim.call_in(
             self.discovery_timeout_s, lambda: self._discovery_check(origin, target)
@@ -253,7 +258,7 @@ class AodvRouter(Router):
             self._deliver_up(node, fwd, from_id)
             return
         if fwd.ttl <= 0:
-            self.sim.metrics.incr(f"route.{self.name}.ttl_expired")
+            self.sim.metrics.incr(self._m_ttl_expired)
             self._trace_drop(node.id, fwd, "ttl_expired")
             return
         self._dispatch(node.id, fwd)
@@ -316,7 +321,7 @@ class AodvRouter(Router):
             # The RREP is causally spawned by the RREQ that reached us.
             tracer.inherit(rreq, rrep)
         self._stamp_origin(replier, rrep)
-        self.sim.metrics.incr(f"route.{self.name}.rrep")
+        self.sim.metrics.incr(self._m_rrep)
         entry = self._route(replier, info.origin)
         if entry is not None:
             self.send_reliable(replier, entry.next_hop, rrep)

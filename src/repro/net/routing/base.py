@@ -26,10 +26,12 @@ class Router:
         self.network = network
         self.sim = network.sim
         self.attached: Dict[int, NetNode] = {}
-        # Metric names of _deliver_up, built once (it runs per delivered packet).
+        # Metric names of _deliver_up, built once (it runs per delivered
+        # packet), and of the TTL drop every forwarding router shares.
         self._m_delivered = f"route.{self.name}.delivered"
         self._m_latency = f"route.{self.name}.latency_s"
         self._m_hops = f"route.{self.name}.hops"
+        self._m_ttl_expired = f"route.{self.name}.ttl_expired"
         # Liveness transitions invalidate stale protocol state (routes
         # through dead nodes, caches a crashed node held in RAM).
         network.on_node_state(self.on_node_state)

@@ -41,12 +41,19 @@ class GreedyGeoRouter(Router):
         self.max_detours = max_detours
         self.retries = retries
         self._rng = network.sim.rng.get("geo")
+        # Metric names of the drop paths, built once (most hops of a lossy
+        # world end on one of them).
+        self._m_no_location = f"route.{self.name}.no_location"
+        self._m_void_drop = f"route.{self.name}.void_drop"
+        self._m_link_drop = f"route.{self.name}.link_drop"
         # (node_id, dst_id) -> (best_nid, best_d, here_d): the *unfiltered*
         # greedy argmin over the node's live neighborhood plus the node's
         # own distance to the destination.  Valid only while topology and
         # liveness stand still (see _forward); only used with the
         # true-position location service, whose answers are exactly the
-        # cached geometry.
+        # cached geometry.  An entry exists only for a destination that
+        # was located, and removing or moving a node bumps
+        # topology_version, so a hit needs no location lookup.
         self._next_hop: Dict[
             Tuple[int, Optional[int]], Tuple[Optional[int], float, float]
         ] = {}
@@ -72,20 +79,15 @@ class GreedyGeoRouter(Router):
             self._deliver_up(node, fwd, from_id)
             return
         if fwd.ttl <= 0:
-            self.sim.metrics.incr(f"route.{self.name}.ttl_expired")
+            self.sim.metrics.incr(self._m_ttl_expired)
             self._trace_drop(node.id, fwd, "ttl_expired")
             return
         self._forward(node, fwd)
 
     def _forward(self, node: NetNode, packet: Packet, attempt: int = 0) -> None:
-        dst_pos = self._locate(packet.dst) if packet.dst is not None else None
-        if dst_pos is None:
-            self.sim.metrics.incr(f"route.{self.name}.no_location")
-            self._trace_drop(node.id, packet, "no_location")
-            return
         network = self.network
-        best_id: Optional[int] = None
         cacheable = self._memo_ok
+        cached = None
         if cacheable:
             sig = (network.topology_version, network.liveness_version)
             if sig != self._next_hop_sig:
@@ -102,10 +104,14 @@ class GreedyGeoRouter(Router):
                 if cached_id is not None and cached_d < here and cached_id not in packet.path:
                     self._dispatch(node, packet, cached_id, attempt)
                     return
-            else:
-                here = distance(node.position, dst_pos)
-        else:
+        dst_pos = self._locate(packet.dst) if packet.dst is not None else None
+        if dst_pos is None:
+            self.sim.metrics.incr(self._m_no_location)
+            self._trace_drop(node.id, packet, "no_location")
+            return
+        if cached is None:
             here = distance(node.position, dst_pos)
+        best_id: Optional[int] = None
         best_dist = here
         free_id: Optional[int] = None  # unfiltered argmin, for the memo
         free_dist = here
@@ -129,7 +135,7 @@ class GreedyGeoRouter(Router):
             # Local minimum: take a bounded random detour, then give up.
             candidates = [n for n in neighbor_ids if n not in packet.path]
             if detours >= self.max_detours or not candidates:
-                self.sim.metrics.incr(f"route.{self.name}.void_drop")
+                self.sim.metrics.incr(self._m_void_drop)
                 self._trace_drop(node.id, packet, "void_drop")
                 return
             best_id = candidates[int(self._rng.integers(0, len(candidates)))]
@@ -148,7 +154,7 @@ class GreedyGeoRouter(Router):
                     )
                 self._forward(node, packet, attempt + 1)
             elif not ok:
-                self.sim.metrics.incr(f"route.{self.name}.link_drop")
+                self.sim.metrics.incr(self._m_link_drop)
                 self._trace_drop(node.id, packet, "link_drop")
 
         self.network.send(node.id, next_id, packet, on_result=result)

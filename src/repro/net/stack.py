@@ -205,12 +205,6 @@ class StackContext:
             )
         return row
 
-    # ----------------------------------------------------------------- clock
-
-    def call_in_fast(self, delay: float, fn: Callable[[], None]) -> None:
-        """Fast-lane ``call_in`` for never-cancelled packet completions."""
-        self.sim.call_in_fast(delay, fn)
-
     # ----------------------------------------------------------- emit hooks
 
     @property
@@ -268,11 +262,11 @@ _PAIR_CACHE_MAX = 1 << 17
 
 
 class PhyLayer(LayerBase):
-    """PHY/channel layer: propagation, airtime, and delivery probability.
+    """PHY/channel layer: propagation and delivery probability.
 
-    Wraps a :class:`~repro.net.channel.Channel`; the per-bit timing comes
-    from :meth:`Packet.airtime_s` so bits-vs-seconds conversion lives in
-    exactly one place.
+    Wraps a :class:`~repro.net.channel.Channel`; the dispatchers read a
+    frame's airtime from :meth:`Packet.airtime_s`, so bits-vs-seconds
+    conversion lives in exactly one place.
 
     Delivery probability is deterministic per ``(pair, positions, tx
     power, jamming state)``, so the layer caches it — on static worlds
@@ -284,7 +278,10 @@ class PhyLayer(LayerBase):
     membership/position change) plus the channel's
     :meth:`~repro.net.channel.Channel.jam_signature` (which covers
     add/clear and in-place ``Jammer.active`` flips).  Any signature change
-    drops the whole cache.
+    drops the whole cache.  While no jammer is installed the signature is
+    ``(jam epoch, ())``, so the epoch alone stands for it and no signature
+    tuple is built per lookup; an int never equals the full signature a
+    jammer brings, so adding or removing one still drops the cache.
     """
 
     name = "phy"
@@ -293,14 +290,11 @@ class PhyLayer(LayerBase):
         super().__init__()
         self.channel = channel
         self._pair_cache: Dict[Tuple, float] = {}
-        self._pair_sig: Optional[Tuple] = None
+        self._pair_era: Optional[Tuple] = None
         # (sender_id, receiver_id) -> propagation seconds; purely position
         # dependent, so validity is the network's topology_version alone.
         self._prop_cache: Dict[Tuple[int, int], float] = {}
         self._prop_version = -1
-
-    def airtime_s(self, node: "NetNode", packet: Packet) -> float:
-        return packet.airtime_s(node.bitrate_bps)
 
     def propagation_s(self, sender: "NetNode", receiver: "NetNode") -> float:
         assert self.ctx is not None
@@ -319,13 +313,14 @@ class PhyLayer(LayerBase):
 
     def _live_pair_cache(self) -> Dict[Tuple, float]:
         assert self.ctx is not None
-        signature = (
+        channel = self.channel
+        era = (
             self.ctx.network.topology_version,
-            self.channel.jam_signature(),
+            channel.jam_signature() if channel.jammers else channel._jam_epoch,
         )
-        if signature != self._pair_sig:
+        if era != self._pair_era:
             self._pair_cache.clear()
-            self._pair_sig = signature
+            self._pair_era = era
         return self._pair_cache
 
     def delivery_probability(self, sender: "NetNode", receiver: "NetNode") -> float:
@@ -422,9 +417,10 @@ class MacLayer(LayerBase):
 class QueueLayer(LayerBase):
     """Transmit-queue layer: in-flight occupancy used for load estimates.
 
-    ``busy_tx`` on each node counts concurrent in-flight transmissions;
-    neighbors' occupancy is what the mean-field MAC charges contention
-    against.
+    ``busy_tx`` on each node counts concurrent in-flight transmissions (the
+    dispatcher's ``_charge_tx`` raises it, :meth:`end_tx` lowers it at
+    completion); neighbors' occupancy is what the mean-field MAC charges
+    contention against.
     """
 
     name = "queue"
@@ -432,9 +428,6 @@ class QueueLayer(LayerBase):
     def busy_neighbors(self, sender: "NetNode") -> int:
         assert self.ctx is not None
         return sum([n.busy_tx for n in self.ctx.fanout_row(sender)])
-
-    def begin_tx(self, sender: "NetNode") -> None:
-        sender.busy_tx += 1
 
     def end_tx(self, sender: "NetNode") -> None:
         sender.busy_tx = max(0, sender.busy_tx - 1)
@@ -601,21 +594,28 @@ class FastPathDispatcher:
     # ---------------------------------------------------------- shared core
 
     def _charge_tx(self, sender: "NetNode", packet: Packet) -> Any:
-        """Per-transmission accounting at the queue/MAC boundary.
+        """Per-transmission accounting at the queue/MAC boundary, in one frame.
 
-        Returns the ``route.<name>.delivered`` counter of the sender's
-        router, which a fan-out's receptions are counted on by the batch.
+        Counts the attempt (``net.tx_attempts``, ``net.tx``,
+        ``route.<name>.tx``, and the control budget for a non-DATA packet),
+        charges the sender's energy and raises its in-flight count.  Returns
+        the ``route.<name>.delivered`` counter of the sender's router, which
+        a fan-out's receptions are counted on by the batch.
         """
         ctx = self.ctx
-        ctx.incr("net.tx_attempts")
-        ctx.c_tx.inc()
-        c_route_tx, c_route_delivered = ctx.route_counters(sender)
-        c_route_tx.inc()
-        ctx.count_control(sender, packet)
+        ctx.sim.metrics.incr("net.tx_attempts")
+        ctx.c_tx.value += 1.0
+        router = sender.router
+        pair = ctx._route_counters.get(router.name if router is not None else "none")
+        if pair is None:
+            pair = ctx.route_counters(sender)
+        pair[0].value += 1.0
+        if packet.kind is not PacketKind.DATA:
+            ctx.count_control(sender, packet)
         if sender.energy_hook:
             sender.energy_hook(packet.size_bits, 0.0)
-        self.queue.begin_tx(sender)
-        return c_route_delivered
+        sender.busy_tx += 1
+        return pair[1]
 
     def _survivors(
         self,
@@ -667,7 +667,14 @@ class FastPathDispatcher:
         packet: Packet,
         on_result: Optional[SendResult] = None,
     ) -> None:
-        """Acked single-receiver dispatch (the batch-of-one fast path)."""
+        """Acked single-receiver dispatch (the batch-of-one fast path).
+
+        As in :meth:`broadcast`, the fault layer is asked only while it
+        holds something to ask about: ``link_blocked`` while a link is cut
+        or a partition stands, ``gremlin_verdict`` while a gremlin is
+        installed.  Without one either answer is "untouched", and neither
+        draws.
+        """
         ctx = self.ctx
         tracer = ctx.tracer
         if not sender.up:
@@ -679,15 +686,13 @@ class FastPathDispatcher:
         sender_id = sender.id
         receiver_id = receiver.id
         # Down the stack: queue load -> MAC grant -> PHY timing.
-        busy = self.queue.busy_neighbors(sender)
-        access = self.mac.grant(busy)
-        backoff = access.backoff_s
-        airtime = self.phy.airtime_s(sender, packet)
+        backoff, survival = self.mac.grant(self.queue.busy_neighbors(sender))
+        airtime = packet.airtime_s(sender.bitrate_bps)
         prop = self.phy.propagation_s(sender, receiver)
         delay = backoff + airtime + prop
         # Delivery draw + fault verdicts (order matches the legacy path:
         # the draw is skipped entirely when the receiver is already down).
-        p_ok = self.phy.delivery_probability(sender, receiver) * access.collision_survival
+        p_ok = self.phy.delivery_probability(sender, receiver) * survival
         drop_reason: Optional[str] = None
         if not receiver.up:
             success = False
@@ -697,20 +702,24 @@ class FastPathDispatcher:
         else:
             success = False
             drop_reason = "loss"
-        if success and self.faults.link_blocked(sender_id, receiver_id):
-            success = False
-            drop_reason = "link_blocked"
-            ctx.incr("net.link_blocked")
         duplicate = corrupt = False
         extra_delay = 0.0
         if success:
-            verdict = self.faults.gremlin_verdict(sender_id, receiver_id, packet)
-            if verdict is not None:
-                drop, duplicate, corrupt, extra_delay = verdict
-                delay += extra_delay
-                if drop:
-                    success = False
-                    drop_reason = "gremlin"
+            faults = self.faults
+            if (faults.blocked_links or faults.partitions) and faults.link_blocked(
+                sender_id, receiver_id
+            ):
+                success = False
+                drop_reason = "link_blocked"
+                ctx.incr("net.link_blocked")
+            elif faults.gremlins:
+                verdict = faults.gremlin_verdict(sender_id, receiver_id, packet)
+                if verdict is not None:
+                    drop, duplicate, corrupt, extra_delay = verdict
+                    delay += extra_delay
+                    if drop:
+                        success = False
+                        drop_reason = "gremlin"
         self._charge_tx(sender, packet)
         token = None
         if tracer is not None:
@@ -737,8 +746,8 @@ class FastPathDispatcher:
                 if on_result:
                     on_result(True)
             else:
-                ctx.incr("net.tx_failed")
-                ctx.c_dropped.inc()
+                ctx.sim.metrics.incr("net.tx_failed")
+                ctx.c_dropped.value += 1.0
                 if token is not None:
                     tracer.on_drop(
                         token,
@@ -749,7 +758,8 @@ class FastPathDispatcher:
                 if on_result:
                     on_result(False)
 
-        ctx.call_in_fast(delay, complete)
+        # Looked up per call: a timing proxy may shadow it on the instance.
+        ctx.sim.call_in_fast(delay, complete)
 
     # ------------------------------------------------------------ broadcast
 
@@ -768,10 +778,8 @@ class FastPathDispatcher:
                 tracer.drop_unsent(packet, sender.id, "sender_down")
             return 0
         sender_id = sender.id
-        busy = self.queue.busy_neighbors(sender)
-        access = self.mac.grant(busy)
-        backoff = access.backoff_s
-        airtime = self.phy.airtime_s(sender, packet)
+        backoff, survival = self.mac.grant(self.queue.busy_neighbors(sender))
+        airtime = packet.airtime_s(sender.bitrate_bps)
         base_delay = backoff + airtime
         c_delivered = self._charge_tx(sender, packet)
         token = None
@@ -788,7 +796,7 @@ class FastPathDispatcher:
             sender,
             neighbor_ids,
             ctx.rng.random(len(neighbor_ids)),
-            access.collision_survival,
+            survival,
         )
         c_dropped = ctx.c_dropped
         # Faults judge survivors only, in neighbor order (a gremlin draws
@@ -884,11 +892,11 @@ class FastPathDispatcher:
             for nid in survivors:
                 extra_delay = touched.get(nid, _UNTOUCHED)[3]
                 if extra_delay > 0.0:
-                    ctx.call_in_fast(extra_delay, lambda n=nid: receive((n,)))
+                    ctx.sim.call_in_fast(extra_delay, lambda n=nid: receive((n,)))
                 else:
                     receive((nid,))
 
-        ctx.call_in_fast(base_delay, complete)
+        ctx.sim.call_in_fast(base_delay, complete)
         return len(neighbor_ids)
 
 

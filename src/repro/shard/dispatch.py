@@ -145,21 +145,24 @@ class ShardDispatcher(FastPathDispatcher):
         # sum would make outcomes partition-dependent.
         busy = 1 if sender.busy_tx else 0
         rng.rekey("hop", sender_id, seq)
-        access = self.mac.grant(busy)
-        backoff = access.backoff_s
-        airtime = self.phy.airtime_s(sender, packet)
+        backoff, survival = self.mac.grant(busy)
+        airtime = packet.airtime_s(sender.bitrate_bps)
         prop = self.phy.propagation_s(sender, receiver)
         delay = backoff + airtime + prop
-        p_ok = (
-            self.phy.delivery_probability(sender, receiver)
-            * access.collision_survival
-        )
+        p_ok = self.phy.delivery_probability(sender, receiver) * survival
         if not receiver.up:
             success = False
         else:
             rng.rekey("rx", sender_id, seq, receiver_id)
             success = rng.random() < p_ok
-        if success and self.faults.link_blocked(sender_id, receiver_id):
+        # The serial hop's fault gate: ask only while a link is cut or a
+        # partition stands.
+        faults = self.faults
+        if (
+            success
+            and (faults.blocked_links or faults.partitions)
+            and faults.link_blocked(sender_id, receiver_id)
+        ):
             success = False
             ctx.incr("net.link_blocked")
         self._charge_tx(sender, packet)
@@ -187,12 +190,12 @@ class ShardDispatcher(FastPathDispatcher):
                 if on_result:
                     on_result(True)
             else:
-                ctx.incr("net.tx_failed")
-                ctx.c_dropped.inc()
+                ctx.sim.metrics.incr("net.tx_failed")
+                ctx.c_dropped.value += 1.0
                 if on_result:
                     on_result(False)
 
-        ctx.call_in_fast(delay, complete)
+        ctx.sim.call_in_fast(delay, complete)
 
     # ------------------------------------------------------------ broadcast
 
@@ -210,8 +213,8 @@ class ShardDispatcher(FastPathDispatcher):
         rng = self.hoprng
         busy = 1 if sender.busy_tx else 0
         rng.rekey("hop", sender_id, seq)
-        access = self.mac.grant(busy)
-        base_delay = access.backoff_s + self.phy.airtime_s(sender, packet)
+        backoff, survival = self.mac.grant(busy)
+        base_delay = backoff + packet.airtime_s(sender.bitrate_bps)
         self._charge_tx(sender, packet)
         nodes = ctx.network.nodes
         c_dropped = ctx.c_dropped
@@ -223,7 +226,7 @@ class ShardDispatcher(FastPathDispatcher):
             sender,
             neighbor_ids,
             rng.uniforms_at(("rx", sender_id, seq), neighbor_ids),
-            access.collision_survival,
+            survival,
         )
         faults = self.faults
         link_blocked = (
@@ -251,7 +254,7 @@ class ShardDispatcher(FastPathDispatcher):
                     continue
                 self._deliver_up(receiver, packet, sender_id, False)
 
-        ctx.call_in_fast(base_delay, complete)
+        ctx.sim.call_in_fast(base_delay, complete)
         return len(neighbor_ids)
 
     # -------------------------------------------------------------- handoff

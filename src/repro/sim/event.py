@@ -5,10 +5,11 @@ be attached before or after scheduling; events may be cancelled.  Ordering is
 ``(time, priority, sequence)`` so simultaneous events fire in a deterministic,
 insertion-stable order.
 
-The kernel's calendar queue stores lean ``(time, priority, seq, payload)``
+The kernel's ``heapq`` queue stores lean ``(time, priority, seq, payload)``
 tuples rather than Event objects, so :meth:`Event.__lt__` is off the hot
 path — it is kept because user code sorts Events directly (and it defines
-the ordering contract the tuples reproduce).  Packet completions that are
+the ordering contract the tuples reproduce).  A cancelled Event stays in
+the heap and is skipped when popped.  Packet completions that are
 never waited on or cancelled skip Event entirely via
 ``Simulator.call_in_fast``.
 """

@@ -1,10 +1,10 @@
 """The discrete-event scheduler.
 
 :class:`Simulator` owns the virtual clock, the event queue, the RNG streams
-for the run, and the metric/trace recorders.  The queue is a slotted
-:class:`~repro.sim.calendar.CalendarQueue` of lean ``(time, priority, seq,
-payload)`` tuples with the same stable ordering the old binary heap had.
-Payloads come in two shapes:
+for the run, and the metric/trace recorders.  The queue is a binary heap
+(``heapq``) of lean ``(time, priority, seq, payload)`` tuples: ``seq`` is
+unique, so tuple comparison in C fires events in exactly ``(time, priority,
+seq)`` order and never compares two payloads.  Payloads come in two shapes:
 
 * a rich :class:`~repro.sim.event.Event` — the cancellable, waitable object
   the process/timer API is built on; and
@@ -22,14 +22,14 @@ events/sec never lose them.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.profiler import KernelProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Span, SpanTracker
-from repro.sim.calendar import CalendarQueue
 from repro.sim.event import Event
 from repro.sim.metrics import MetricRecorder
 from repro.sim.trace import TraceLog
@@ -90,7 +90,9 @@ class Simulator:
         #: fast lane (:meth:`call_in_fast`) — a subset, not an addition.
         self.events_fast = 0
         self.wall_elapsed = 0.0
-        self._queue = CalendarQueue()
+        #: The pending entries, a ``heapq`` heap of ``(time, priority, seq,
+        #: payload)`` tuples; cancelled Events stay in it until popped.
+        self._queue: List[Tuple[float, int, int, Any]] = []
         self._seq = 0
         self._running = False
         self._process_count = 0
@@ -115,7 +117,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         ev.seq = seq
-        self._queue.push((ev.time, priority, seq, ev))
+        heappush(self._queue, (ev.time, priority, seq, ev))
         return ev
 
     def timeout(self, delay: float, value: Any = None) -> Event:
@@ -156,7 +158,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        self._queue.push((self.now + delay, priority, seq, fn))
+        heappush(self._queue, (self.now + delay, priority, seq, fn))
 
     def every(
         self,
@@ -202,15 +204,11 @@ class Simulator:
     def step(self) -> bool:
         """Fire the single next event.  Returns False when queue is empty."""
         queue = self._queue
-        while True:
-            entry = queue.pop()
-            if entry is None:
-                return False
-            payload = entry[3]
+        while queue:
+            time, _, _, payload = heappop(queue)
             is_event = isinstance(payload, Event)
             if is_event and payload._cancelled:
                 continue
-            time = entry[0]
             if time < self.now:  # pragma: no cover - guarded by schedule()
                 raise SimulationError("event queue corrupted: time went backward")
             self.now = time
@@ -234,6 +232,7 @@ class Simulator:
                 self.events_fast += 1
                 payload()
             return True
+        return False
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> None:
         """Run until the queue drains, ``until`` is reached, or event budget ends.
@@ -249,22 +248,16 @@ class Simulator:
         self._running = True
         t_wall = perf_counter()
         queue = self._queue
-        # The loop below is step() unrolled: popping directly (instead of
-        # peek-then-step) saves a bucket inspection and a method call per
-        # event, which is measurable at millions of events.  An entry past
-        # the horizon is pushed back so a later run() call sees it first.
-        pop = queue.pop
+        horizon = math.inf if until is None else until
+        # The loop below is step() unrolled (a method call per event is
+        # measurable at millions of events).  An entry past the horizon is
+        # left at the head of the heap, where a later run() call finds it.
         try:
             fired = 0
-            while True:
-                entry = pop()
-                if entry is None:
+            while queue:
+                if queue[0][0] > horizon:
                     break
-                time = entry[0]
-                if until is not None and time > until:
-                    queue.push(entry)
-                    break
-                payload = entry[3]
+                time, _, _, payload = heappop(queue)
                 if isinstance(payload, Event):
                     if payload._cancelled:
                         continue

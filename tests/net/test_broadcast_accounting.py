@@ -77,13 +77,14 @@ class Tally:
         self.sniffed += 1
 
 
-def flooding_grid(sim, side):
-    """A ``side`` x ``side`` grid, 60 m apart, every node on one flooding router."""
+def flooding_grid(sim, side, router_cls=FloodingRouter):
+    """A ``side`` x ``side`` grid, 60 m apart, every node on one router
+    (a flooding router unless ``router_cls`` names another)."""
     net = Network(sim, Channel(seed=sim.rng.seed))
     for i in range(side * side):
         net.create_node(i + 1, Point((i % side) * 60.0, (i // side) * 60.0))
     ids = sorted(net.nodes)
-    router = FloodingRouter(net)
+    router = router_cls(net)
     router.attach_all(ids)
     return net, ids, MessageService(router)
 

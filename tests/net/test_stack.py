@@ -31,6 +31,22 @@ def _line_network(sim, n=4, spacing=60.0):
     return net
 
 
+class _CountingRng:
+    """A generator stand-in that counts the draws made through it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = 0
+
+    def exponential(self, scale):
+        self.draws += 1
+        return self.rng.exponential(scale)
+
+    def random(self, *args):
+        self.draws += 1
+        return self.rng.random(*args)
+
+
 class TestLayerProtocol:
     def test_mac_backends_satisfy_protocol(self):
         # What MacLayer.grant needs of a backend: access(busy, rng) -> MacAccess.
@@ -41,6 +57,22 @@ class TestLayerProtocol:
             assert isinstance(access, MacAccess)
             assert access.backoff_s >= 0.0 and 0.0 < access.collision_survival <= 1.0
             assert (rng.bit_generator.state != before) is draws
+            with pytest.raises(AttributeError):
+                access.backoff_s = 1.0
+        # ContentionMac.access computes its pair in its own frame; the oracle
+        # is the two public halves, called on a twin generator seeded alike.
+        mac = ContentionMac()
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        counted = _CountingRng(rng)
+        for k in (-3, 0, 1, 5, 20):
+            backoff, survival = mac.access(k, counted)
+            assert type(backoff) is float
+            assert (backoff, survival) == (mac.access_delay(k, twin), mac.collision_survival(k))
+            assert rng.bit_generator.state == twin.bit_generator.state
+        assert counted.draws == 5
+        ideal = _CountingRng(np.random.default_rng(8))
+        IdealMac().access(5, ideal)
+        assert ideal.draws == 0
 
     def test_routers_satisfy_router_port(self):
         sim = Simulator(seed=1)
