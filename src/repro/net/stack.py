@@ -17,11 +17,11 @@ emit hooks, so tracing (:mod:`repro.obs.tracing`), fault callbacks
 layer boundaries exactly once instead of being re-implemented per router.
 
 The per-packet hot path is :class:`FastPathDispatcher`: one batched dispatch
-loop over the layers that :class:`~repro.net.node.Network` delegates to.  It
-is **bit-identical** to the pre-refactor hand-inlined transmit path for the
-default composition — same RNG draw order, same scheduled delays, same
-trace records — which ``tests/net/test_stack_fingerprint.py`` pins with
-golden fingerprints recorded before the refactor.
+loop over the layers that :class:`~repro.net.node.Network` delegates to, and
+the one description of a hop for serial and sharded runs alike.  Its draws,
+delays and trace records are pinned by the golden fingerprints of
+``tests/net/test_stack_fingerprint.py``; a sharded run's hop record comes
+from :mod:`repro.shard`, which this module never imports.
 
 Import discipline: this module must not import :mod:`repro.net.node` at
 runtime (node imports the stack); layers receive ``NetNode`` instances
@@ -155,10 +155,10 @@ class StackContext:
     """Shared state every layer sees: simulator, RNG stream, emit hooks.
 
     The context is the single place where cross-cutting concerns plug into
-    the stack.  Tracing hooks come from :attr:`tracer` (``None`` while
-    disabled, so the hot path stays branch-cheap), metric instruments are
-    created once here and cached, and fault verdicts are reached through
-    the stack's :class:`FaultLayer`.
+    the stack.  Tracing hooks come from ``sim.packet_tracer``, which the
+    dispatcher reads once per hop; metric instruments are created once
+    here and cached, and fault verdicts are reached through the stack's
+    :class:`FaultLayer`.
     """
 
     def __init__(self, sim: "Simulator", network: "Network", rng: "np.random.Generator"):
@@ -189,7 +189,7 @@ class StackContext:
 
         The one per-sender neighbour memo of the transmit path: the queue
         layer sums load over it, the PHY keeps the probability vector on
-        it, and both dispatchers pair it with ``Network.neighbors``' ids.
+        it, and the broadcast pairs it with ``Network.neighbors``' ids.
         Any membership, position or up/down change drops every row.
         """
         network = self.network
@@ -206,14 +206,6 @@ class StackContext:
         return row
 
     # ----------------------------------------------------------- emit hooks
-
-    @property
-    def tracer(self):
-        """The active packet tracer, or ``None`` when tracing is off."""
-        tracer = self.sim.packet_tracer
-        if tracer is not None and not tracer.enabled:
-            return None
-        return tracer
 
     def emit(self, category: str, **fields: Any) -> None:
         self.sim.trace.emit(category, **fields)
@@ -264,7 +256,7 @@ _PAIR_CACHE_MAX = 1 << 17
 class PhyLayer(LayerBase):
     """PHY/channel layer: propagation and delivery probability.
 
-    Wraps a :class:`~repro.net.channel.Channel`; the dispatchers read a
+    Wraps a :class:`~repro.net.channel.Channel`; the dispatcher reads a
     frame's airtime from :meth:`Packet.airtime_s`, so bits-vs-seconds
     conversion lives in exactly one place.
 
@@ -570,9 +562,11 @@ class FastPathDispatcher:
     faults on the way down, PHY -> app on the way up — with tracing and
     metrics at the boundaries.
 
-    Every branch, RNG draw, and scheduled delay mirrors the pre-refactor
-    ``Network.send`` / ``Network.broadcast`` exactly; the golden-fingerprint
-    regression test holds this dispatcher to bit-identical traces.
+    ``shard`` is ``None`` serially.  A sharded run passes its
+    :class:`repro.shard.dispatch.ShardHops`, whose keyed RNG becomes
+    ``ctx.rng`` here; each ``shard is None`` branch below is one of the
+    three places a sharded hop differs: addressed draws, the sender's own
+    MAC load, and handing off survivors another shard owns.
     """
 
     def __init__(
@@ -583,6 +577,8 @@ class FastPathDispatcher:
         queue: QueueLayer,
         faults: FaultLayer,
         app: AppLayer,
+        *,
+        shard: Any = None,
     ):
         self.ctx = ctx
         self.phy = phy
@@ -590,6 +586,9 @@ class FastPathDispatcher:
         self.queue = queue
         self.faults = faults
         self.app = app
+        self.shard = shard
+        if shard is not None:
+            ctx.rng = shard.rng
 
     # ---------------------------------------------------------- shared core
 
@@ -676,7 +675,9 @@ class FastPathDispatcher:
         draws.
         """
         ctx = self.ctx
-        tracer = ctx.tracer
+        tracer = ctx.sim.packet_tracer
+        if tracer is not None and not tracer.enabled:
+            tracer = None
         if not sender.up:
             if tracer is not None:
                 tracer.drop_unsent(packet, sender.id, "sender_down")
@@ -685,23 +686,33 @@ class FastPathDispatcher:
             return
         sender_id = sender.id
         receiver_id = receiver.id
+        shard = self.shard
         # Down the stack: queue load -> MAC grant -> PHY timing.
-        backoff, survival = self.mac.grant(self.queue.busy_neighbors(sender))
+        if shard is None:
+            busy = self.queue.busy_neighbors(sender)
+        else:
+            seq = shard.hop(sender_id)
+            busy = 1 if sender.busy_tx else 0
+        backoff, survival = self.mac.grant(busy)
         airtime = packet.airtime_s(sender.bitrate_bps)
         prop = self.phy.propagation_s(sender, receiver)
         delay = backoff + airtime + prop
-        # Delivery draw + fault verdicts (order matches the legacy path:
-        # the draw is skipped entirely when the receiver is already down).
+        # Delivery draw + fault verdicts (the draw is skipped entirely when
+        # the receiver is already down).
         p_ok = self.phy.delivery_probability(sender, receiver) * survival
         drop_reason: Optional[str] = None
         if not receiver.up:
             success = False
             drop_reason = "receiver_down"
-        elif ctx.rng.random() < p_ok:
-            success = True
         else:
-            success = False
-            drop_reason = "loss"
+            draw = (
+                ctx.rng.random()
+                if shard is None
+                else shard.rng.uniforms_at(("rx", sender_id, seq), (receiver_id,))[0]
+            )
+            success = draw < p_ok
+            if not success:
+                drop_reason = "loss"
         duplicate = corrupt = False
         extra_delay = 0.0
         if success:
@@ -721,6 +732,9 @@ class FastPathDispatcher:
                         success = False
                         drop_reason = "gremlin"
         self._charge_tx(sender, packet)
+        remote = shard is not None and receiver_id not in shard.owned
+        if remote and success:
+            shard.hand_off(ctx.sim.now + delay, "u", sender_id, receiver_id, packet)
         token = None
         if tracer is not None:
             token = tracer.on_enqueue(
@@ -728,32 +742,35 @@ class FastPathDispatcher:
             )
 
         def complete() -> None:
+            # Reads ids and the context off their owners rather than
+            # capturing them: every captured name is one more cell per hop.
             self.queue.end_tx(sender)
             if success and receiver.up:
                 if corrupt:
                     # Failed checksum: airtime was spent but the frame is
                     # discarded at the receiver, and the link-layer ack fails.
-                    ctx.incr("net.rx_corrupt")
-                    ctx.c_dropped.inc()
+                    self.ctx.incr("net.rx_corrupt")
+                    self.ctx.c_dropped.inc()
                     if token is not None:
-                        tracer.on_drop(token, sender_id, receiver_id, "corrupt")
+                        tracer.on_drop(token, sender.id, receiver.id, "corrupt")
                     if on_result:
                         on_result(False)
                     return
                 if token is not None:
-                    tracer.on_rx(token, packet, sender_id, receiver_id, extra_delay)
-                self._deliver_up(receiver, packet, sender_id, duplicate)
+                    tracer.on_rx(token, packet, sender.id, receiver.id, extra_delay)
+                # A remote receiver's own shard delivers it; the replica's
+                # liveness check above is the verdict that shard reaches.
+                if not remote:
+                    self._deliver_up(receiver, packet, sender.id, duplicate)
                 if on_result:
                     on_result(True)
             else:
+                ctx = self.ctx
                 ctx.sim.metrics.incr("net.tx_failed")
                 ctx.c_dropped.value += 1.0
                 if token is not None:
                     tracer.on_drop(
-                        token,
-                        sender_id,
-                        receiver_id,
-                        drop_reason or "receiver_down",
+                        token, sender.id, receiver.id, drop_reason or "receiver_down"
                     )
                 if on_result:
                     on_result(False)
@@ -772,13 +789,21 @@ class FastPathDispatcher:
         airtime.
         """
         ctx = self.ctx
-        tracer = ctx.tracer
+        tracer = ctx.sim.packet_tracer
+        if tracer is not None and not tracer.enabled:
+            tracer = None
         if not sender.up:
             if tracer is not None:
                 tracer.drop_unsent(packet, sender.id, "sender_down")
             return 0
         sender_id = sender.id
-        backoff, survival = self.mac.grant(self.queue.busy_neighbors(sender))
+        shard = self.shard
+        if shard is None:
+            busy = self.queue.busy_neighbors(sender)
+        else:
+            seq = shard.hop(sender_id)
+            busy = 1 if sender.busy_tx else 0
+        backoff, survival = self.mac.grant(busy)
         airtime = packet.airtime_s(sender.bitrate_bps)
         base_delay = backoff + airtime
         c_delivered = self._charge_tx(sender, packet)
@@ -791,11 +816,14 @@ class FastPathDispatcher:
         # passes once per neighbor.  The delivery Bernoullis are one RNG
         # slab (``Generator.random(n)`` yields the same doubles as n
         # sequential ``random()`` calls, so each receiver still consumes
-        # exactly one draw, in neighbor order).
+        # exactly one draw, in neighbor order).  A shard's draws are
+        # addressed per receiver, so batching them reorders nothing either.
         verdicts, survivors = self._survivors(
             sender,
             neighbor_ids,
-            ctx.rng.random(len(neighbor_ids)),
+            ctx.rng.random(len(neighbor_ids))
+            if shard is None
+            else shard.rng.uniforms_at(("rx", sender_id, seq), neighbor_ids),
             survival,
         )
         c_dropped = ctx.c_dropped
@@ -828,6 +856,17 @@ class FastPathDispatcher:
             survivors = standing
             if cut:
                 c_dropped.inc(len(cut))
+        if shard is not None:
+            # Survivors another shard owns travel to it; the rest stay here.
+            deliver_time = ctx.sim.now + base_delay
+            owned = shard.owned
+            local = []
+            for nid in survivors:
+                if nid in owned:
+                    local.append(nid)
+                else:
+                    shard.hand_off(deliver_time, "b", sender_id, nid, packet)
+            survivors = local
         if token is not None:
             # Failed receptions are all decided inside this one event, with
             # no other trace emissions in between, so they reach the tracer

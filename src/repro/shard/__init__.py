@@ -25,7 +25,7 @@ Entry points:
 >>> assert serial.fingerprint() == sharded.fingerprint()
 """
 
-from repro.shard.dispatch import ShardDispatcher, ShardTraceLog
+from repro.shard.dispatch import ShardTraceLog
 from repro.shard.engine import (
     ShardedSimulator,
     ShardRunResult,
@@ -52,7 +52,6 @@ __all__ = [
     "ShardWorkerError",
     "run_serial",
     "ShardRuntime",
-    "ShardDispatcher",
     "ShardTraceLog",
     "KeyedHopRng",
     "ShardScenarioSpec",

@@ -1,4 +1,4 @@
-"""The shard-aware hot path: ownership-filtered tracing and keyed dispatch.
+"""The shard-aware hot path: ownership-filtered tracing and the shard hop.
 
 The sharded engine replicates the whole world in every worker and
 partitions *action*: a node's transmissions originate only in the shard
@@ -9,15 +9,16 @@ that owns it.  Two pieces make the hot path partition-invariant:
   streams is the serial stream with no duplicates.  Replicated processes
   (faults, mobility) emit identically everywhere; the filter picks one
   copy.
-* :class:`ShardDispatcher` mirrors
-  :class:`~repro.net.stack.FastPathDispatcher` branch for branch but (a)
-  draws backoff and delivery Bernoullis from a :class:`.rng.KeyedHopRng`
-  keyed on ``(sender, tx-seq[, receiver])`` so outcomes do not depend on
-  draw order, (b) reads MAC load from the sender's own ``busy_tx`` rather
-  than its neighbors' (neighbor state is only *acted on* in other shards,
-  so reading it would couple outcomes to the partition), and (c) ships
-  successful deliveries to non-owned receivers into an outbox that the
-  engine forwards across the window barrier.
+* :class:`ShardHops` is what :class:`~repro.net.stack.FastPathDispatcher`
+  is handed as ``shard=`` in a sharded run.  The dispatcher then (a)
+  draws backoff and delivery Bernoullis from the record's
+  :class:`.rng.KeyedHopRng`, addressed by ``(sender, tx-seq[,
+  receiver])`` so outcomes do not depend on draw order, (b) reads MAC load
+  from the sender's own ``busy_tx`` rather than its neighbors' (neighbor
+  state is only *acted on* in other shards, so reading it would couple
+  outcomes to the partition), and (c) hands successful deliveries to
+  receivers it does not own to the record's outbox, which the engine
+  forwards across the window barrier.
 
 Verdicts for remote receivers are computed sender-side against the
 replica (same liveness, same positions, same channel), so the sending
@@ -25,8 +26,8 @@ shard's failure accounting and the receiving shard's delivery agree
 without a reverse ack: conservative lookahead guarantees the handoff
 arrives before the receiver's clock reaches ``deliver_time``.
 
-Tracer hooks (:class:`~repro.obs.tracing.PacketTracer`) and gremlins are
-deliberately absent: both are sequential-RNG consumers that the spec layer
+Tracer hooks (:class:`~repro.obs.tracing.PacketTracer`) and gremlins never
+reach a sharded hop: both are sequential-RNG consumers that the spec layer
 rejects for sharded runs.
 """
 
@@ -35,11 +36,10 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.net.packet import Packet
-from repro.net.stack import FastPathDispatcher, NetworkStack, SendResult
 from repro.shard.rng import KeyedHopRng
 from repro.sim.trace import TraceLog
 
-__all__ = ["ShardTraceLog", "ShardDispatcher", "Handoff"]
+__all__ = ["ShardTraceLog", "ShardHops", "Handoff"]
 
 #: One cross-shard delivery: (deliver_time, kind "u"/"b", src, dst,
 #: dst_shard, packet).  Pickled at the window barrier.
@@ -91,185 +91,25 @@ class ShardTraceLog(TraceLog):
         super().emit(category, **fields)
 
 
-class ShardDispatcher(FastPathDispatcher):
-    """Keyed-RNG, ownership-aware reimplementation of the fast path."""
+class ShardHops:
+    """One shard's hop state: keyed draws, ownership, and the outbox."""
 
-    def __init__(
-        self,
-        stack: NetworkStack,
-        *,
-        owned: FrozenSet[int],
-        shard_index: int,
-        assignments: Mapping[int, int],
-        hoprng: KeyedHopRng,
-        outbox: List[Handoff],
-    ):
-        super().__init__(
-            stack.ctx, stack.phy, stack.mac, stack.queue, stack.faults, stack.app
-        )
+    __slots__ = ("rng", "owned", "assignments", "outbox", "_tx_seq")
+
+    def __init__(self, seed: int, owned: FrozenSet[int], assignments: Mapping[int, int]):
+        self.rng = KeyedHopRng(seed)
         self.owned = owned
-        self.shard_index = shard_index
         self.assignments = assignments
-        self.hoprng = hoprng
-        self.outbox = outbox
+        self.outbox: List[Handoff] = []
         self._tx_seq: Dict[int, int] = {}
-        # The keyed source *is* the stack RNG: MacLayer.grant draws its
-        # backoff through ctx.rng, which rekey() has already addressed.
-        stack.ctx.rng = hoprng
 
-    def _next_seq(self, sender_id: int) -> int:
+    def hop(self, sender_id: int) -> int:
+        """Number the sender's next transmission and address its MAC draws."""
         seq = self._tx_seq.get(sender_id, 0)
         self._tx_seq[sender_id] = seq + 1
+        self.rng.rekey("hop", sender_id, seq)
         return seq
 
-    # -------------------------------------------------------------- unicast
-
-    def unicast(
-        self,
-        sender: "NetNode",  # noqa: F821
-        receiver: "NetNode",  # noqa: F821
-        packet: Packet,
-        on_result: Optional[SendResult] = None,
-    ) -> None:
-        ctx = self.ctx
-        if not sender.up:
-            if on_result:
-                on_result(False)
-            return
-        sender_id = sender.id
-        receiver_id = receiver.id
-        seq = self._next_seq(sender_id)
-        rng = self.hoprng
-        # Sender-local MAC load: busy_tx of remote nodes is only
-        # maintained in their own shards, so the serial busy_neighbors
-        # sum would make outcomes partition-dependent.
-        busy = 1 if sender.busy_tx else 0
-        rng.rekey("hop", sender_id, seq)
-        backoff, survival = self.mac.grant(busy)
-        airtime = packet.airtime_s(sender.bitrate_bps)
-        prop = self.phy.propagation_s(sender, receiver)
-        delay = backoff + airtime + prop
-        p_ok = self.phy.delivery_probability(sender, receiver) * survival
-        if not receiver.up:
-            success = False
-        else:
-            rng.rekey("rx", sender_id, seq, receiver_id)
-            success = rng.random() < p_ok
-        # The serial hop's fault gate: ask only while a link is cut or a
-        # partition stands.
-        faults = self.faults
-        if (
-            success
-            and (faults.blocked_links or faults.partitions)
-            and faults.link_blocked(sender_id, receiver_id)
-        ):
-            success = False
-            ctx.incr("net.link_blocked")
-        self._charge_tx(sender, packet)
-
-        remote = receiver_id not in self.owned
-        if success and remote:
-            self.outbox.append(
-                (
-                    ctx.sim.now + delay,
-                    "u",
-                    sender_id,
-                    receiver_id,
-                    self.assignments[receiver_id],
-                    packet,
-                )
-            )
-
-        def complete() -> None:
-            self.queue.end_tx(sender)
-            if success and receiver.up:
-                if not remote:
-                    self._deliver_up(receiver, packet, sender_id, False)
-                # Remote delivery happens in the owner shard; the replica
-                # liveness check above already matches its verdict.
-                if on_result:
-                    on_result(True)
-            else:
-                ctx.sim.metrics.incr("net.tx_failed")
-                ctx.c_dropped.value += 1.0
-                if on_result:
-                    on_result(False)
-
-        ctx.sim.call_in_fast(delay, complete)
-
-    # ------------------------------------------------------------ broadcast
-
-    def broadcast(
-        self,
-        sender: "NetNode",  # noqa: F821
-        neighbor_ids,
-        packet: Packet,
-    ) -> int:
-        ctx = self.ctx
-        if not sender.up:
-            return 0
-        sender_id = sender.id
-        seq = self._next_seq(sender_id)
-        rng = self.hoprng
-        busy = 1 if sender.busy_tx else 0
-        rng.rekey("hop", sender_id, seq)
-        backoff, survival = self.mac.grant(busy)
-        base_delay = backoff + packet.airtime_s(sender.bitrate_bps)
-        self._charge_tx(sender, packet)
-        nodes = ctx.network.nodes
-        c_dropped = ctx.c_dropped
-        owned = self.owned
-        deliver_time = ctx.sim.now + base_delay
-        # Addressed draws are pure per-hop functions, so batching them
-        # cannot reorder outcomes.
-        _, survivors = self._survivors(
-            sender,
-            neighbor_ids,
-            rng.uniforms_at(("rx", sender_id, seq), neighbor_ids),
-            survival,
-        )
-        faults = self.faults
-        link_blocked = (
-            faults.link_blocked if faults.blocked_links or faults.partitions else None
-        )
-        local: List[int] = []
-        for nid in survivors:
-            if link_blocked is not None and link_blocked(sender_id, nid):
-                ctx.incr("net.link_blocked")
-                c_dropped.inc()
-                continue
-            if nid in owned:
-                local.append(nid)
-            else:
-                self.outbox.append(
-                    (deliver_time, "b", sender_id, nid, self.assignments[nid], packet)
-                )
-
-        def complete() -> None:
-            self.queue.end_tx(sender)
-            for nid in local:
-                receiver = nodes.get(nid)
-                if receiver is None or not receiver.up:
-                    c_dropped.inc()
-                    continue
-                self._deliver_up(receiver, packet, sender_id, False)
-
-        ctx.sim.call_in_fast(base_delay, complete)
-        return len(neighbor_ids)
-
-    # -------------------------------------------------------------- handoff
-
-    def apply_remote(self, kind: str, src_id: int, dst_id: int, packet: Packet) -> None:
-        """Deliver a handoff shipped by another shard, at its deliver time.
-
-        The liveness re-check matches both the serial path (a broadcast
-        reception that finds its receiver gone is a ``net.dropped``; a
-        unicast failure was already accounted sender-side) and the sending
-        shard's replica verdict.
-        """
-        receiver = self.ctx.network.nodes.get(dst_id)
-        if receiver is None or not receiver.up:
-            if kind == "b":
-                self.ctx.c_dropped.inc()
-            return
-        self._deliver_up(receiver, packet, src_id, False)
+    def hand_off(self, when: float, kind: str, src: int, dst: int, packet: Packet) -> None:
+        """Ship one delivery to the shard owning ``dst``."""
+        self.outbox.append((when, kind, src, dst, self.assignments[dst], packet))

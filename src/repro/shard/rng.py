@@ -8,12 +8,13 @@ of ``(root seed, current key, draw index under that key)`` hashed through
 BLAKE2b — so a hop's backoff and delivery draws depend only on the hop's
 identity, never on which shard computes them or what was drawn before.
 
-The sharded dispatcher re-keys before every draw site
-(``rekey("hop", sender, seq)`` for the MAC grant,
-``rekey("rx", sender, seq, receiver)`` for each delivery Bernoulli) and
-installs the instance as ``stack.ctx.rng``, where it satisfies the slice of
-the ``numpy.random.Generator`` surface the stack actually uses: ``random()``
-and ``exponential(scale)``.
+A shard's :class:`~repro.shard.dispatch.ShardHops` owns the instance and
+re-keys it before the MAC grant (``rekey("hop", sender, seq)``), and the
+dispatcher addresses every delivery Bernoulli, unicast or broadcast, as
+``("rx", sender, seq, receiver)`` through :meth:`KeyedHopRng.uniforms_at`.
+The dispatcher installs it as ``stack.ctx.rng``, where it satisfies the
+slice of the ``numpy.random.Generator`` surface the stack actually uses:
+``random()`` and ``exponential(scale)``.
 """
 
 from __future__ import annotations

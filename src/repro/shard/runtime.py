@@ -44,7 +44,7 @@ from repro.net.mac import ContentionMac, IdealMac
 from repro.net.node import Network
 from repro.net.packet import Packet, PacketKind
 from repro.net.registry import StackSpec, compose
-from repro.net.stack import SPEED_OF_LIGHT_M_S
+from repro.net.stack import SPEED_OF_LIGHT_M_S, FastPathDispatcher
 from repro.net.topology import (
     GridPartition,
     min_cross_shard_distance_m,
@@ -52,8 +52,7 @@ from repro.net.topology import (
 )
 from repro.obs import wire_from_env
 from repro.scenarios.builder import ScenarioBuilder
-from repro.shard.dispatch import Handoff, ShardDispatcher, ShardTraceLog
-from repro.shard.rng import KeyedHopRng
+from repro.shard.dispatch import Handoff, ShardHops, ShardTraceLog
 from repro.shard.spec import ShardPlan, ShardScenarioSpec
 from repro.sim.kernel import Simulator
 from repro.util.geometry import Point
@@ -156,17 +155,14 @@ class ShardRuntime:
             if nid not in self.owned and node.router is not None:
                 node.router.detach(nid)
 
-        self.outbox: List[Handoff] = []
-        self.hoprng = KeyedHopRng(derive_seed(spec.seed, "shard.hops"))
-        self.dispatcher = ShardDispatcher(
-            self.network.stack,
-            owned=self.owned,
-            shard_index=shard_index,
-            assignments=self.partition.assignments,
-            hoprng=self.hoprng,
-            outbox=self.outbox,
+        hops = ShardHops(
+            derive_seed(spec.seed, "shard.hops"), self.owned, self.partition.assignments
         )
-        self.network.stack.dispatcher = self.dispatcher
+        self.outbox: List[Handoff] = hops.outbox
+        stack = self.network.stack
+        self.dispatcher = stack.dispatcher = FastPathDispatcher(
+            stack.ctx, stack.phy, stack.mac, stack.queue, stack.faults, stack.app, shard=hops
+        )
 
         self._install_handlers()
         self._install_workload()
@@ -466,14 +462,26 @@ class ShardRuntime:
         past.
         """
         self.activate()
-        dispatcher = self.dispatcher
         for deliver_time, kind, src, dst, _shard, pkt in handoffs:
             self.sim.call_at(
                 deliver_time,
-                lambda k=kind, s=src, d=dst, p=pkt: dispatcher.apply_remote(
-                    k, s, d, p
-                ),
+                lambda k=kind, s=src, d=dst, p=pkt: self.apply_remote(k, s, d, p),
             )
+
+    def apply_remote(self, kind: str, src_id: int, dst_id: int, packet: Packet) -> None:
+        """Deliver a handoff shipped by another shard, at its deliver time.
+
+        The liveness re-check matches both the serial path (a broadcast
+        reception that finds its receiver gone is a ``net.dropped``; a
+        unicast failure was already accounted sender-side) and the sending
+        shard's replica verdict.
+        """
+        receiver = self.network.nodes.get(dst_id)
+        if receiver is None or not receiver.up:
+            if kind == "b":
+                self.network.stack.ctx.c_dropped.inc()
+            return
+        self.dispatcher._deliver_up(receiver, packet, src_id, False)
 
     def apply_lifecycle(self, events: Sequence[Tuple[float, int, bool]]) -> None:
         """Schedule coordinator-injected node up/down transitions."""
