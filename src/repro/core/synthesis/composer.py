@@ -10,9 +10,12 @@ reach the sink.  Baseline composers for the E2 experiment live in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.synthesis.requirements import RequirementSet
 from repro.errors import CompositionError
@@ -30,57 +33,110 @@ __all__ = [
 
 #: Grid resolution used to evaluate area coverage.
 _COVERAGE_GRID = 16
+_GRID_POINTS = _COVERAGE_GRID * _COVERAGE_GRID
+
+#: Half-width of the band around r**2, relative to it, inside which a
+#: squared distance is too close to call and ``distance()`` decides.  Float
+#: error in either square is ~1e-16 relative; the absolute floor covers
+#: squares that underflow.
+_BAND = 1e-9
+_BAND_FLOOR = 1e-300
+
+#: Goal areas whose grid stays built (a service asks about a few areas over
+#: and over; a grid is two 16-float arrays).
+_GRIDS_KEPT = 64
+
+
+def _settled(d2: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Split squared distances into (surely within r, too close to call)."""
+    within = d2 < lo
+    return within, ~(within | (d2 > hi))
 
 
 class _CoverageGrid:
-    """The sample lattice of one area: which of its points a sensing disc covers.
+    """The sample lattice of one area: which of its points sensing discs cover.
 
-    ``points`` is row-major, as :meth:`Region.grid_points` lays it out: index
-    ``row * _COVERAGE_GRID + col`` sits at ``(xs[col], ys[row])``.
+    Point ``row * _COVERAGE_GRID + col`` sits at ``(xs[col], ys[row])``, the
+    row-major order of :meth:`Region.grid_points`.  One grid serves every
+    question about its area (:func:`_grid_of`) and is never written after
+    construction.
     """
 
     def __init__(self, area: Region):
         self.area = area
-        self.points = area.grid_points(_COVERAGE_GRID, _COVERAGE_GRID)
-        self.xs = [p.x for p in self.points[:_COVERAGE_GRID]]
-        self.ys = [p.y for p in self.points[::_COVERAGE_GRID]]
+        points = area.grid_points(_COVERAGE_GRID, _COVERAGE_GRID)
+        self.xs = np.array([p.x for p in points[:_COVERAGE_GRID]])
+        self.ys = np.array([p.y for p in points[::_COVERAGE_GRID]])
+        self.xs.flags.writeable = False
+        self.ys.flags.writeable = False
 
-    def mask(self, position: Point, radius: float) -> int:
-        """Bitmask of the sample points within ``radius`` of ``position``.
+    def masks(self, sensors: Sequence[Asset]) -> List[int]:
+        """Per sensor, the bitmask of sample points within its sensing range.
 
-        Bit ``i`` stands for ``points[i]``.  Every sample point lies inside
-        the area rectangle, so a disc that cannot touch the rectangle covers
-        none and is rejected without visiting the grid; otherwise only the
-        columns and rows within ``radius`` along their own axis are measured
-        (a point is never nearer than its offset along one axis).
+        Bit ``i`` is set exactly when ``distance(position, point_i) <= r``,
+        in one numpy pass over all sensors.  Every sample point lies inside
+        the area rectangle, so a disc farther than ``r`` from the rectangle
+        covers none, and a point is never nearer than its offset along one
+        axis, so only columns and rows with ``abs(p - x) <= r`` are measured
+        (both screens compare exactly as ``distance()`` would).  The squared
+        distance then decides every point outside a relative ``_BAND`` of
+        ``r**2``; the few inside it are asked of ``distance()`` itself.
         """
-        if distance(position, self.area.clamp(position)) > radius:
-            return 0
-        px, py = position.x, position.y
-        cols = [c for c, x in enumerate(self.xs) if abs(px - x) <= radius]
-        if not cols:
-            return 0
-        points = self.points
-        mask = 0
-        for row, y in enumerate(self.ys):
-            if abs(py - y) > radius:
-                continue
-            base = row * _COVERAGE_GRID
-            for col in cols:
-                if distance(position, points[base + col]) <= radius:
-                    mask |= 1 << (base + col)
-        return mask
+        n = len(sensors)
+        if not n:
+            return []
+        positions = [s.position for s in sensors]
+        radii = [s.profile.sensing_range_m for s in sensors]
+        px = np.array([p.x for p in positions])
+        py = np.array([p.y for p in positions])
+        r = np.array(radii, dtype=float)
+        r2 = r * r
+        slack = r2 * _BAND + _BAND_FLOOR
+        lo, hi = r2 - slack, r2 + slack
+
+        area = self.area
+        ex = px - np.minimum(np.maximum(px, area.x_min), area.x_max)
+        ey = py - np.minimum(np.maximum(py, area.y_min), area.y_max)
+        touches, unsure = _settled(ex * ex + ey * ey, lo, hi)
+        for k in np.flatnonzero(unsure).tolist():
+            position = positions[k]
+            touches[k] = not distance(position, area.clamp(position)) > radii[k]
+        dx = px[:, None] - self.xs
+        dy = py[:, None] - self.ys
+        cols = np.abs(dx) <= r[:, None]
+        rows = np.abs(dy) <= r[:, None]
+        reach = np.flatnonzero(touches & cols.any(axis=1) & rows.any(axis=1))
+
+        masks = [0] * n
+        if not reach.size:
+            return masks
+        dx, dy = dx[reach], dy[reach]
+        d2 = (dy * dy)[:, :, None] + (dx * dx)[:, None, :]
+        measured = rows[reach][:, :, None] & cols[reach][:, None, :]
+        within, unsure = _settled(d2, lo[reach, None, None], hi[reach, None, None])
+        within &= measured
+        for j, row, col in zip(*(a.tolist() for a in np.nonzero(unsure & measured))):
+            k = int(reach[j])
+            point = Point(float(self.xs[col]), float(self.ys[row]))
+            within[j, row, col] = distance(positions[k], point) <= radii[k]
+        packed = np.packbits(within.reshape(reach.size, _GRID_POINTS), axis=1, bitorder="little")
+        for k, row_bytes in zip(reach.tolist(), packed):
+            masks[k] = int.from_bytes(row_bytes.tobytes(), "little")
+        return masks
 
 
-def coverage_fraction(
-    sensors: Sequence[Asset], area: Region, *, range_scale: float = 1.0
-) -> float:
+@functools.lru_cache(maxsize=_GRIDS_KEPT)
+def _grid_of(area: Region) -> _CoverageGrid:
+    """The one sample grid of ``area`` (``Region`` is frozen, so it keys a cache)."""
+    return _CoverageGrid(area)
+
+
+def coverage_fraction(sensors: Sequence[Asset], area: Region) -> float:
     """Fraction of a sample grid of ``area`` within some sensor's range."""
-    grid = _CoverageGrid(area)
     covered = 0
-    for s in sensors:
-        covered |= grid.mask(s.position, s.profile.sensing_range_m * range_scale)
-    return covered.bit_count() / len(grid.points)
+    for mask in _grid_of(area).masks(sensors):
+        covered |= mask
+    return covered.bit_count() / _GRID_POINTS
 
 
 @dataclass
@@ -196,7 +252,7 @@ class GreedyComposer:
         wins; only candidates that tie on it are compared by distance to the
         area's centre (nearer wins, earliest on a further tie).
         """
-        degree_of = dict(topology.graph.degree())
+        degree_of = topology.degrees()
         center = area.center
         best = best_score = best_distance = None
         for asset in candidates:
@@ -218,19 +274,20 @@ class GreedyComposer:
         candidates: Sequence[Asset],
         area: Region,
     ) -> None:
-        grid = _CoverageGrid(area)
-        points = grid.points
+        sensors = [
+            a
+            for a in candidates
+            if a.profile.sensing & requirements.modalities and a.profile.sensing_range_m > 0
+        ]
         # (asset id, coverage mask, energy weight) of every sensor that sees
         # at least one sample point, in candidate order: geometry is measured
         # once here, the greedy rounds below are integer ops.
-        pool: List[Tuple[int, int, float]] = []
-        for a in candidates:
-            r = a.profile.sensing_range_m
-            if a.profile.sensing & requirements.modalities and r > 0:
-                mask = grid.mask(a.position, r)
-                if mask:
-                    pool.append((a.id, mask, self._energy_factor(a)))
-        uncovered = (1 << len(points)) - 1
+        pool: List[Tuple[int, int, float]] = [
+            (a.id, mask, self._energy_factor(a))
+            for a, mask in zip(sensors, _grid_of(area).masks(sensors))
+            if mask
+        ]
+        uncovered = (1 << _GRID_POINTS) - 1
         chosen: List[int] = []
         budget = max(
             requirements.n_sensors,
@@ -251,7 +308,7 @@ class GreedyComposer:
             aid, mask, _weight = pool.pop(best)
             chosen.append(aid)
             uncovered &= ~mask
-            covered_frac = 1.0 - uncovered.bit_count() / len(points)
+            covered_frac = 1.0 - uncovered.bit_count() / _GRID_POINTS
             if (
                 covered_frac >= requirements.coverage_target
                 and len(chosen) >= requirements.n_sensors

@@ -17,9 +17,13 @@ time-sync protocol depends on.
 
 from __future__ import annotations
 
+import collections.abc
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from heapq import heappop, heappush
+from itertools import count
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -40,14 +44,79 @@ __all__ = [
 _PATH_TREES_KEPT = 4
 
 
+def _next_hops(graph: nx.Graph, dst: int) -> Dict[int, Optional[int]]:
+    """Each node's next hop on its min-ETX path to ``dst`` (``dst`` maps to None).
+
+    This is networkx 3.6's single-source Dijkstra path search from ``dst``
+    with only the predecessors kept: the same adjacency order, the same heap
+    of ``(distance, count(), node)`` and a predecessor replaced only by a
+    strictly shorter tentative distance.  Of several equal-ETX paths, every
+    source therefore gets the one networkx returns, reversed.
+    """
+    adjacency = dict(graph.adjacency())
+    next_hop: Dict[int, Optional[int]] = {dst: None}
+    tentative = {dst: 0}
+    tie = count()
+    fringe = [(0, next(tie), dst)]
+    while fringe:
+        d, _, v = heappop(fringe)
+        if d > tentative[v]:
+            continue  # a stale entry: v was settled nearer
+        for u, edge in adjacency[v].items():
+            du = d + edge["etx"]
+            if u not in tentative or du < tentative[u]:
+                tentative[u] = du
+                heappush(fringe, (du, next(tie), u))
+                next_hop[u] = v
+    return next_hop
+
+
+class _PathTree(collections.abc.Mapping):
+    """Min-ETX paths into one destination, held as each source's next hop.
+
+    ``tree[src]`` walks the hops into a new list, source first and the
+    destination last; sources that cannot reach the destination are absent.
+    Nothing writes the hop table once the Dijkstra that filled it returns.
+    """
+
+    __slots__ = ("_next_hop",)
+
+    def __init__(self, next_hop: Dict[int, Optional[int]]):
+        self._next_hop = next_hop
+
+    def __getitem__(self, src: int) -> List[int]:
+        next_hop = self._next_hop
+        hop = next_hop[src]
+        path = [src]
+        while hop is not None:
+            path.append(hop)
+            hop = next_hop[hop]
+        return path
+
+    def __contains__(self, src: object) -> bool:
+        return src in self._next_hop
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._next_hop)
+
+    def __len__(self) -> int:
+        return len(self._next_hop)
+
+
+_NO_PATHS = _PathTree({})
+
+
 @dataclass
 class TopologySnapshot:
     """A frozen connectivity graph with link-quality annotations."""
 
     graph: nx.Graph
     time: float
-    _path_trees: Dict[int, Dict[int, List[int]]] = field(
+    _path_trees: Dict[int, _PathTree] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    _degrees: Optional[Mapping[int, int]] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     @property
@@ -81,30 +150,42 @@ class TopologySnapshot:
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             return None
 
-    def paths_to(self, dst: int) -> Dict[int, List[int]]:
+    def paths_to(self, dst: int) -> Mapping[int, List[int]]:
         """Min-ETX paths from every node that can reach ``dst``, keyed by source.
 
         Each path runs source first, ``dst`` last (``dst`` maps to
         ``[dst]``); sources in other components are absent, and a ``dst``
-        outside the graph yields an empty mapping.  One single-source
-        Dijkstra from ``dst`` serves every source, and the snapshot keeps
-        the trees of its last few destinations.  Which of several
-        equal-ETX paths a source gets is unspecified (it need not be the
-        one :meth:`shortest_path` returns); the cost is the same.  Treat
-        the mapping and its lists as read-only.
+        outside the graph yields an empty mapping.  One Dijkstra from
+        ``dst`` serves every source and keeps only each node's next hop, so
+        a path is walked when it is looked up; the snapshot keeps the trees
+        of its last few destinations.  Of several equal-ETX paths a source
+        gets the one networkx's single-source Dijkstra path search from
+        ``dst`` returns, reversed (it need not be the one
+        :meth:`shortest_path` returns; the cost is the same), as pinned in
+        ``tests/net/test_topology_paths.py``.  The mapping is read-only.
         """
         tree = self._path_trees.get(dst)
         if tree is None:
             if dst not in self.graph:
-                return {}
-            rooted = nx.single_source_dijkstra_path(self.graph, dst, weight="etx")
-            tree = {src: path[::-1] for src, path in rooted.items()}
+                return _NO_PATHS
+            tree = _PathTree(_next_hops(self.graph, dst))
             # Copy-on-write, published by one assignment: threads composing
             # on the same snapshot may both build a tree and one may be
             # recomputed later, but no reader sees a dict mid-update.
             kept = list(self._path_trees.items())[-(_PATH_TREES_KEPT - 1):]
             self._path_trees = dict(kept + [(dst, tree)])
         return tree
+
+    def degrees(self) -> Mapping[int, int]:
+        """Every node's degree: one read-only table, built on first use.
+
+        Threads racing on a fresh snapshot may each build it; the last
+        assignment wins and every copy is equal.
+        """
+        table = self._degrees
+        if table is None:
+            table = self._degrees = MappingProxyType(dict(self.graph.degree()))
+        return table
 
     def path_etx(self, path: List[int]) -> float:
         """Sum of ETX along a node path."""
@@ -114,7 +195,7 @@ class TopologySnapshot:
         return total
 
     def degree_stats(self) -> Dict[str, float]:
-        degrees = [d for _n, d in self.graph.degree()]
+        degrees = list(self.degrees().values())
         if not degrees:
             return {"mean": 0.0, "min": 0.0, "max": 0.0}
         return {

@@ -55,8 +55,8 @@ class SnapshotAsset:
 
     Structurally compatible with :class:`~repro.things.asset.Asset` for
     everything the composers read (``id``, ``node_id``, ``position``,
-    ``profile``, ``battery``, ``alive``, ``affiliation``) but immutable:
-    churn after the snapshot cannot change what a query sees.
+    ``profile``, ``battery``, ``alive``, ``affiliation``, ``captured``) but
+    immutable: churn after the snapshot cannot change what a query sees.
     """
 
     id: int
@@ -66,10 +66,12 @@ class SnapshotAsset:
     affiliation: Affiliation
     battery: Optional[SnapshotBattery]
     alive: bool = True
+    captured: bool = False
 
     @property
     def hostile(self) -> bool:
-        return self.affiliation is Affiliation.RED
+        """True for assets under adversary control, as ``Asset.hostile``."""
+        return self.affiliation is Affiliation.RED or self.captured
 
 
 def _freeze_asset(asset) -> SnapshotAsset:
@@ -84,6 +86,7 @@ def _freeze_asset(asset) -> SnapshotAsset:
         affiliation=asset.affiliation,
         battery=battery,
         alive=True,
+        captured=asset.captured,
     )
 
 

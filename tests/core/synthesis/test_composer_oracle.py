@@ -436,3 +436,35 @@ def test_ledger_inventory_composites_equal_reference_at_both_epochs(seed):
         churn()
     digest = hashlib.blake2b(repr(sorted(answers.items())).encode(), digest_size=8)
     assert digest.hexdigest() == LEDGER_ANSWERS[seed]
+
+
+#: Every field a composite answers with, for all six goals at both epochs of
+#: the ledger world: blake2b-8 of the sorted {(goal, epoch): (sink, sensors,
+#: compute, relays, coverage, max_path_etx, connected_fraction)} repr, so
+#: relays and each float are pinned to the bit, not only sink and sensors.
+LEDGER_COMPOSITES = {7: "51c22dc2dec5d3e8", 12: "450ecdfe494df2ca"}
+
+
+@pytest.mark.parametrize("seed", sorted(LEDGER_COMPOSITES))
+def test_ledger_inventory_full_composites_are_pinned(seed):
+    hub, goals, churn = ledger_world(seed)
+    requirements = [compile_goal(goal) for goal in goals]
+    composer = GreedyComposer()
+    composites = {}
+    for epoch in (1, 2):
+        snapshot = hub.publish()
+        pool = snapshot.pool()
+        for index, req in enumerate(requirements):
+            c = composer.compose(req, pool, snapshot.topology)
+            composites[(index, epoch)] = (
+                c.sink,
+                tuple(c.sensors),
+                tuple(c.compute),
+                tuple(c.relays),
+                c.coverage,
+                c.max_path_etx,
+                c.connected_fraction,
+            )
+        churn()
+    digest = hashlib.blake2b(repr(sorted(composites.items())).encode(), digest_size=8)
+    assert digest.hexdigest() == LEDGER_COMPOSITES[seed]

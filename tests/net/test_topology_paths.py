@@ -1,5 +1,6 @@
 """TopologySnapshot.paths_to: one min-ETX tree per destination, memoised."""
 
+import hashlib
 import sys
 import threading
 
@@ -32,6 +33,17 @@ def lattice_snapshot(side=7):
     return TopologySnapshot(graph=grid, time=0.0)
 
 
+def networkx_tree(snap, dst):
+    """networkx's own min-ETX paths into ``dst``, each reversed to run source first."""
+    rooted = nx.single_source_dijkstra_path(snap.graph, dst, weight="etx")
+    return {src: path[::-1] for src, path in rooted.items()}
+
+
+#: Every destination's tree on the unit lattices, as networkx 3.6 breaks ties:
+#: blake2b-8 of ``repr([(dst, sorted(tree.items())) for dst in graph])``.
+LATTICE_TREES = {7: "15cda539e60ddf1b", 9: "546b6903378e1bf1"}
+
+
 @given(
     seed=st.integers(0, 2**31 - 1),
     n_nodes=st.integers(2, 40),
@@ -47,6 +59,7 @@ def test_tree_agrees_with_pairwise_shortest_paths(seed, n_nodes, field_m):
         assert tree.get(src) == snap.shortest_path(src, dst)
     assert set(tree) == nx.node_connected_component(snap.graph, dst)
     assert tree[dst] == [dst]
+    assert dict(tree.items()) == networkx_tree(snap, dst)
 
 
 def test_unknown_destination_is_an_empty_tree():
@@ -72,6 +85,21 @@ def test_ties_cost_the_same_and_repeat_across_runs():
         assert path[0] == src and path[-1] == dst
         assert snap.path_etx(path) == snap.path_etx(snap.shortest_path(src, dst))
     assert again.paths_to(dst) == tree
+
+
+@pytest.mark.parametrize("side", sorted(LATTICE_TREES))
+def test_ties_go_the_way_networkx_breaks_them(side):
+    # Relays sit on these paths, so which of several equal-ETX paths a
+    # source gets is part of every composite: path for path, networkx's.
+    snap = lattice_snapshot(side)
+    trees = []
+    for dst in snap.graph:
+        tree = snap.paths_to(dst)
+        assert dict(tree.items()) == networkx_tree(snap, dst)
+        trees.append((dst, sorted(tree.items())))
+    # A literal, so a networkx upgrade that re-breaks ties fails here too.
+    digest = hashlib.blake2b(repr(trees).encode(), digest_size=8).hexdigest()
+    assert digest == LATTICE_TREES[side]
 
 
 def test_repeat_calls_return_the_memoised_tree():
@@ -105,7 +133,7 @@ def test_threads_racing_on_one_snapshot_get_equal_trees():
     assert len(dsts) > topology_module._PATH_TREES_KEPT
     expected = {dst: lattice_snapshot(9).paths_to(dst) for dst in dsts}
     snap = lattice_snapshot(9)
-    results, errors = [], []
+    results, degrees, errors = [], [], []
     start = threading.Barrier(6)
 
     def worker(k):
@@ -114,6 +142,7 @@ def test_threads_racing_on_one_snapshot_get_equal_trees():
             for i in range(30):
                 dst = dsts[(k + i) % len(dsts)]
                 results.append((dst, snap.paths_to(dst)))
+                degrees.append(snap.degrees())
         except Exception as exc:  # noqa: BLE001 - reported by the assert below
             errors.append(exc)
 
@@ -132,3 +161,4 @@ def test_threads_racing_on_one_snapshot_get_equal_trees():
     assert len(results) == 6 * 30
     assert all(tree == expected[dst] for dst, tree in results)
     assert len(snap._path_trees) <= topology_module._PATH_TREES_KEPT
+    assert all(table == dict(snap.graph.degree()) for table in degrees)

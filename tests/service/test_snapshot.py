@@ -1,8 +1,11 @@
 """Snapshot isolation: epochs are immutable views over a churning world."""
 
 
+from repro import ScenarioBuilder, Simulator
 from repro.net.channel import Jammer
+from repro.security.attacks import NodeCaptureAttack
 from repro.service import SnapshotHub
+from repro.things.asset import Affiliation
 from repro.util.geometry import Point
 
 
@@ -38,6 +41,31 @@ class TestEpochIsolation:
         snap = w.hub.publish()
         assert _asset(snap, victim.id) is None
         assert snap.size == len(w.inventory.all()) - 1
+
+    def test_captured_asset_reads_hostile_from_its_epoch_on(self):
+        scenario = (
+            ScenarioBuilder(Simulator(seed=5))
+            .urban_grid(blocks=4, block_size_m=100.0, density=0.4)
+            .population(n_blue=12, n_red=2, n_gray=0)
+            .build()
+        )
+        hub = SnapshotHub(scenario.inventory, min_refresh_s=0.0)
+        victim = scenario.inventory.blue()[0]
+        before = hub.publish()
+        attack = NodeCaptureAttack(scenario, [victim.id])
+        attack.launch()
+        assert victim.hostile
+        during = hub.publish()
+        assert not _asset(before, victim.id).hostile  # earlier epochs keep their view
+        assert _asset(during, victim.id).captured and _asset(during, victim.id).hostile
+        assert [a.hostile for a in during.assets] == [
+            a.hostile for a in scenario.inventory.all() if a.alive
+        ]
+        # Still blue, so still recruitable, exactly as inventory.blue() has it.
+        assert [a.id for a in during.pool()] == [a.id for a in scenario.inventory.blue() if a.alive]
+        assert _asset(during, victim.id).affiliation is Affiliation.BLUE
+        attack.cease()
+        assert not _asset(hub.publish(), victim.id).hostile
 
 
 class TestHub:
