@@ -15,7 +15,8 @@ Run:  python examples/traced_aodv_faults.py [out_dir]
 
 CI's obs-smoke job runs this and then asserts
 ``python -m repro.obs trace <out_dir>/trace.ndjson --json digest.json``
-reports a nonempty critical path.
+reports a nonempty critical path, and that the export holds exactly as
+many trace records as the printed in-memory count.
 """
 
 import os
@@ -83,6 +84,7 @@ def main() -> int:
     print(f"fates: {service.fate_counts()}  "
           f"delivery={service.delivery_ratio():.0%}")
     print(f"telemetry: {export}")
+    print(f"trace records: {len(sim.trace) + sim.trace.dropped}")
 
     # 4. Offline analysis straight from the in-memory trace (the NDJSON
     # export feeds `python -m repro.obs trace` identically).

@@ -72,10 +72,7 @@ class Router:
 
     def _tracer(self):
         """The simulator's packet tracer, or ``None`` when tracing is off."""
-        tracer = self.sim.packet_tracer
-        if tracer is not None and tracer.enabled:
-            return tracer
-        return None
+        return self.sim.packet_tracer
 
     def _deliver_up(self, node: NetNode, packet: Packet, from_id: int) -> None:
         """Hand the packet to the application and record delivery metrics."""

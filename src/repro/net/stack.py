@@ -676,8 +676,6 @@ class FastPathDispatcher:
         """
         ctx = self.ctx
         tracer = ctx.sim.packet_tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None
         if not sender.up:
             if tracer is not None:
                 tracer.drop_unsent(packet, sender.id, "sender_down")
@@ -790,8 +788,6 @@ class FastPathDispatcher:
         """
         ctx = self.ctx
         tracer = ctx.sim.packet_tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None
         if not sender.up:
             if tracer is not None:
                 tracer.drop_unsent(packet, sender.id, "sender_down")

@@ -299,7 +299,7 @@ class ReliableMessageService:
             headers={"rmsg": fate.msg_id},
         )
         tracer = self.sim.packet_tracer
-        if tracer is not None and tracer.enabled and fate.attempts > 1:
+        if tracer is not None and fate.attempts > 1:
             # Each retry is a fresh packet (fresh uid, fresh trace); the
             # shared rmsg header is what groups the attempts into one flow.
             tracer.on_retransmit(
@@ -358,7 +358,7 @@ class ReliableMessageService:
             headers={"rmsg": msg_id},
         )
         tracer = self.sim.packet_tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.inherit(packet, ack)  # the ACK is spawned by the DATA rx
         self.sim.metrics.incr("transport.reliable.ack_tx")
         self.router.send(node.id, ack)

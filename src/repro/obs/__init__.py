@@ -212,11 +212,12 @@ def wire_from_env(sim, env: Optional[dict] = None, *, shard: Optional[int] = Non
     * ``REPRO_OBS_TRACE`` — any non-empty value enables causal packet
       tracing (:mod:`repro.obs.tracing`) on the simulator.
 
-    Sinks are attached *lazily* (``add_sink(..., lazy=True)``): records
-    reach them in batches at flush points rather than one write per emit,
-    so env-wired telemetry rides the zero-tax staging path.  Every
-    env-wired flow already flushes — ``sim.export_obs()`` and
-    ``trace.flush_sinks()`` both drain the backlog first.
+    Sinks are fed in batches, at each trace compaction and each flush
+    point, like every :class:`~repro.sim.trace.TraceLog` sink: env-wired
+    telemetry rides the staging path, and a ring byte budget never evicts
+    a record the sinks have not received.  Every env-wired flow already
+    flushes — ``sim.export_obs()`` and ``trace.flush_sinks()`` both drain
+    the backlog first.
 
     ``shard`` namespaces the per-simulator export files (``shard<k>-``
     prefix) so shard workers sharing one export directory can never
@@ -235,9 +236,7 @@ def wire_from_env(sim, env: Optional[dict] = None, *, shard: Optional[int] = Non
     max_bytes = int(env.get("REPRO_OBS_ROTATE_BYTES", ENV_ROTATE_BYTES))
     path = env.get("REPRO_OBS_NDJSON")
     if path:
-        sim.trace.add_sink(
-            NdjsonSink(path, max_bytes=max_bytes, append=True), lazy=True
-        )
+        sim.trace.add_sink(NdjsonSink(path, max_bytes=max_bytes, append=True))
     export_dir = env.get("REPRO_OBS_NDJSON_DIR")
     if export_dir:
         name = f"{prefix}task-{os.getpid()}-{next(_export_seq)}.ndjson"
@@ -246,8 +245,7 @@ def wire_from_env(sim, env: Optional[dict] = None, *, shard: Optional[int] = Non
                 os.path.join(export_dir, name),
                 max_bytes=max_bytes,
                 append=True,
-            ),
-            lazy=True,
+            )
         )
     ring_dir = env.get("REPRO_OBS_RING_DIR")
     if ring_dir:

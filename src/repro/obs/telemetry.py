@@ -107,9 +107,9 @@ class RecordSchema:
     """A fixed, pre-sorted field-name tuple for one trace category.
 
     Emitters that always produce the same field set (the packet tracer's
-    ``pkt.*`` events) pass a schema plus a positional value tuple to
-    :meth:`TraceLog.emit_schema`, skipping the kwargs dict and the
-    per-record key sort entirely.  ``keys`` must already be sorted —
+    ``pkt.*`` events) stage ``(time, sid, *values)`` through
+    :meth:`TraceLog.stage`, skipping the kwargs dict and the per-record
+    key sort entirely.  ``keys`` must already be sorted —
     decoded records must equal what ``tuple(sorted(fields.items()))``
     would have produced.
     """

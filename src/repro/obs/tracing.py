@@ -32,12 +32,13 @@ Because every event is emitted at a virtual time the simulation was already
 visiting (inside existing callbacks — the tracer never schedules events and
 never draws randomness), enabling tracing perturbs neither event order nor
 any RNG stream: the non-``pkt.*`` trace fingerprint of a traced run is
-bit-identical to an untraced one, and with tracing disabled the whole
-fingerprint is.  ``repro.obs.analyze`` reconstructs the happens-before
-graph from these events offline (``python -m repro.obs trace``).
+bit-identical to an untraced one.  ``repro.obs.analyze`` reconstructs the
+happens-before graph from these events offline (``python -m repro.obs
+trace``).
 
 Enable per simulator (or via ``REPRO_OBS_TRACE=1`` through
-:func:`repro.obs.wire_from_env`)::
+:func:`repro.obs.wire_from_env`); tracing is off exactly when
+``sim.packet_tracer is None``::
 
     sim = Simulator(seed=7)
     tracer = sim.enable_packet_tracing()
@@ -73,46 +74,30 @@ TRACE_CATEGORIES = (
     "pkt.deliver",
 )
 
-# Pre-sorted field schemas, one per category: the tracer knows its field
-# sets statically, so every hop event takes TraceLog.emit_schema's
-# positional fast path (no kwargs dict, no per-record key sort) — the
-# bulk of what made tracing-on runs 51% slower than tracing-off.
-_S_SEND = RecordSchema(
+# Pre-sorted field schemas, one per category, named by their int id: the
+# tracer knows its field sets statically, so every hop event stages one
+# flat tuple of atomic values (no kwargs dict, no per-record key sort, and
+# nothing CPython's GC keeps rescanning mid-run).
+_SEND = RecordSchema(
     "pkt.send",
     ("dst", "flow", "kind", "rmsg", "size_bits", "src", "tid", "uid"),
-)
-_S_SPAWN = RecordSchema(
-    "pkt.spawn", ("parent_span", "parent_tid", "reason", "tid")
-)
-_S_ENQUEUE = RecordSchema(
+).sid
+_SPAWN = RecordSchema("pkt.spawn", ("parent_span", "parent_tid", "reason", "tid")).sid
+_ENQUEUE = RecordSchema(
     "pkt.enqueue",
     (
         "airtime_s", "backoff_s", "dst", "extra_s", "hop", "kind",
         "parent", "prop_s", "span", "src", "tid", "uid",
     ),
-)
-_S_RX = RecordSchema("pkt.rx", ("dst", "extra_s", "hop", "span", "src", "tid"))
-_S_DROP = RecordSchema("pkt.drop", ("dst", "reason", "span", "src", "tid"))
-_S_RETX = RecordSchema("pkt.retx", ("attempt", "layer", "msg", "src", "tid"))
-_S_CUSTODY = RecordSchema("pkt.custody", ("copies", "node", "tid", "uid"))
-_S_ROUTE_DROP = RecordSchema("pkt.route_drop", ("node", "reason", "tid", "uid"))
-_S_DELIVER = RecordSchema(
+).sid
+_RX = RecordSchema("pkt.rx", ("dst", "extra_s", "hop", "span", "src", "tid")).sid
+_DROP = RecordSchema("pkt.drop", ("dst", "reason", "span", "src", "tid")).sid
+_RETX = RecordSchema("pkt.retx", ("attempt", "layer", "msg", "src", "tid")).sid
+_CUSTODY = RecordSchema("pkt.custody", ("copies", "node", "tid", "uid")).sid
+_ROUTE_DROP = RecordSchema("pkt.route_drop", ("node", "reason", "tid", "uid")).sid
+_DELIVER = RecordSchema(
     "pkt.deliver", ("hops", "latency_s", "node", "span", "tid", "uid")
-)
-
-# Integer schema ids for the inlined staging fast paths below: staging the id
-# instead of the RecordSchema object keeps the staged tuples all-atomic, so
-# CPython's GC untracks them at their first collection instead of rescanning
-# tens of thousands of live tuples every gen1/gen2 pass mid-run.
-_I_SEND = _S_SEND.sid
-_I_SPAWN = _S_SPAWN.sid
-_I_ENQUEUE = _S_ENQUEUE.sid
-_I_RX = _S_RX.sid
-_I_DROP = _S_DROP.sid
-_I_RETX = _S_RETX.sid
-_I_CUSTODY = _S_CUSTODY.sid
-_I_ROUTE_DROP = _S_ROUTE_DROP.sid
-_I_DELIVER = _S_DELIVER.sid
+).sid
 
 
 @dataclass(frozen=True)
@@ -162,10 +147,8 @@ class PacketTracer:
         self.sim = sim
         # Bound once: the tracer is created after any TraceLog replacement
         # (ShardRuntime swaps sim.trace at construction and never enables
-        # a tracer), so caching the log saves two attribute hops per hop
-        # event on the hottest instrumented path in the tree.
-        self._trace = sim.trace
-        self.enabled = True
+        # a tracer), so the bound method saves two lookups per hop event.
+        self._record = sim.trace.stage
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
         # Packet.uid is a process-global counter, so raw uids differ when
@@ -192,8 +175,6 @@ class PacketTracer:
         Idempotent: a packet already carrying a context (a transport retry
         re-entering ``Router.send``) keeps it.  Returns the trace id.
         """
-        if not self.enabled:
-            return None
         existing = packet.headers.get(TRACE_HEADER)
         if existing is not None:
             return existing[0]
@@ -202,35 +183,22 @@ class PacketTracer:
         headers[TRACE_HEADER] = (tid, 0, 0)
         parent = headers.pop("_trace_from", None)
         kind = packet.kind._value_
+        # The uid renumbering is inlined here and in on_enqueue, the two
+        # emitters that run once per packet or per transmission.
         uid_map = self._uid_map
         uid = uid_map.get(packet.uid)
         if uid is None:
             uid = uid_map[packet.uid] = len(uid_map) + 1
-        t = self._trace
-        budget = t._budget
-        if budget:
-            t._stage((
-                t._sim.now, _I_SEND,
-                packet.dst, packet.flow_id, kind, headers.get("rmsg"),
-                packet.size_bits, packet.src, tid, uid,
-            ))
-            t._budget = budget - 1
-        else:
-            t.emit_schema(
-                _S_SEND,
-                (
-                    packet.dst, packet.flow_id, kind, headers.get("rmsg"),
-                    packet.size_bits, packet.src, tid, uid,
-                ),
-            )
+        now = self.sim.now
+        # Field order matches the schema's sorted keys, here and below.
+        self._record((
+            now, _SEND,
+            packet.dst, packet.flow_id, kind, headers.get("rmsg"),
+            packet.size_bits, packet.src, tid, uid,
+        ))
         if parent is not None:
             parent_tid, parent_span, _hop = parent
-            budget = t._budget
-            if budget:
-                t._stage((t._sim.now, _I_SPAWN, parent_span, parent_tid, kind, tid))
-                t._budget = budget - 1
-            else:
-                t.emit_schema(_S_SPAWN, (parent_span, parent_tid, kind, tid))
+            self._record((now, _SPAWN, parent_span, parent_tid, kind, tid))
         return tid
 
     def inherit(
@@ -239,8 +207,6 @@ class PacketTracer:
         """Mark ``child`` as causally spawned by ``parent`` (ACK by DATA,
         RREP by RREQ).  The link is recorded when the child is originated
         through ``Router._stamp_origin``."""
-        if not self.enabled:
-            return
         ctx = parent.headers.get(TRACE_HEADER)
         if ctx is not None and TRACE_HEADER not in child.headers:
             child.headers["_trace_from"] = ctx
@@ -266,8 +232,6 @@ class PacketTracer:
         components are positional so the dispatcher hot path skips the
         kwargs dict.
         """
-        if not self.enabled:
-            return None
         ctx = packet.headers.get(TRACE_HEADER)
         if ctx is None:
             return None
@@ -281,28 +245,11 @@ class PacketTracer:
         uid = uid_map.get(packet.uid)
         if uid is None:
             uid = uid_map[packet.uid] = len(uid_map) + 1
-        # Inlined TraceLog.emit_schema staging (here and in every other
-        # emitter): these methods fire once per radio transmission or per
-        # protocol action, so even the method-call overhead of emit_schema
-        # shows up in the tracing tax.  Field order must match the
-        # schema's keys in both branches.
-        t = self._trace
-        budget = t._budget
-        if budget:
-            t._stage((
-                t._sim.now, _I_ENQUEUE,
-                airtime_s, backoff_s, dst, extra_s, hop, kind,
-                parent, prop_s, span, sender_id, tid, uid,
-            ))
-            t._budget = budget - 1
-        else:
-            t.emit_schema(
-                _S_ENQUEUE,
-                (
-                    airtime_s, backoff_s, dst, extra_s, hop, kind,
-                    parent, prop_s, span, sender_id, tid, uid,
-                ),
-            )
+        self._record((
+            self.sim.now, _ENQUEUE,
+            airtime_s, backoff_s, dst, extra_s, hop, kind,
+            parent, prop_s, span, sender_id, tid, uid,
+        ))
         return (tid, span, hop)
 
     def on_rx(
@@ -322,15 +269,7 @@ class PacketTracer:
         tid, span, hop = token
         hop += 1
         packet.headers[TRACE_HEADER] = (tid, span, hop)
-        t = self._trace
-        budget = t._budget
-        if budget:
-            t._stage(
-                (t._sim.now, _I_RX, receiver_id, extra_s, hop, span, sender_id, tid)
-            )
-            t._budget = budget - 1
-        else:
-            t.emit_schema(_S_RX, (receiver_id, extra_s, hop, span, sender_id, tid))
+        self._record((self.sim.now, _RX, receiver_id, extra_s, hop, span, sender_id, tid))
 
     def on_drop(
         self,
@@ -343,13 +282,7 @@ class PacketTracer:
         the module docstring's table)."""
         tid, span, _hop = token
         dst = -1 if receiver_id is None else receiver_id
-        t = self._trace
-        budget = t._budget
-        if budget:
-            t._stage((t._sim.now, _I_DROP, dst, reason, span, sender_id, tid))
-            t._budget = budget - 1
-        else:
-            t.emit_schema(_S_DROP, (dst, reason, span, sender_id, tid))
+        self._record((self.sim.now, _DROP, dst, reason, span, sender_id, tid))
 
     def on_drops(
         self,
@@ -360,38 +293,23 @@ class PacketTracer:
         """Batched :meth:`on_drop`: ordered ``(receiver_id, reason)`` pairs
         sharing one hop span — a broadcast's failed receptions, which are
         all decided inside one event.  Emits records identical (content and
-        order) to per-pair ``on_drop`` calls while paying the call and
-        guard overhead once per batch."""
+        order) to per-pair ``on_drop`` calls while paying the token unpack
+        and the lookups once per batch."""
         tid, span, _hop = token
-        t = self._trace
-        budget = t._budget
-        if budget >= len(drops):
-            stage = t._stage
-            now = t._sim.now
-            for dst, reason in drops:
-                stage((now, _I_DROP, dst, reason, span, sender_id, tid))
-            t._budget = budget - len(drops)
-        else:
-            for dst, reason in drops:
-                t.emit_schema(_S_DROP, (dst, reason, span, sender_id, tid))
+        record = self._record
+        now = self.sim.now
+        for dst, reason in drops:
+            record((now, _DROP, dst, reason, span, sender_id, tid))
 
     def drop_unsent(
         self, packet: "Packet", sender_id: int, reason: str  # noqa: F821
     ) -> None:
         """A transmission that never reached the MAC (sender already down)."""
-        if not self.enabled:
-            return
         ctx = packet.headers.get(TRACE_HEADER)
         if ctx is None:
             return
         dst = packet.dst if packet.dst is not None else -1
-        t = self._trace
-        budget = t._budget
-        if budget:
-            t._stage((t._sim.now, _I_DROP, dst, reason, 0, sender_id, ctx[0]))
-            t._budget = budget - 1
-        else:
-            t.emit_schema(_S_DROP, (dst, reason, 0, sender_id, ctx[0]))
+        self._record((self.sim.now, _DROP, dst, reason, 0, sender_id, ctx[0]))
 
     # ----------------------------------------------------- protocol layers
 
@@ -406,17 +324,9 @@ class PacketTracer:
     ) -> None:
         """A retry: ``layer`` is ``"link"`` (ARQ inside ``send_reliable``)
         or ``"transport"`` (a fresh end-to-end attempt)."""
-        if not self.enabled:
-            return
         ctx = packet.headers.get(TRACE_HEADER)
         tid = ctx[0] if ctx is not None else None
-        t = self._trace
-        budget = t._budget
-        if budget:
-            t._stage((t._sim.now, _I_RETX, attempt, layer, msg_id, sender_id, tid))
-            t._budget = budget - 1
-        else:
-            t.emit_schema(_S_RETX, (attempt, layer, msg_id, sender_id, tid))
+        self._record((self.sim.now, _RETX, attempt, layer, msg_id, sender_id, tid))
 
     def on_custody(
         self,
@@ -426,54 +336,32 @@ class PacketTracer:
         copies: int,
     ) -> None:
         """A DTN store accepted custody of a bundle replica."""
-        if not self.enabled:
-            return
         ctx = packet.headers.get(TRACE_HEADER)
         if ctx is None:
             return
-        t = self._trace
-        budget = t._budget
-        if budget:
-            t._stage((t._sim.now, _I_CUSTODY, copies, node_id, ctx[0], self._uid(packet)))
-            t._budget = budget - 1
-        else:
-            t.emit_schema(_S_CUSTODY, (copies, node_id, ctx[0], self._uid(packet)))
+        self._record(
+            (self.sim.now, _CUSTODY, copies, node_id, ctx[0], self._uid(packet))
+        )
 
     def on_route_drop(
         self, node_id: int, packet: "Packet", reason: str  # noqa: F821
     ) -> None:
         """The routing layer gave up on this copy (not a radio failure)."""
-        if not self.enabled:
-            return
         ctx = packet.headers.get(TRACE_HEADER)
         if ctx is None:
             return
-        t = self._trace
-        budget = t._budget
-        if budget:
-            t._stage((t._sim.now, _I_ROUTE_DROP, node_id, reason, ctx[0], self._uid(packet)))
-            t._budget = budget - 1
-        else:
-            t.emit_schema(_S_ROUTE_DROP, (node_id, reason, ctx[0], self._uid(packet)))
+        self._record(
+            (self.sim.now, _ROUTE_DROP, node_id, reason, ctx[0], self._uid(packet))
+        )
 
     def on_deliver(self, node_id: int, packet: "Packet") -> None:  # noqa: F821
         """The packet reached an application handler at ``node_id``."""
-        if not self.enabled:
-            return
         ctx = packet.headers.get(TRACE_HEADER)
         if ctx is None:
             return
         tid, parent_span, hop = ctx
-        latency = self.sim.now - packet.created_at
-        uid = self._uid(packet)
-        t = self._trace
-        budget = t._budget
-        if budget:
-            t._stage(
-                (t._sim.now, _I_DELIVER, hop, latency, node_id, parent_span, tid, uid)
-            )
-            t._budget = budget - 1
-        else:
-            t.emit_schema(
-                _S_DELIVER, (hop, latency, node_id, parent_span, tid, uid)
-            )
+        now = self.sim.now
+        self._record((
+            now, _DELIVER,
+            hop, now - packet.created_at, node_id, parent_span, tid, self._uid(packet),
+        ))

@@ -88,7 +88,7 @@ class ShardTraceLog(TraceLog):
                     return
             elif self.shard_index != 0:
                 return
-        super().emit(category, **fields)
+        self.stage((self._sim.now, category, fields))
 
 
 class ShardHops:

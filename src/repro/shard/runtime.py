@@ -103,7 +103,7 @@ class ShardRuntime:
         # fork-mode siblings — which inherit the parent's pid-seq counter
         # state — can never clobber each other's parts.  REPRO_OBS_TRACE
         # is deliberately dropped: the causal packet tracer bypasses the
-        # ownership filter (emit_schema has no shard gate), so enabling
+        # ownership filter (it stages schema entries directly), so enabling
         # it per-replica would duplicate pkt.* records across shards.
         wire_from_env(
             self.sim,

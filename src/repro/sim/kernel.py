@@ -358,7 +358,6 @@ class Simulator:
             from repro.obs.tracing import PacketTracer
 
             self.packet_tracer = PacketTracer(self)
-        self.packet_tracer.enabled = True
         return self.packet_tracer
 
     def enable_rng_checkpoints(self, interval_s: float) -> None:

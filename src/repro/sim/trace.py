@@ -5,25 +5,28 @@ how integration tests assert on *sequences* of behavior (e.g., "the reflex
 fired before re-synthesis was requested") and how determinism is verified
 across runs.
 
-Since the telemetry-plane rework the log is **lazy** on its hot path: when
-no live listener or eager sink is attached, ``emit`` appends one staging
-tuple and returns — no dict, no sort, no dataclass.  Staged entries are
-compacted into a struct-packed :class:`~repro.obs.telemetry.BinaryTraceRing`
-at flush points (or past a watermark) and decoded back into
-:class:`TraceRecord` objects only when :attr:`records` is actually read.
-Decoded records are bit-identical to eagerly-built ones, so fingerprints
-do not depend on which path a run took.  Attaching a listener or an eager
-sink switches emission back to the legacy per-record path; lazily-attached
-sinks (``add_sink(sink, lazy=True)``) instead drain at flush time, keeping
-the hot path untaxed.
+Every record enters through :meth:`TraceLog.stage`, which appends one flat
+tuple to a staging tail — ``(time, category, fields)`` from :meth:`~TraceLog.emit`
+or ``(time, sid, *values)`` from schema emitters such as the packet tracer —
+and builds no dict, sort or dataclass.  The tail is compacted into a
+struct-packed :class:`~repro.obs.telemetry.BinaryTraceRing` at flush points
+(or past a watermark) and decoded back into :class:`TraceRecord` objects only
+when :attr:`~TraceLog.records` is read, bit-identically.
+
+Sinks are fed in batches: every compaction and every flush point
+(``flush_sinks``/``write_record``/``close_sinks``) first writes the records
+the sinks have not seen yet, in order, so neither the watermark nor a ring
+byte budget evicts a record before the sinks have it.  Records past
+``max_records`` are not retained and go to the sinks at emit time.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.telemetry import BinaryTraceRing, RecordSchema
 
@@ -32,7 +35,7 @@ __all__ = ["TraceRecord", "TraceLog"]
 logger = logging.getLogger("repro.obs")
 
 #: Staged entries past this count are compacted into the binary ring from
-#: inside ``emit`` — a memory backstop; flush points compact much earlier
+#: inside ``stage`` — a memory backstop; flush points compact much earlier
 #: in any instrumented run.  Large enough that benchmark cells never pay
 #: compaction inside the timed window.
 COMPACT_WATERMARK = 262_144
@@ -58,16 +61,25 @@ class TraceRecord:
         return out
 
 
+def _items(entry: Tuple[Any, ...]) -> Tuple[float, str, Iterable[Tuple[str, Any]]]:
+    """A staged entry as ``(time, category, key-sorted field items)``."""
+    key = entry[1]
+    if type(key) is int:
+        schema = RecordSchema.registry[key]
+        return entry[0], schema.category, zip(schema.keys, entry[2:])
+    return entry[0], key, sorted(entry[2].items())
+
+
 class TraceLog:
     """Append-only trace attached to a simulator.
 
     Tracing is enabled by default but can be capped or disabled for very
     large runs.  The in-memory record store is bounded by ``max_records``
-    — but hitting the cap no longer loses data silently: overflow is
-    counted on :attr:`dropped`, warned about once, and every record
-    (retained or not) still reaches the live listeners and any attached
-    streaming sinks (:mod:`repro.obs.sinks`), so a rotated NDJSON export
-    keeps the full stream.
+    — but hitting the cap does not lose data silently: overflow is counted
+    on :attr:`dropped`, warned about once, and every record (retained or
+    not) still reaches the attached streaming sinks
+    (:mod:`repro.obs.sinks`), so a rotated NDJSON export keeps the full
+    stream.
     """
 
     def __init__(self, sim: "Simulator", max_records: int = 1_000_000):  # noqa: F821
@@ -77,35 +89,26 @@ class TraceLog:
         #: Records not retained in memory because ``max_records`` was hit.
         self.dropped = 0
         self._warned_capped = False
-        self._listeners: List[Callable[[TraceRecord], None]] = []
         self._sinks: List[Any] = []
-        self._lazy_sinks: List[Any] = []
-        # True while any listener or eager sink is attached — flips emission
-        # back to the legacy per-record path.
-        self._eager = False
-        # --- lazy store: packed prefix + staged tail + decode cache -------
+        # --- store: packed prefix + staged tail + decode cache -------------
         self._ring = BinaryTraceRing()
         # Ring evictions already accounted for (counter + cache shift).
         self._ring_base = 0
         self._warned_evicted = False
-        # Tail entries: TraceRecord (eager path), (time, category, fields)
-        # 3-tuples (generic emit), or flat (time, schema, *values) tuples
-        # (schema emit) — one allocation per staged record.
-        self._tail: List[Any] = []
+        # Staged entries, one flat tuple each (see `stage`).
+        self._tail: List[Tuple[Any, ...]] = []
         # Bound append, saving a lookup per staged record; `_tail` is only
         # ever cleared in place, never rebound, so the binding stays valid.
-        self._stage = self._tail.append
+        self._append = self._tail.append
         # Decoded prefix of the stream; extended on demand by `records`.
         self._cache: List[TraceRecord] = []
-        # Trace records already written to lazy sinks.
+        # Retained records already written to the sinks.
         self._drained = 0
-        # --- fused hot-path guard ------------------------------------------
-        # `_budget` is how many records the staging path may still append
-        # before anything else needs to happen: it is zero when disabled or
-        # in eager mode, and otherwise counts down to the nearer of the
-        # memory cap and the compaction watermark.  One int read and one
-        # write replace four attribute reads per record; every state change
-        # that could affect it goes through `_refresh_guards`.
+        # `_budget` is how many entries `stage` may still append before
+        # anything else needs to happen: zero when disabled, otherwise a
+        # countdown to the nearer of the memory cap and the compaction
+        # watermark.  Every state change that could affect it goes through
+        # `_refresh_guards`.
         self._compact_at = COMPACT_WATERMARK
         self._budget = 0
         self._refresh_guards()
@@ -118,7 +121,7 @@ class TraceLog:
         return len(self._ring) + len(self._tail)
 
     def _refresh_guards(self) -> None:
-        if self._enabled and not self._eager:
+        if self._enabled:
             limit = min(self._max_records, self._compact_at)
             self._budget = max(0, limit - self._n)
         else:
@@ -126,7 +129,7 @@ class TraceLog:
 
     @property
     def enabled(self) -> bool:
-        """Whether emits are recorded; assignable, as before the rework."""
+        """Whether :meth:`stage` records anything; assignable."""
         return self._enabled
 
     @enabled.setter
@@ -136,7 +139,7 @@ class TraceLog:
 
     @property
     def max_records(self) -> int:
-        """The in-memory retention cap; assignable, as before the rework."""
+        """The in-memory retention cap; assignable."""
         return self._max_records
 
     @max_records.setter
@@ -152,7 +155,8 @@ class TraceLog:
         recorder: once compaction pushes the packed buffer past the
         budget, the oldest records are evicted — counted on the
         ``trace.evicted`` registry counter and warned about once, so a
-        truncated trace is never mistaken for a complete one.
+        truncated trace is never mistaken for a complete one.  Attached
+        sinks still receive every record.
         """
         return self._ring.capacity_bytes
 
@@ -160,116 +164,56 @@ class TraceLog:
     def ring_budget_bytes(self, value: Optional[int]) -> None:
         self._ring.capacity_bytes = value
         if value is not None and self._ring.nbytes > value:
+            # Every packed record already reached the sinks (see compact).
             self._ring._evict()
             self._account_evictions()
+            self._refresh_guards()
 
     @property
     def ring_evicted(self) -> int:
         """Records lost to the ring byte budget so far."""
         return self._ring.evicted
 
-    # ------------------------------------------------------------------- emit
+    # ------------------------------------------------------------------ stage
 
-    def emit(self, category: str, **fields: Any) -> None:
-        budget = self._budget
-        if budget:
-            # The zero-tax path: one tuple append.  `fields` is a fresh
-            # kwargs dict the caller cannot alias, so deferring the sort
-            # and the dataclass to decode time is safe.
-            self._stage((self._sim.now, category, fields))
-            self._budget = budget - 1
-        else:
-            self._emit_slow(category, fields)
+    def stage(self, entry: Tuple[Any, ...]) -> None:
+        """Record one entry — the only way a record enters the trace.
 
-    def emit_schema(self, schema: RecordSchema, values: Tuple[Any, ...]) -> None:
-        """Schema fast path: positional values against pre-sorted keys.
-
-        For emitters with a fixed field set (the packet tracer) — skips
-        the kwargs dict and the per-record key sort on top of the lazy
-        path's savings.  ``values`` must align with ``schema.keys``.
-        Staging the schema's int id (not the object) keeps this at one
-        flat-tuple append of atomic values, which CPython's GC untracks
-        at the first collection instead of rescanning forever.
+        ``entry`` is ``(time, category, fields)`` with ``fields`` a dict
+        the caller does not keep, or ``(time, sid, *values)`` with ``sid``
+        a :class:`~repro.obs.telemetry.RecordSchema` id and ``values``
+        aligned with its keys.  A schema entry holds only atomic values,
+        so CPython's GC untracks it at its first collection instead of
+        rescanning it on every young-generation pass.
         """
         budget = self._budget
         if budget:
-            self._stage((self._sim.now, schema.sid) + values)
+            self._append(entry)
             self._budget = budget - 1
-        else:
-            self._emit_slow_schema(schema, values)
+        elif self._enabled:
+            if self._n >= self._max_records:
+                self._overflow(entry)
+            else:
+                # Compaction watermark trip: pack, which re-arms the budget.
+                self.compact()
+                self._append(entry)
+                self._budget -= 1
 
-    def _emit_slow(self, category: str, fields: Dict[str, Any]) -> None:
-        """Off the staging fast path: disabled, eager, capped, or due for
-        an in-emit compaction (the memory backstop)."""
-        if not self._enabled:
-            return
-        if self._eager:
-            self._emit_eager(
-                TraceRecord(
-                    time=self._sim.now,
-                    category=category,
-                    fields=tuple(sorted(fields.items())),
-                )
-            )
-        elif self._n >= self._max_records:
-            self._overflow((self._sim.now, category, fields))
-        else:
-            # Compaction watermark trip: pack, which re-arms the budget.
-            self.compact()
-            self._stage((self._sim.now, category, fields))
-            self._budget -= 1
+    def emit(self, category: str, **fields: Any) -> None:
+        self.stage((self._sim.now, category, fields))
 
-    def _emit_slow_schema(self, schema: RecordSchema, values: Tuple[Any, ...]) -> None:
-        if not self._enabled:
-            return
-        if self._eager:
-            self._emit_eager(
-                TraceRecord(
-                    time=self._sim.now,
-                    category=schema.category,
-                    fields=tuple(zip(schema.keys, values)),
-                )
-            )
-        elif self._n >= self._max_records:
-            self._overflow((self._sim.now, schema.sid) + values)
-        else:
-            self.compact()
-            self._stage((self._sim.now, schema.sid) + values)
-            self._budget -= 1
-
-    def _emit_eager(self, record: TraceRecord) -> None:
-        """The legacy per-record path: listeners and sinks see it now."""
-        if self._n < self._max_records:
-            self._tail.append(record)
-        else:
-            self.dropped += 1
-            self._warn_capped(record.time)
-        for listener in self._listeners:
-            listener(record)
-        if self._sinks or self._lazy_sinks:
-            payload = {"type": "trace", **record.as_dict()}
-            for sink in self._sinks:
-                sink.write(payload)
-            if self._lazy_sinks:
-                # Keep lazy sinks ordered: backlog first, then this record
-                # — but only for overflow records, which will never appear
-                # in a later drain.  Retained records drain at flush time.
-                if self._n >= self._max_records and self.dropped:
-                    self._drain_lazy()
-                    for sink in self._lazy_sinks:
-                        sink.write(payload)
+    def emit_schema(self, schema: RecordSchema, values: Tuple[Any, ...]) -> None:
+        """Positional ``values`` against ``schema``'s pre-sorted keys."""
+        self.stage((self._sim.now, schema.sid) + values)
 
     def _overflow(self, entry: Tuple[Any, ...]) -> None:
-        """Past the cap on the lazy path: count, warn once, and stream the
-        record to lazily-attached sinks so the export keeps everything."""
+        """Past the cap: count, warn once, and write the record straight to
+        the sinks — it exists nowhere else."""
         self.dropped += 1
         self._warn_capped(entry[0])
-        if self._lazy_sinks:
-            self._drain_lazy()
-            record = self._decode_entry(entry)
-            payload = {"type": "trace", **record.as_dict()}
-            for sink in self._lazy_sinks:
-                sink.write(payload)
+        if self._sinks:
+            self._drain()
+            self._write((_items(entry),))
 
     def _warn_capped(self, time: float) -> None:
         if self._warned_capped:
@@ -290,26 +234,14 @@ class TraceLog:
             }
         )
 
-    # ------------------------------------------------------- lazy store plumbing
-
-    @staticmethod
-    def _decode_entry(entry: Any) -> TraceRecord:
-        if type(entry) is TraceRecord:
-            return entry
-        key = entry[1]
-        if type(key) is int:
-            schema = RecordSchema.registry[key]
-            return TraceRecord(
-                entry[0], schema.category, tuple(zip(schema.keys, entry[2:]))
-            )
-        return TraceRecord(entry[0], key, tuple(sorted(entry[2].items())))
+    # ------------------------------------------------------------ store plumbing
 
     @property
     def records(self) -> List[TraceRecord]:
         """The retained records, decoding lazily on first read.
 
         Returns the decode cache itself: iteration, indexing, and ``len``
-        behave exactly like the eager list this used to be.
+        behave like a plain list of records.
         """
         cache = self._cache
         if len(cache) < self._n:
@@ -317,44 +249,44 @@ class TraceLog:
             if len(cache) < packed_n:
                 for tup in self._ring.iter_tuples(start=len(cache)):
                     cache.append(TraceRecord(*tup))
-            decode = self._decode_entry
             for entry in self._tail[len(cache) - packed_n:]:
-                cache.append(decode(entry))
+                time, category, items = _items(entry)
+                cache.append(TraceRecord(time, category, tuple(items)))
         return cache
 
     def compact(self) -> int:
-        """Pack the staged tail into the binary ring; returns bytes held.
+        """Drain the sinks, then pack the staged tail into the binary ring;
+        returns bytes held.
 
-        Runs at flush points (and past the emit watermark): record content
+        Runs at flush points (and past the stage watermark): record content
         moves from N Python tuples to one struct-packed buffer.  Purely a
-        representation change — ``records`` decodes the same stream.
+        representation change — ``records`` decodes the same stream — and
+        since the sinks drain first, a ring byte budget can only evict
+        records they already have.
         """
+        self._drain()
         if self._tail:
             ring = self._ring
+            # `_items`, inlined: this packs every staged record once.
             for entry in self._tail:
-                if type(entry) is TraceRecord:
-                    ring.append(entry.time, entry.category, entry.fields)
+                key = entry[1]
+                if type(key) is int:
+                    schema = RecordSchema.registry[key]
+                    ring.append(entry[0], schema.category, zip(schema.keys, entry[2:]))
                 else:
-                    key = entry[1]
-                    if type(key) is int:
-                        schema = RecordSchema.registry[key]
-                        ring.append(
-                            entry[0], schema.category, zip(schema.keys, entry[2:])
-                        )
-                    else:
-                        ring.append(entry[0], key, sorted(entry[2].items()))
+                    ring.append(entry[0], key, sorted(entry[2].items()))
             self._tail.clear()
             if ring.evicted != self._ring_base:
                 self._account_evictions()
-        # Re-arm the in-emit compaction watermark relative to the new count.
+        # Re-arm the in-stage compaction watermark relative to the new count.
         self._compact_at = self._n + COMPACT_WATERMARK
         self._refresh_guards()
         return self._ring.nbytes
 
     def _account_evictions(self) -> None:
         """Settle byte-budget evictions: shift the decode cache and the
-        lazy-sink drain mark to the new retained stream, count the loss on
-        the ``trace.evicted`` registry counter, and warn once."""
+        sink drain mark to the new retained stream, count the loss on the
+        ``trace.evicted`` registry counter, and warn once."""
         newly = self._ring.evicted - self._ring_base
         if newly <= 0:
             return
@@ -400,83 +332,71 @@ class TraceLog:
         self.compact()
         return self._ring.dump(path, aux_records=aux_records)
 
-    # ---------------------------------------------------------------- listeners
-
-    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Register a live listener for each emitted record."""
-        self._listeners.append(listener)
-        self._eager = True
-        self._refresh_guards()
-
     # ------------------------------------------------------------------ sinks
 
-    def add_sink(self, sink: Any, *, lazy: bool = False) -> Any:
-        """Attach a streaming sink; every emitted record (including ones
-        past the memory cap) is written to it as a dict.
+    def add_sink(self, sink: Any) -> Any:
+        """Attach a streaming sink; every record staged from now on
+        (including ones past the memory cap) is written to it as a dict.
 
-        ``lazy=True`` keeps the hot path untaxed: records reach the sink
-        in batches at flush points (``flush_sinks``/``write_record``/
-        ``close_sinks``) instead of one write per emit.  Cap-overflow
-        records are still written at emit time — they exist nowhere else.
+        Retained records reach it in batches, at each compaction and each
+        flush point (``flush_sinks``/``write_record``/``close_sinks``);
+        records past the cap are written at emit time.
         """
-        if lazy:
-            self._lazy_sinks.append(sink)
-        else:
-            self._sinks.append(sink)
-            self._eager = True
-            self._refresh_guards()
+        self._drain()
+        self._sinks.append(sink)
         return sink
 
     def remove_sink(self, sink: Any) -> None:
+        self._drain()
         if sink in self._sinks:
             self._sinks.remove(sink)
-        if sink in self._lazy_sinks:
-            self._lazy_sinks.remove(sink)
-        self._eager = bool(self._listeners or self._sinks)
-        self._refresh_guards()
 
     @property
     def sinks(self) -> Tuple[Any, ...]:
-        return tuple(self._sinks) + tuple(self._lazy_sinks)
+        return tuple(self._sinks)
 
-    def _drain_lazy(self) -> None:
-        """Write retained records not yet seen by lazy sinks, in order."""
-        if not self._lazy_sinks or self._drained >= self._n:
+    def _drain(self) -> None:
+        """Write retained records the sinks have not seen yet, in order.
+
+        Reads the ring and the tail directly, leaving the decode cache
+        alone, so a drain at the watermark keeps memory bounded."""
+        start, self._drained = self._drained, self._n
+        if start >= self._drained or not self._sinks:
             return
-        records = self.records
-        for rec in records[self._drained:]:
-            payload = {"type": "trace", **rec.as_dict()}
-            for sink in self._lazy_sinks:
+        packed_n = len(self._ring)
+        rows: Iterable[Tuple[float, str, Iterable[Tuple[str, Any]]]] = map(
+            _items, self._tail[max(0, start - packed_n):]
+        )
+        if start < packed_n:
+            rows = itertools.chain(self._ring.iter_tuples(start), rows)
+        self._write(rows)
+
+    def _write(self, rows: Iterable[Tuple[float, str, Iterable[Tuple[str, Any]]]]) -> None:
+        sinks = self._sinks
+        for time, category, items in rows:
+            payload = {"type": "trace", "time": time, "category": category}
+            payload.update(items)
+            for sink in sinks:
                 sink.write(payload)
-        self._drained = len(records)
 
     def write_record(self, record: Dict[str, Any]) -> None:
         """Write an arbitrary (non-trace) record dict to the sinks —
-        profiler rows, metric snapshots, meta events.  Lazy sinks receive
-        the trace backlog first so stream order is preserved."""
-        self._drain_lazy()
+        profiler rows, metric snapshots, meta events — after the trace
+        backlog, so stream order is preserved."""
+        self._drain()
         for sink in self._sinks:
-            sink.write(record)
-        for sink in self._lazy_sinks:
             sink.write(record)
 
     def flush_sinks(self) -> None:
-        self._drain_lazy()
+        self._drain()
         for sink in self._sinks:
-            sink.flush()
-        for sink in self._lazy_sinks:
             sink.flush()
 
     def close_sinks(self) -> None:
-        self._drain_lazy()
+        self._drain()
         for sink in self._sinks:
             sink.close()
-        for sink in self._lazy_sinks:
-            sink.close()
         self._sinks.clear()
-        self._lazy_sinks.clear()
-        self._eager = bool(self._listeners)
-        self._refresh_guards()
 
     # ---------------------------------------------------------------- queries
 
@@ -530,6 +450,7 @@ class TraceLog:
             yield {"type": "trace", **rec.as_dict()}
 
     def clear(self) -> None:
+        self._drain()
         self._ring.clear()
         self._tail.clear()
         self._cache = []

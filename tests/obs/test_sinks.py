@@ -1,5 +1,6 @@
-"""Tests for streaming sinks: NDJSON rotation/recovery, ring sink, and the
-TraceLog overflow path (count drops, warn once, keep streaming)."""
+"""Tests for streaming sinks: NDJSON rotation/recovery, ring sink, the
+TraceLog overflow path (count drops, warn once, keep streaming) and the
+batched drain (flush points and compactions, nothing lost to eviction)."""
 
 import json
 import logging
@@ -12,6 +13,7 @@ from repro.obs.sinks import (
     read_ndjson,
 )
 from repro.sim import Simulator
+from repro.sim import trace as trace_module
 
 
 class TestNdjsonSink:
@@ -110,6 +112,7 @@ class TestTraceLogSinks:
         sim = Simulator()
         ring = sim.trace.add_sink(RingSink())
         sim.trace.emit("evt", x=1)
+        sim.trace.flush_sinks()
         (rec,) = ring.records()
         assert rec["type"] == "trace"
         assert rec["category"] == "evt"
@@ -171,9 +174,11 @@ class TestTraceLogSinks:
 
 
 class TestLazySinks:
+    """Every sink is fed in batches, never one write per retained record."""
+
     def test_lazy_sink_fills_at_flush_points(self):
         sim = Simulator()
-        ring = sim.trace.add_sink(RingSink(), lazy=True)
+        ring = sim.trace.add_sink(RingSink())
         sim.trace.emit("evt", i=0)
         sim.trace.emit("evt", i=1)
         # Nothing written at emit time — records are still staged.
@@ -188,9 +193,9 @@ class TestLazySinks:
     def test_lazy_sink_drained_by_close_and_export(self, tmp_path):
         path = tmp_path / "run.ndjson"
         sim = Simulator(seed=1)
-        sim.trace.add_sink(NdjsonSink(path), lazy=True)
+        sim.trace.add_sink(NdjsonSink(path))
         sim.trace.emit("evt", i=7)
-        sim.export_obs()  # flushes lazy backlog before the meta record
+        sim.export_obs()  # flushes the backlog before the meta record
         sim.trace.close_sinks()
         records, _ = read_ndjson(path)
         assert [r["category"] for r in records if r["type"] == "trace"] == ["evt"]
@@ -198,12 +203,29 @@ class TestLazySinks:
     def test_overflow_records_reach_lazy_sinks(self):
         sim = Simulator()
         sim.trace.max_records = 2
-        ring = sim.trace.add_sink(RingSink(), lazy=True)
+        ring = sim.trace.add_sink(RingSink())
         for i in range(6):
             sim.trace.emit("evt", i=i)
         sim.trace.flush_sinks()
         traces = [r for r in ring.records() if r["type"] == "trace"]
         assert [r["i"] for r in traces] == list(range(6))
+
+    def test_ring_budget_eviction_loses_nothing_from_sinks(self, monkeypatch):
+        # The in-stage watermark compacts every 100 records and the 2000-byte
+        # ring budget then evicts most of them from memory; the sink drains
+        # before each compaction, so it still holds every record, in order.
+        monkeypatch.setattr(trace_module, "COMPACT_WATERMARK", 100)
+        sim = Simulator()
+        sim.trace.ring_budget_bytes = 2000
+        ring = sim.trace.add_sink(RingSink())
+        for i in range(1000):
+            sim.trace.emit("evt", i=i)
+        sim.trace.flush_sinks()
+        assert sim.trace.ring_evicted > 0
+        traces = [r for r in ring.records() if r["type"] == "trace"]
+        assert [r["i"] for r in traces] == list(range(1000))
+        evicted = [r for r in ring.records() if r.get("event") == "ring_evicted"]
+        assert len(evicted) == 1
 
 
 class TestRotationRaceGuard:

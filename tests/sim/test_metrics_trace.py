@@ -131,22 +131,19 @@ class TestTraceLog:
             sim.trace.emit("evt")
         assert sim.trace.dropped == 7
 
-    def test_listeners_see_records_past_the_cap(self):
+    def test_ring_budget_setter_rearms_the_staging_countdown(self):
         sim = Simulator()
-        sim.trace.max_records = 2
-        seen = []
-        sim.trace.subscribe(seen.append)
-        for i in range(5):
-            sim.trace.emit("evt", i=i)
-        assert [r.get("i") for r in seen] == [0, 1, 2, 3, 4]
-
-    def test_subscriber_sees_records(self):
-        sim = Simulator()
-        seen = []
-        sim.trace.subscribe(seen.append)
-        sim.trace.emit("evt", x=1)
-        assert len(seen) == 1
-        assert seen[0].get("x") == 1
+        trace = sim.trace
+        trace.max_records = 4
+        for _ in range(3):
+            trace.emit("evt")
+        trace.compact()
+        trace.ring_budget_bytes = 16  # one field-less record's packed size
+        assert (len(trace), trace.ring_evicted) == (1, 2)
+        trace.emit("evt")
+        trace.emit("evt")
+        # Both are staged; nothing more is evicted before the next compaction.
+        assert (len(trace), trace.ring_evicted) == (3, 2)
 
     def test_fingerprint_stable_for_identical_runs(self):
         def run():

@@ -2,7 +2,7 @@
 
 Every name a reader can look up from the prose docs — README.md, DESIGN.md,
 EXPERIMENTS.md and the verify skill — must still resolve in the tree.
-Inside inline code spans (fenced blocks are examples, not references):
+Inside inline code spans:
 
 * a dotted ``repro.*`` name imports, attribute by attribute;
 * a ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` path exists (a
@@ -19,7 +19,9 @@ Inside inline code spans (fenced blocks are examples, not references):
 
 The first three kinds are checked wherever they occur in a span, including
 inside a command line; CamelCase only as a whole span, so an example's own
-placeholder class does not count.
+placeholder class does not count.  Fenced blocks are examples and diagrams,
+so of them only ``Class.attr`` tokens are checked, the same way: a diagram
+that names a method names real code.
 """
 
 from __future__ import annotations
@@ -54,11 +56,14 @@ _DOTTED = re.compile(r"repro(?:\.\w+)+")
 _PATH = re.compile(r"(?:src|tests|benchmarks|examples)/\S*")
 _ENV = re.compile(r"REPRO_[A-Z0-9_]*[A-Z0-9]")
 _CAMEL = re.compile(r"([A-Z][a-z]\w*)(?:\.(\w+))?")
+_FENCED_ATTR = re.compile(r"(?<!\w)[A-Z][a-z]\w*\.\w+")
 
 
 def doc_names(text: str) -> Dict[str, List[str]]:
-    """The names one document's inline code spans refer to, by kind."""
+    """The names one document's code spans and fenced blocks refer to, by kind."""
     found: Dict[str, List[str]] = defaultdict(list)
+    for block in _FENCE.findall(text):
+        found["camel"].extend(_FENCED_ATTR.findall(block))
     for _, span in _SPAN.findall(_FENCE.sub("", text)):
         whole = span.strip().removesuffix("()")
         if _CAMEL.fullmatch(whole):
@@ -178,11 +183,13 @@ def test_a_deleted_name_is_caught() -> None:
     text = (
         "`repro.sim.calendar.CalendarQueue`, `repro.net.stack.StackContext.tracer`, "
         "`src/repro/net/fastpath.py`, `REPRO_FAST_PATH=1 python x.py`, "
-        "`ShardDispatcher`, `FastPathDispatcher.apply_remote`, `src/...`"
+        "`ShardDispatcher`, `FastPathDispatcher.apply_remote`, `src/...`\n"
+        "```\n  TraceLog.record(...)      _drain(): stage -> BinaryTraceRing\n```\n"
     )
     assert unresolved(text) == [
         "camel: FastPathDispatcher.apply_remote",
         "camel: ShardDispatcher",
+        "camel: TraceLog.record",
         "dotted: repro.net.stack.StackContext.tracer",
         "dotted: repro.sim.calendar.CalendarQueue",
         "env: REPRO_FAST_PATH",
@@ -193,7 +200,8 @@ def test_a_deleted_name_is_caught() -> None:
     live = (
         "`repro.shard.dispatch.ShardHops`, `tests/net/test_stack.py`, "
         "`REPRO_OBS_TRACE=1`, `FastPathDispatcher.unicast`, `Simulator._queue`, "
-        "`Generator`, `SeedSequence`, `Graph.add_edge`, `ProcessPoolExecutor`"
+        "`Generator`, `SeedSequence`, `Graph.add_edge`, `ProcessPoolExecutor`\n"
+        "```\n  TraceLog.stage(entry)     compact(): tail -> BinaryTraceRing\n```\n"
     )
-    assert len(doc_names(live)["camel"]) == 6
+    assert len(doc_names(live)["camel"]) == 7
     assert unresolved(live) == []
