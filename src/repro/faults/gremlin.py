@@ -13,7 +13,7 @@ from the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.faults import Fault
@@ -50,8 +50,8 @@ class PacketGremlin(Fault):
 
     Parameters are per-hop probabilities in ``[0, 1]``.  ``kinds`` restricts
     mischief to particular :class:`~repro.net.packet.PacketKind` values
-    (``None`` targets all traffic); ``links`` restricts it to particular
-    node pairs.
+    (``None`` targets all traffic, an empty list none); ``links`` restricts
+    it to particular node pairs, likewise.
     """
 
     name = "gremlin"
@@ -89,9 +89,10 @@ class PacketGremlin(Fault):
         self.delay_mean_s = delay_mean_s
         self.reorder_p = reorder_p
         self.reorder_jitter_s = reorder_jitter_s
-        self.kinds: Optional[Set[PacketKind]] = set(kinds) if kinds else None
+        # Only ``None`` is unscoped: an empty scope targets nothing.
+        self.kinds: Optional[Set[PacketKind]] = set(kinds) if kinds is not None else None
         self.links: Optional[Set[Tuple[int, int]]] = (
-            {Network._link_key(a, b) for a, b in links} if links else None
+            {Network._link_key(a, b) for a, b in links} if links is not None else None
         )
         self.counts = _GremlinCounts()
         self._rng = self.sim.rng.get("faults.gremlin")
@@ -117,37 +118,66 @@ class PacketGremlin(Fault):
             and Network._link_key(sender_id, receiver_id) not in self.links
         ):
             return None
-        self.counts.judged += 1
-        verdict = GremlinVerdict()
-        if self.drop_p and self._rng.random() < self.drop_p:
-            verdict.drop = True
-            self.counts.dropped += 1
-            self.sim.metrics.incr("faults.gremlin.dropped")
-            return verdict  # dropped frames need no further mischief
-        if self.duplicate_p and self._rng.random() < self.duplicate_p:
-            verdict.duplicate = True
-            self.counts.duplicated += 1
-            self.sim.metrics.incr("faults.gremlin.duplicated")
-        if self.corrupt_p and self._rng.random() < self.corrupt_p:
-            verdict.corrupt = True
-            self.counts.corrupted += 1
-            self.sim.metrics.incr("faults.gremlin.corrupted")
-        if self.delay_p and self._rng.random() < self.delay_p:
-            verdict.extra_delay_s += float(self._rng.exponential(self.delay_mean_s))
-            self.counts.delayed += 1
-            self.sim.metrics.incr("faults.gremlin.delayed")
-        if self.reorder_p and self._rng.random() < self.reorder_p:
-            verdict.extra_delay_s += float(self._rng.uniform(0.0, self.reorder_jitter_s))
-            self.counts.reordered += 1
-            self.sim.metrics.incr("faults.gremlin.reordered")
-        if not (
-            verdict.drop
-            or verdict.duplicate
-            or verdict.corrupt
-            or verdict.extra_delay_s > 0.0
-        ):
+        counts, rng, metrics = self.counts, self._rng, self.sim.metrics
+        counts.judged += 1
+        if self.drop_p and rng.random() < self.drop_p:
+            counts.dropped += 1
+            metrics.incr("faults.gremlin.dropped")
+            return GremlinVerdict(drop=True)  # dropped frames need no further mischief
+        duplicate = corrupt = False
+        extra_delay_s = 0.0
+        if self.duplicate_p and rng.random() < self.duplicate_p:
+            duplicate = True
+            counts.duplicated += 1
+            metrics.incr("faults.gremlin.duplicated")
+        if self.corrupt_p and rng.random() < self.corrupt_p:
+            corrupt = True
+            counts.corrupted += 1
+            metrics.incr("faults.gremlin.corrupted")
+        if self.delay_p and rng.random() < self.delay_p:
+            extra_delay_s += float(rng.exponential(self.delay_mean_s))
+            counts.delayed += 1
+            metrics.incr("faults.gremlin.delayed")
+        if self.reorder_p and rng.random() < self.reorder_p:
+            extra_delay_s += float(rng.uniform(0.0, self.reorder_jitter_s))
+            counts.reordered += 1
+            metrics.incr("faults.gremlin.reordered")
+        if not (duplicate or corrupt or extra_delay_s > 0.0):
             return None
-        return verdict
+        return GremlinVerdict(False, duplicate, corrupt, extra_delay_s)
+
+    def judge_fanout(
+        self, sender_id: int, receiver_ids: Sequence[int], packet: Packet
+    ) -> Optional[List[int]]:
+        """The receivers of one fan-out this gremlin drops, judged at once.
+
+        Only a drop-only gremlin can: it draws one ``Generator.random(k)``
+        slab over the ``k`` receivers in scope, the same doubles in the same
+        order as ``k`` calls of :meth:`judge`, and counts the batch in whole
+        numbers.  Any other knob draws a varying number of times per
+        receiver, so this returns ``None`` and the caller asks :meth:`judge`
+        per receiver instead.
+        """
+        if self.duplicate_p or self.corrupt_p or self.delay_p or self.reorder_p:
+            return None
+        if not self.active or (self.kinds is not None and packet.kind not in self.kinds):
+            return []
+        links = self.links
+        if links is not None:
+            link_key = Network._link_key
+            receiver_ids = [r for r in receiver_ids if link_key(sender_id, r) in links]
+        if not receiver_ids:
+            return []
+        self.counts.judged += len(receiver_ids)
+        drop_p = self.drop_p
+        if not drop_p:
+            return []
+        draws = self._rng.random(len(receiver_ids)).tolist()
+        dropped = [r for r, draw in zip(receiver_ids, draws) if draw < drop_p]
+        if dropped:
+            self.counts.dropped += len(dropped)
+            self.sim.metrics.incr("faults.gremlin.dropped", len(dropped))
+        return dropped
 
     def mischief_summary(self) -> Dict[str, int]:
         c = self.counts

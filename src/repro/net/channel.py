@@ -28,15 +28,17 @@ every jammer-dependent result carries the :meth:`jam_signature` of the
 moment it was computed — attack scenarios flip ``Jammer.active`` in place,
 which must never serve stale interference from a cache.
 
-The batch API (:meth:`rx_power_dbm_batch` / :meth:`sinr_db_batch` /
-:meth:`delivery_verdicts`) evaluates all receivers of one transmission in a
-single fused pass over those memoized cores.  Transcendentals
-(``log10``/``exp``) deliberately stay on scalar ``math.*``: numpy's SIMD
-loops are *not* bit-identical to libm on all hardware, and the PR5 golden
-fingerprints pin exact trace bytes.  numpy is used only where it is
-IEEE-exact — elementwise multiply and compare of the final verdicts — so a
-wide batch through numpy and a narrow one through the list comprehension
-return the same bits.
+The batch API is two methods.  :meth:`delivery_probability_batch` walks the
+receivers of one transmission once, reading the path-loss and shadowing
+memos in place and computing SINR and the logistic in the same pass, with
+the scalar chain's float ops in the scalar chain's order.
+:meth:`delivery_verdicts` turns those probabilities and one uniform per
+receiver into decode verdicts.  Transcendentals (``log10``/``exp``)
+deliberately stay on scalar ``math.*``: numpy's SIMD loops are *not*
+bit-identical to libm on all hardware, and the golden fingerprints pin exact
+trace bytes.  numpy is used only where it is IEEE-exact — elementwise
+multiply and compare of the final verdicts — so a wide batch through numpy
+and a narrow one through the list comprehension return the same bits.
 """
 
 from __future__ import annotations
@@ -274,68 +276,6 @@ class Channel:
 
     # ------------------------------------------------------------- batch API
 
-    def rx_power_dbm_batch(
-        self,
-        tx_power_dbm: float,
-        tx_pos: Point,
-        rx_pos: Sequence[Point],
-        rx_ids: Sequence[int],
-        tx_id: int = -1,
-        *,
-        with_fading: bool = False,
-    ) -> List[float]:
-        """Received power for every receiver of one transmission.
-
-        Semantically ``[rx_power_dbm(…, p, tx_id, i) for p, i in
-        zip(rx_pos, rx_ids)]`` — bit-identical to the scalar loop, fused
-        over the path-loss and shadowing memos.  Fading (when requested)
-        draws sequentially in receiver order, matching the scalar path.
-        """
-        pl = self.path_loss_db
-        sh = self.shadowing_db
-        shadowed = tx_id >= 0
-        out = []
-        append = out.append
-        for pos, rid in zip(rx_pos, rx_ids):
-            power = tx_power_dbm - pl(distance(tx_pos, pos))
-            if shadowed and rid >= 0:
-                power += sh(tx_id, rid)
-            append(power)
-        if with_fading and self.fading_sigma_db > 0:
-            normal = self._fading_rng.normal
-            sigma = self.fading_sigma_db
-            out = [p + float(normal(0.0, sigma)) for p in out]
-        return out
-
-    def sinr_db_batch(
-        self,
-        tx_power_dbm: float,
-        tx_pos: Point,
-        rx_pos: Sequence[Point],
-        rx_ids: Sequence[int],
-        tx_id: int = -1,
-        *,
-        with_fading: bool = False,
-        extra_interference_mw: float = 0.0,
-    ) -> List[float]:
-        """SINR (dB) for every receiver of one transmission.
-
-        Matches ``sinr_db`` bit-for-bit.  With no jammers the noise+extra
-        denominator is constant across the batch and converted to dBm once.
-        """
-        powers = self.rx_power_dbm_batch(
-            tx_power_dbm, tx_pos, rx_pos, rx_ids, tx_id, with_fading=with_fading
-        )
-        if not self.jammers:
-            denom_db = _mw_to_dbm(self._noise_mw + extra_interference_mw)
-            return [p - denom_db for p in powers]
-        interference = self.interference_mw
-        base = self._noise_mw + extra_interference_mw
-        return [
-            p - _mw_to_dbm(base + interference(pos))
-            for p, pos in zip(powers, rx_pos)
-        ]
-
     def delivery_probability_batch(
         self,
         tx_power_dbm: float,
@@ -346,22 +286,48 @@ class Channel:
         *,
         extra_interference_mw: float = 0.0,
     ) -> List[float]:
-        """``delivery_probability`` for every receiver, fused and memoized."""
-        sinrs = self.sinr_db_batch(
-            tx_power_dbm,
-            tx_pos,
-            rx_pos,
-            rx_ids,
-            tx_id,
-            with_fading=False,
-            extra_interference_mw=extra_interference_mw,
-        )
+        """``delivery_probability`` for every receiver of one transmission.
+
+        One pass per receiver: distance, path loss, shadowing, SINR and the
+        logistic, each the scalar chain's float op in the scalar chain's
+        order, so every result equals :meth:`delivery_probability`'s bits.
+        The path-loss and shadowing memos are read in place; only a miss
+        takes :meth:`path_loss_db` / :meth:`shadowing_db`'s frame.  With no
+        jammer the noise+extra denominator is one constant for the batch.
+        """
+        hypot = math.hypot
+        exp = math.exp
+        pl_get = self._pl_cache.get
+        path_loss = self.path_loss_db
+        sh_get = self._shadow_cache.get
+        shadowing = self.shadowing_db
+        # Without shadowing the scalar chain adds 0.0.  That turns only a
+        # -0.0 power into +0.0, and both give the same probability.
+        shadowed = tx_id >= 0 and self.shadowing_sigma_db > 0
+        tx_x, tx_y = tx_pos.x, tx_pos.y
+        noise_mw = self._noise_mw
+        jammed = bool(self.jammers)
+        denom_db = 0.0 if jammed else _mw_to_dbm(noise_mw + extra_interference_mw)
+        interference = self.interference_mw
         softness = max(self.sinr_softness_db, 1e-6)
         threshold = self.sinr_threshold_db
-        exp = math.exp
         out = []
         append = out.append
-        for sinr in sinrs:
+        for pos, rid in zip(rx_pos, rx_ids):
+            d = hypot(tx_x - pos.x, tx_y - pos.y)
+            loss = pl_get(d)
+            if loss is None:
+                loss = path_loss(d)
+            power = tx_power_dbm - loss
+            if shadowed and rid >= 0:
+                shadow = sh_get((tx_id, rid) if tx_id <= rid else (rid, tx_id))
+                if shadow is None:
+                    shadow = shadowing(tx_id, rid)
+                power += shadow
+            if jammed:
+                sinr = power - _mw_to_dbm(noise_mw + interference(pos) + extra_interference_mw)
+            else:
+                sinr = power - denom_db
             z = (sinr - threshold) / softness
             z = min(max(z, -40.0), 40.0)
             append(1.0 / (1.0 + exp(-z)))

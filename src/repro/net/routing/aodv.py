@@ -114,7 +114,10 @@ class AodvRouter(Router):
                     self._trace_drop(node_id, packet, "node_down")
 
     def _table(self, node_id: int) -> Dict[int, RouteEntry]:
-        return self._tables.setdefault(node_id, {})
+        table = self._tables.get(node_id)
+        if table is None:
+            table = self._tables[node_id] = {}
+        return table
 
     def _next_seq(self, node_id: int) -> int:
         self._seq[node_id] = self._seq.get(node_id, 0) + 1
@@ -247,6 +250,16 @@ class AodvRouter(Router):
 
     def on_receive(self, node: NetNode, packet: Packet, from_id: int) -> None:
         if packet.kind is PacketKind.RREQ:
+            # A flood reaches a node once per neighbour that rebroadcasts
+            # it; every copy after the first is turned away here.
+            rreq_key = packet.headers["rreq_key"]
+            seen = self._seen_rreq.get(node.id)
+            if seen is None:
+                self._seen_rreq[node.id] = {rreq_key}
+            elif rreq_key in seen:
+                return
+            else:
+                seen.add(rreq_key)
             self._handle_rreq(node, packet, from_id)
             return
         if packet.kind is PacketKind.RREP:
@@ -264,12 +277,8 @@ class AodvRouter(Router):
         self._dispatch(node.id, fwd)
 
     def _handle_rreq(self, node: NetNode, packet: Packet, from_id: int) -> None:
+        """A node's first copy of an RREQ (``on_receive`` drops the rest)."""
         info: _RreqInfo = packet.payload
-        rreq_key = packet.headers["rreq_key"]
-        seen = self._seen_rreq.setdefault(node.id, set())
-        if rreq_key in seen:
-            return
-        seen.add(rreq_key)
         hops = packet.hops + 1
         # Reverse route toward the originator.
         self._learn(node.id, info.origin, from_id, hops, info.origin_seq)

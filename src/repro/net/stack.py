@@ -514,6 +514,58 @@ class FaultLayer(LayerBase):
             return None
         return drop, duplicate, corrupt, extra_delay
 
+    def fanout_verdicts(
+        self, sender_id: int, survivors: List[int], packet: Packet
+    ) -> Tuple[List[int], Dict[int, str], Dict[int, Tuple[bool, bool, bool, float]]]:
+        """Fault verdicts on one broadcast's decoded receivers, in neighbor order.
+
+        Returns the receivers left standing, ``cut`` (receiver -> why it
+        fell: ``"link_blocked"`` or ``"gremlin"``) and ``touched`` (receiver
+        -> the :meth:`gremlin_verdict` of a gremlin that let it stand).
+        Link cuts and partitions draw nothing, so they are decided first.
+        A lone gremlin then judges the rest in one slab
+        (``PacketGremlin.judge_fanout``); several gremlins, whose draws
+        interleave on one stream, or one with more than drops to judge, are
+        asked per receiver through :meth:`gremlin_verdict`.  Either way each
+        receiver's draws are the ones a per-receiver walk takes.
+        """
+        cut: Dict[int, str] = {}
+        touched: Dict[int, Tuple[bool, bool, bool, float]] = {}
+        standing = survivors
+        if self.blocked_links or self.partitions:
+            link_blocked = self.link_blocked
+            standing = []
+            for nid in survivors:
+                if link_blocked(sender_id, nid):
+                    cut[nid] = "link_blocked"
+                else:
+                    standing.append(nid)
+            if cut:
+                assert self.ctx is not None
+                self.ctx.incr("net.link_blocked", len(cut))
+        gremlins = self.gremlins
+        if not gremlins or not standing:
+            return standing, cut, touched
+        if len(gremlins) == 1:
+            dropped = gremlins[0].judge_fanout(sender_id, standing, packet)
+            if dropped is not None:
+                if dropped:
+                    for nid in dropped:
+                        cut[nid] = "gremlin"
+                    standing = [nid for nid in standing if nid not in cut]
+                return standing, cut, touched
+        gremlin_verdict = self.gremlin_verdict
+        kept = []
+        for nid in standing:
+            verdict = gremlin_verdict(sender_id, nid, packet)
+            if verdict is not None:
+                if verdict[0]:
+                    cut[nid] = "gremlin"
+                    continue
+                touched[nid] = verdict
+            kept.append(nid)
+        return kept, cut, touched
+
 
 class AppLayer(LayerBase):
     """Top of the stack: sniffer taps, router up-call, local handlers.
@@ -823,35 +875,16 @@ class FastPathDispatcher:
             survival,
         )
         c_dropped = ctx.c_dropped
-        # Faults judge survivors only, in neighbor order (a gremlin draws
-        # per call), and only while one is installed.  ``cut`` names why a
-        # survivor fell; ``touched`` keeps a gremlin's verdict on one that
-        # stood: (drop, duplicate, corrupt, extra_delay_s).
+        # Faults judge survivors only, and only while one is installed.
+        # ``cut`` names why a survivor fell; ``touched`` keeps a gremlin's
+        # verdict on one that stood: (drop, duplicate, corrupt, extra_delay_s).
         faults = self.faults
-        link_blocked = (
-            faults.link_blocked if faults.blocked_links or faults.partitions else None
-        )
-        gremlin_verdict = faults.gremlin_verdict if faults.gremlins else None
-        cut: Dict[int, str] = {}
-        touched: Dict[int, Tuple[bool, bool, bool, float]] = {}
-        if link_blocked is not None or gremlin_verdict is not None:
-            standing = []
-            for nid in survivors:
-                if link_blocked is not None and link_blocked(sender_id, nid):
-                    ctx.incr("net.link_blocked")
-                    cut[nid] = "link_blocked"
-                    continue
-                if gremlin_verdict is not None:
-                    verdict = gremlin_verdict(sender_id, nid, packet)
-                    if verdict is not None:
-                        if verdict[0]:
-                            cut[nid] = "gremlin"
-                            continue
-                        touched[nid] = verdict
-                standing.append(nid)
-            survivors = standing
+        if faults.blocked_links or faults.partitions or faults.gremlins:
+            survivors, cut, touched = faults.fanout_verdicts(sender_id, survivors, packet)
             if cut:
                 c_dropped.inc(len(cut))
+        else:
+            cut, touched = {}, {}
         if shard is not None:
             # Survivors another shard owns travel to it; the rest stay here.
             deliver_time = ctx.sim.now + base_delay

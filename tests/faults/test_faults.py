@@ -8,10 +8,12 @@ from repro.faults import (
     FaultSchedule,
     LinkFlapFault,
     NodeChurnFault,
+    PacketGremlin,
     PartitionFault,
 )
 from repro.net.channel import Channel
 from repro.net.node import Network
+from repro.net.packet import Packet, PacketKind
 from repro.net.routing import FloodingRouter
 from repro.net.transport import MessageService
 from repro.sim import Simulator
@@ -168,3 +170,31 @@ class TestScheduleAndInjector:
         timeline = injector.availability_timeline(dt_s=10.0)
         assert len(timeline) == 31
         assert all(0.0 <= frac <= 1.0 for _t, frac in timeline)
+
+
+class TestGremlinScope:
+    @staticmethod
+    def deliveries(**knobs):
+        """Every reception of a few unicasts and broadcasts on a line, with
+        a ``drop_p=1`` gremlin scoped by ``knobs`` (none: no gremlin)."""
+        sim, net = line_network(4, spacing=60.0)
+        gremlin = PacketGremlin(net, drop_p=1.0, **knobs) if knobs else None
+        if gremlin is not None:
+            gremlin.launch()
+        seen = []
+        net.add_sniffer(lambda packet, a, b: seen.append((a, b)))
+        for i in range(1, 4):
+            net.send(i, i + 1, Packet(src=i, dst=i + 1, kind=PacketKind.DATA))
+            net.broadcast(i + 1, Packet(src=i + 1, dst=None, kind=PacketKind.DATA))
+        sim.run(until=5.0)
+        return seen, gremlin
+
+    @pytest.mark.parametrize("scope", ["kinds", "links"])
+    def test_an_empty_scope_targets_no_traffic(self, scope):
+        baseline, _ = self.deliveries()
+        assert len(baseline) >= 6
+        everything, _ = self.deliveries(**{scope: None})
+        assert everything == []
+        scoped, gremlin = self.deliveries(**{scope: []})
+        assert scoped == baseline
+        assert gremlin.mischief_summary()["judged"] == 0

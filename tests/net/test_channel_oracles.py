@@ -17,7 +17,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.net import channel as channel_mod
 from repro.net.channel import Channel, Jammer
 from repro.util.geometry import Point
 from repro.util.rng import derive_seed, pcg64_seed_states
@@ -153,6 +156,100 @@ def test_scalar_batch_and_frozen_delivery_probability_agree(softness, jamming):
             assert p == frozen_delivery_probability(channel, tx_power, tx_pos, pos, tx_id, rx_id)
             mid_band += 0.01 < p < 0.99
     assert mid_band >= 40
+
+
+coordinate = st.floats(-250.0, 250.0, allow_nan=False)
+point = st.builds(Point, coordinate, coordinate)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    params=st.fixed_dictionaries(
+        {
+            "reference_distance_m": st.sampled_from([1.0, 20.0, 80.0]),
+            "shadowing_sigma_db": st.sampled_from([0.0, 4.0]),
+            "sinr_softness_db": st.sampled_from([0.0, 1.5]),
+            "seed": st.integers(0, 2**32),
+        }
+    ),
+    tx_id=st.integers(-1, 3),
+    tx_pos=point,
+    # (rx_id, point, repeat): repeat 0 puts a receiver on an earlier one's
+    # point, so its distance hits the path-loss memo the batch just filled.
+    receivers=st.lists(st.tuples(st.integers(-1, 12), point, st.integers(0, 3)), max_size=24),
+    jammer=st.sampled_from(["none", "active", "inactive"]),
+    extra_mw=st.sampled_from([0.0, 1.1e-13, 7.7e-12, 1e-10]),
+    pl_cap=st.sampled_from([1, 2, 5, 1 << 16]),
+)
+def test_batch_is_the_scalar_chain_bit_for_bit(
+    params, tx_id, tx_pos, receivers, jammer, extra_mw, pl_cap
+):
+    """``delivery_probability_batch`` is one pass over the memos; it must
+    equal ``delivery_probability`` per receiver, on a channel that shares no
+    memo with it and on the batch's own, warm channel alike — with the
+    path-loss memo capped small enough to reset mid-batch.  Mutants of the
+    batch this was shown to catch: shadowing a receiver id of -1, the extra
+    interference dropped from the unjammed denominator, the logistic's clamp
+    dropped, and ``* (1 / softness)`` for ``/ softness``."""
+    batch_channel, scalar_channel = Channel(**params), Channel(**params)
+    if jammer != "none":
+        for channel in (batch_channel, scalar_channel):
+            channel.add_jammer(
+                Jammer(Point(30.0, -20.0), power_dbm=5.0, active=jammer == "active")
+            )
+    rx_ids, rx_pos = [], []
+    for k, (rx_id, pos, repeat) in enumerate(receivers):
+        if repeat == 0 and k:
+            pos = rx_pos[k // 2]  # the same point again: a memo hit
+        rx_ids.append(rx_id)
+        rx_pos.append(pos)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel_mod, "_PL_CACHE_MAX", pl_cap)
+        cold = batch_channel.delivery_probability_batch(
+            17.0, tx_pos, rx_pos, rx_ids, tx_id, extra_interference_mw=extra_mw
+        )
+        warm = batch_channel.delivery_probability_batch(
+            17.0, tx_pos, rx_pos, rx_ids, tx_id, extra_interference_mw=extra_mw
+        )
+        for channel in (scalar_channel, batch_channel):
+            scalar = [
+                channel.delivery_probability(
+                    17.0, tx_pos, pos, tx_id, rx_id, extra_interference_mw=extra_mw
+                )
+                for pos, rx_id in zip(rx_pos, rx_ids)
+            ]
+            assert [p.hex() for p in cold] == [p.hex() for p in scalar]
+            assert [p.hex() for p in warm] == [p.hex() for p in scalar]
+        assert len(batch_channel._pl_cache) <= pl_cap
+
+
+def test_jammed_denominator_sums_in_the_scalar_order():
+    """Float addition does not associate: ``noise + jam + extra`` and
+    ``noise + extra + jam`` differ in about one receiver in 250 once all
+    three are near the noise floor, too rarely for the example budget above.
+    One wide batch with extra interference on a jammed channel makes the
+    order observable (a mutant summing noise + extra + interference is
+    caught here)."""
+    rng = random.Random(29)
+    channel = Channel(seed=4, shadowing_sigma_db=0.0)
+    channel.add_jammer(Jammer(Point(30.0, -20.0), power_dbm=5.0))
+    noise = channel._noise_mw
+    tx_pos = Point(0.0, 0.0)
+    rx_pos = [Point(rng.uniform(-250.0, 250.0), rng.uniform(-250.0, 250.0)) for _ in range(4000)]
+    for extra in (1.1e-13, 7.7e-12, 1e-10):
+        batch = channel.delivery_probability_batch(
+            17.0, tx_pos, rx_pos, [-1] * len(rx_pos), extra_interference_mw=extra
+        )
+        scalar = [
+            channel.delivery_probability(17.0, tx_pos, pos, extra_interference_mw=extra)
+            for pos in rx_pos
+        ]
+        assert [p.hex() for p in batch] == [p.hex() for p in scalar]
+        reordered = sum(
+            noise + jam + extra != noise + extra + jam
+            for jam in map(channel.interference_mw, rx_pos)
+        )
+        assert reordered >= 100
 
 
 def test_wide_verdict_batch_equals_its_narrow_slices():
