@@ -741,7 +741,7 @@ class FastPathDispatcher:
         if shard is None:
             busy = self.queue.busy_neighbors(sender)
         else:
-            seq = shard.hop(sender_id)
+            shard.hop(sender_id)
             busy = 1 if sender.busy_tx else 0
         backoff, survival = self.mac.grant(busy)
         airtime = packet.airtime_s(sender.bitrate_bps)
@@ -758,7 +758,7 @@ class FastPathDispatcher:
             draw = (
                 ctx.rng.random()
                 if shard is None
-                else shard.rng.uniforms_at(("rx", sender_id, seq), (receiver_id,))[0]
+                else shard.rng.uniform_at(shard.rx_head, receiver_id)
             )
             success = draw < p_ok
             if not success:

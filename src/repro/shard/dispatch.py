@@ -94,20 +94,25 @@ class ShardTraceLog(TraceLog):
 class ShardHops:
     """One shard's hop state: keyed draws, ownership, and the outbox."""
 
-    __slots__ = ("rng", "owned", "assignments", "outbox", "_tx_seq")
+    __slots__ = ("rng", "owned", "assignments", "outbox", "rx_head", "_tx_seq")
 
     def __init__(self, seed: int, owned: FrozenSet[int], assignments: Mapping[int, int]):
         self.rng = KeyedHopRng(seed)
         self.owned = owned
         self.assignments = assignments
         self.outbox: List[Handoff] = []
+        #: The last hop's receiver head: ``rng.uniform_at(rx_head, r)`` is
+        #: ``rng.uniforms_at(("rx", sender, seq), (r,))[0]``.
+        self.rx_head = ""
         self._tx_seq: Dict[int, int] = {}
 
     def hop(self, sender_id: int) -> int:
-        """Number the sender's next transmission and address its MAC draws."""
+        """Number the sender's next transmission and address its draws."""
         seq = self._tx_seq.get(sender_id, 0)
         self._tx_seq[sender_id] = seq + 1
-        self.rng.rekey("hop", sender_id, seq)
+        rng = self.rng
+        rng.rekey("hop", sender_id, seq)
+        self.rx_head = f"{rng.seed_head}('rx', {sender_id!r}, {seq!r}, "
         return seq
 
     def hand_off(self, when: float, kind: str, src: int, dst: int, packet: Packet) -> None:

@@ -253,6 +253,8 @@ class ShardRuntime:
         trace = self.sim.trace
 
         def on_rx(node: Any, pkt: Packet, from_id: int) -> None:
+            if not trace.enabled:
+                return
             trace.emit(
                 "app.rx",
                 node=node.id,

@@ -22,10 +22,12 @@ Three spec families live here:
 * The workload/fault sub-specs both of those compose.
 
 ``validate()`` rejects anything that is not shard-safe: routers outside
-``SHARD_SAFE_ROUTERS`` (gossip's sequential RNG and greedy-geo/dtn's
-cross-node state reads are partition-coupled), transports (their timers
-and ACK packets are unaudited for replication), and gremlin fault
-injection (draws from a sequential stream on the hot path).
+``SHARD_SAFE_ROUTERS`` (``gossip``'s and ``geo``'s draws from a sequential
+stream and ``epidemic``'s and ``spray_wait``'s reads of a peer's bundle
+store are partition-coupled; ``tests/shard/test_spec.py`` names each),
+transports (their timers and ACK packets are unaudited for replication),
+and gremlin fault injection (draws from a sequential stream on the hot
+path).
 """
 
 from __future__ import annotations

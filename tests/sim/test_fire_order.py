@@ -12,6 +12,11 @@ the result in ``run(until=...)`` windows, and compares what fired with
 ``sorted()`` over the keys this test assigned itself.  It was shown to fail
 with the priority dropped from the queued tuple and with ``run(until)``
 firing one entry past the horizon.
+
+``Simulator.every`` re-arms on the fast lane; the second property test
+holds its firings, interleaved with ``call_in``, ``call_in_fast`` and
+``call_at`` at equal times, to the order an Event-lane ``every`` kept here
+gives.
 """
 
 from __future__ import annotations
@@ -168,3 +173,111 @@ def test_simulator_fast_lane_counts_and_orders_with_events():
     # Fast-lane firings are a subset of the total processed count, so
     # events_per_sec and run telemetry see them.
     assert sim.events_processed == 4
+
+
+# ---------------------------------------------------------------- every()
+
+
+def reference_every(sim, interval, fn, *, start_delay=None, until=None, ticks=None):
+    """``Simulator.every`` on the Event lane: re-armed through ``call_in``."""
+    first = interval if start_delay is None else start_delay
+
+    def tick():
+        ticks.append(sim.now)
+        if until is not None and sim.now > until:
+            return
+        fn()
+        sim.call_in(interval, tick)
+
+    sim.call_in(first, tick)
+
+
+EVERY_KINDS = ["every", "call_in", "fast", "call_at"]
+INTERVALS = [0.5, 1.0, 1.5]
+EVERY_HORIZON = 6.0
+
+_every_child = st.tuples(st.sampled_from(EVERY_KINDS), st.sampled_from(DELAYS))
+_every_op = st.tuples(
+    st.sampled_from(EVERY_KINDS),
+    st.sampled_from(TIMES),
+    st.sampled_from(INTERVALS),
+    st.one_of(st.none(), st.sampled_from(TIMES)),
+    st.lists(_every_child, max_size=2),
+)
+
+
+class EveryWorld:
+    """One Simulator driven by a script; ``every`` is the kernel's or the
+    Event-lane reference."""
+
+    def __init__(self, reference: bool) -> None:
+        self.sim = Simulator(seed=0)
+        self.reference = reference
+        self.fired = []
+        self.ticks = []
+        self.n = 0
+
+    def add(self, kind, time, interval=1.0, until=None, children=()) -> None:
+        sim = self.sim
+        label = self.n
+        self.n += 1
+
+        def fire() -> None:
+            self.fired.append((label, sim.now))
+            for child_kind, delay in children:
+                self.add(child_kind, delay)
+
+        if kind == "every":
+            if self.reference:
+                reference_every(
+                    sim, interval, fire, start_delay=time, until=until, ticks=self.ticks
+                )
+            else:
+                sim.every(interval, fire, start_delay=time, until=until)
+        elif kind == "call_in":
+            sim.call_in(time, fire)
+        elif kind == "fast":
+            sim.call_in_fast(time, fire)
+        else:
+            sim.call_at(sim.now + time, fire)
+
+
+@given(
+    st.lists(_every_op, min_size=1, max_size=25),
+    st.lists(st.sampled_from(WINDOWS), max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_fires_in_the_event_lane_order(ops, windows):
+    worlds = [EveryWorld(reference=False), EveryWorld(reference=True)]
+    for world in worlds:
+        for op in ops:
+            world.add(*op)
+        for until in sorted(set(windows)) + [EVERY_HORIZON]:
+            world.sim.run(until=until)
+    actual, reference = worlds
+    assert actual.fired == reference.fired
+    assert actual.sim.events_processed == reference.sim.events_processed
+    # Every tick, the last one that only sees ``until`` pass included, now
+    # fires on the fast lane.
+    assert actual.sim.events_fast == reference.sim.events_fast + len(reference.ticks)
+
+
+def test_every_until_stops_the_recurrence():
+    sim = Simulator(seed=0)
+    ticks = []
+    sim.every(1.0, lambda: ticks.append(sim.now), until=3.5)
+    sim.run(until=10.0)
+    assert ticks == [1.0, 2.0, 3.0]
+    # The tick at 4.0 sees ``until`` passed and re-arms nothing.
+    assert sim.queue_length == 0 and not sim._queue
+    assert sim.events_fast == sim.events_processed == 4
+
+
+def test_every_profiler_label_is_unchanged():
+    sim = Simulator(seed=0)
+    profiler = sim.enable_profiling()
+    sim.every(1.0, lambda: None, start_delay=0.5)
+    sim.run(until=3.0)
+    assert [(label, calls) for label, calls, _ in profiler.hot_paths()] == [
+        ("Simulator.every.<locals>.tick", 3)
+    ]
