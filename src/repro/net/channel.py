@@ -1,17 +1,18 @@
-"""Wireless propagation: log-distance path loss, shadowing, fading, jamming.
+"""Wireless propagation: log-distance path loss, shadowing, jamming.
 
 The model is standard: received power (dBm) is transmit power minus a
-log-distance path loss, plus a per-link lognormal shadowing term and a
-per-transmission fast-fading term.  Delivery succeeds with a probability
-that is a smooth (logistic) function of SINR, where interference includes
-active jammers.  This is the classic abstraction used by packet-level MANET
-simulators; it reproduces the qualitative effects the paper's arguments rely
-on (range limits, partitions, jamming-induced loss).
+log-distance path loss, plus a per-link lognormal shadowing term.  Delivery
+succeeds with a probability that is a smooth (logistic) function of SINR,
+where interference includes active jammers; the logistic's softness stands
+in for per-transmission fast fading, which is never drawn.  This is the
+classic abstraction used by packet-level MANET simulators; it reproduces the
+qualitative effects the paper's arguments rely on (range limits, partitions,
+jamming-induced loss).
 
 Hot-path notes
 --------------
 Propagation parameters are construction-time constants, which makes the
-expensive scalar cores memoizable:
+two expensive per-link terms memoizable:
 
 * :meth:`Channel.shadowing_db` is static per link, so the draw is cached per
   node pair.  A miss constructs the link's seeded generator (11 of its 15 us);
@@ -21,17 +22,17 @@ expensive scalar cores memoizable:
 * :meth:`Channel.path_loss_db` caches per distinct distance (static worlds
   repeat the same distances forever; the cache is size-capped so mobile
   worlds cannot grow it without bound).
-* :meth:`Channel.comm_range_m` caches per ``(tx_power_dbm, margin_db)``.
 
-None of the three depends on jamming, so a jammer edit drops none of them;
+Neither depends on jamming, so a jammer edit drops neither;
 every jammer-dependent result carries the :meth:`jam_signature` of the
 moment it was computed — attack scenarios flip ``Jammer.active`` in place,
 which must never serve stale interference from a cache.
 
-The batch API is two methods.  :meth:`delivery_probability_batch` walks the
-receivers of one transmission once, reading the path-loss and shadowing
-memos in place and computing SINR and the logistic in the same pass, with
-the scalar chain's float ops in the scalar chain's order.
+The delivery API is two methods.  :meth:`delivery_probability_batch` walks
+the receivers of one transmission once, reading the path-loss and shadowing
+memos in place and computing SINR and the logistic in the same pass; it is
+the only implementation of that chain (:meth:`delivery_probability` is its
+batch of one, and ``tests/net/frozen_oracles.py`` holds the reference).
 :meth:`delivery_verdicts` turns those probabilities and one uniform per
 receiver into decode verdicts.  Transcendentals (``log10``/``exp``)
 deliberately stay on scalar ``math.*``: numpy's SIMD loops are *not*
@@ -93,7 +94,7 @@ class Jammer:
 
 
 class Channel:
-    """Log-distance path-loss channel with shadowing, fading and jamming.
+    """Log-distance path-loss channel with shadowing and jamming.
 
     Parameters
     ----------
@@ -104,7 +105,8 @@ class Channel:
         *static per link* (deterministic from the seed and the node pair),
         matching the physical interpretation of obstacles.
     fading_sigma_db:
-        Std-dev of the per-transmission fast-fading term.
+        Stored but never drawn: the logistic's ``sinr_softness_db`` stands
+        in for fast fading.  Kept so existing constructions still work.
     sinr_threshold_db:
         SINR at which delivery probability is 50%.
 
@@ -139,14 +141,12 @@ class Channel:
         self.sinr_softness_db = sinr_softness_db
         self.seed = seed
         self.jammers: List[Jammer] = []
-        self._fading_rng = np.random.default_rng(derive_seed(seed, "fading"))
         # The one generator prime_shadowing re-seats on each link's stream.
         self._shadow_rng = np.random.Generator(np.random.PCG64(0))
         # Memo caches (see module docstring).  Bumping _jam_epoch is how
         # add/clear_jammers invalidates anything keyed on a jam signature.
         self._shadow_cache: Dict[Tuple[int, int], float] = {}
         self._pl_cache: Dict[float, float] = {}
-        self._range_cache: Dict[Tuple[float, float], float] = {}
         self._jam_epoch = 0
         self._noise_mw = _dbm_to_mw(noise_floor_dbm)
 
@@ -202,46 +202,9 @@ class Channel:
             rng.bit_generator.state = seat
             cache[key] = float(rng.normal(0.0, sigma))
 
-    def rx_power_dbm(
-        self,
-        tx_power_dbm: float,
-        tx_pos: Point,
-        rx_pos: Point,
-        tx_id: int = -1,
-        rx_id: int = -1,
-        *,
-        with_fading: bool = True,
-    ) -> float:
-        """Mean received power plus shadowing (and fading if requested)."""
-        power = tx_power_dbm - self.path_loss_db(distance(tx_pos, rx_pos))
-        if tx_id >= 0 and rx_id >= 0:
-            power += self.shadowing_db(tx_id, rx_id)
-        if with_fading and self.fading_sigma_db > 0:
-            power += float(self._fading_rng.normal(0.0, self.fading_sigma_db))
-        return power
-
     def interference_mw(self, at: Point) -> float:
         """Aggregate jammer interference power at a receiver position."""
         return sum(j.interference_mw(self, at) for j in self.jammers)
-
-    def sinr_db(
-        self,
-        tx_power_dbm: float,
-        tx_pos: Point,
-        rx_pos: Point,
-        tx_id: int = -1,
-        rx_id: int = -1,
-        *,
-        with_fading: bool = True,
-        extra_interference_mw: float = 0.0,
-    ) -> float:
-        rx_dbm = self.rx_power_dbm(
-            tx_power_dbm, tx_pos, rx_pos, tx_id, rx_id, with_fading=with_fading
-        )
-        denom_mw = (
-            self._noise_mw + self.interference_mw(rx_pos) + extra_interference_mw
-        )
-        return rx_dbm - _mw_to_dbm(denom_mw)
 
     # ---------------------------------------------------------------- delivery
 
@@ -257,22 +220,20 @@ class Channel:
     ) -> float:
         """Probability a single transmission is decoded at the receiver.
 
-        Logistic in SINR around the threshold; evaluated *without* fast
-        fading (fading is what the logistic smoothing stands in for).
+        The batch of one: :meth:`delivery_probability_batch` is the only
+        implementation of the chain.  It is reached through the class, so a
+        proxy installed on the instance (``benchmarks/ledger`` times both
+        names) counts one channel call here, not two.
         """
-        sinr = self.sinr_db(
+        return Channel.delivery_probability_batch(
+            self,
             tx_power_dbm,
             tx_pos,
-            rx_pos,
+            (rx_pos,),
+            (rx_id,),
             tx_id,
-            rx_id,
-            with_fading=False,
             extra_interference_mw=extra_interference_mw,
-        )
-        z = (sinr - self.sinr_threshold_db) / max(self.sinr_softness_db, 1e-6)
-        # Clamp to avoid overflow in exp for extreme SINR values.
-        z = min(max(z, -40.0), 40.0)
-        return 1.0 / (1.0 + math.exp(-z))
+        )[0]
 
     # ------------------------------------------------------------- batch API
 
@@ -288,12 +249,13 @@ class Channel:
     ) -> List[float]:
         """``delivery_probability`` for every receiver of one transmission.
 
-        One pass per receiver: distance, path loss, shadowing, SINR and the
-        logistic, each the scalar chain's float op in the scalar chain's
-        order, so every result equals :meth:`delivery_probability`'s bits.
-        The path-loss and shadowing memos are read in place; only a miss
-        takes :meth:`path_loss_db` / :meth:`shadowing_db`'s frame.  With no
-        jammer the noise+extra denominator is one constant for the batch.
+        One pass per receiver: distance, path loss, shadowing (none for a
+        negative id), SINR over noise + jamming + ``extra_interference_mw``,
+        and the logistic in SINR around the threshold, clamped so ``exp``
+        cannot overflow.  The path-loss and shadowing memos are read in
+        place; only a miss takes :meth:`path_loss_db` / :meth:`shadowing_db`'s
+        frame.  With no jammer the noise+extra denominator is one constant
+        for the batch.
         """
         hypot = math.hypot
         exp = math.exp
@@ -301,8 +263,6 @@ class Channel:
         path_loss = self.path_loss_db
         sh_get = self._shadow_cache.get
         shadowing = self.shadowing_db
-        # Without shadowing the scalar chain adds 0.0.  That turns only a
-        # -0.0 power into +0.0, and both give the same probability.
         shadowed = tx_id >= 0 and self.shadowing_sigma_db > 0
         tx_x, tx_y = tx_pos.x, tx_pos.y
         noise_mw = self._noise_mw
@@ -365,10 +325,6 @@ class Channel:
 
         Used to size neighbor-search grids; actual delivery is probabilistic.
         """
-        key = (tx_power_dbm, margin_db)
-        cached = self._range_cache.get(key)
-        if cached is not None:
-            return cached
         budget_db = (
             tx_power_dbm
             - self.noise_floor_dbm
@@ -377,13 +333,8 @@ class Channel:
             - margin_db
         )
         if budget_db <= 0:
-            value = self.reference_distance_m
-        else:
-            value = self.reference_distance_m * 10.0 ** (
-                budget_db / (10.0 * self.path_loss_exponent)
-            )
-        self._range_cache[key] = value
-        return value
+            return self.reference_distance_m
+        return self.reference_distance_m * 10.0 ** (budget_db / (10.0 * self.path_loss_exponent))
 
     # ----------------------------------------------------------------- jamming
 

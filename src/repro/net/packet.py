@@ -10,8 +10,7 @@ and the slotted layout drops the per-instance ``__dict__`` while
 :meth:`Packet.copy_for_forwarding` skips ``__init__`` entirely.  The
 dataclass surface is preserved — same constructor signature and defaults,
 field-wise ``==``, unhashable (router state keys off ``uid``, never off
-packet objects) — so callers cannot tell the difference.  For churn-bound
-hot paths, :mod:`repro.net.pool` adds an explicit free-list on top.
+packet objects) — so callers cannot tell the difference.
 """
 
 from __future__ import annotations
@@ -115,11 +114,6 @@ class Packet:
         one level are shared and must be treated as read-only.
         """
         clone = Packet.__new__(Packet)
-        self._fill_forwarding_copy(clone)
-        return clone
-
-    def _fill_forwarding_copy(self, clone: "Packet") -> "Packet":
-        """Populate ``clone`` as this packet's forwarding copy (ttl-1)."""
         clone.src = self.src
         clone.dst = self.dst
         clone.kind = self.kind

@@ -118,7 +118,7 @@ class Router:
     ) -> None:
         """Unicast with link-layer retransmissions (ARQ), like 802.11.
 
-        Retries draw fresh fading/backoff each attempt, so a marginal link
+        Retries draw a fresh delivery verdict and backoff each attempt, so a marginal link
         with per-try probability p succeeds with 1-(1-p)^(retries+1).
         """
 

@@ -11,7 +11,6 @@ from typing import Dict, Set
 
 from repro.net.node import NetNode, Network
 from repro.net.packet import Packet
-from repro.net.pool import PacketPool
 from repro.net.routing.base import Router
 
 __all__ = ["FloodingRouter"]
@@ -23,9 +22,6 @@ class FloodingRouter(Router):
     def __init__(self, network: Network):
         super().__init__(network)
         self._seen: Dict[int, Set[int]] = {}
-        # Forwarding copies that die of TTL in on_receive never escape the
-        # router, so their shells are recycled (see repro.net.pool).
-        self._pool = PacketPool()
 
     def on_node_state(self, node_id: int, up: bool) -> None:
         # A crash loses the in-RAM duplicate cache; the restarted node will
@@ -55,7 +51,7 @@ class FloodingRouter(Router):
         if seen is not None and packet.uid in seen:
             return
         self._mark_seen(node.id, packet.uid)
-        fwd = self._pool.clone_for_forwarding(packet)
+        fwd = packet.copy_for_forwarding()
         fwd.path.append(node.id)
         if packet.dst is None:
             # Broadcast payloads are consumed everywhere and forwarded on.
@@ -66,11 +62,7 @@ class FloodingRouter(Router):
         if fwd.ttl > 0:
             self.network.broadcast(node.id, fwd)
         elif packet.dst is not None:
-            # This relay's copy of a unicast flood died of TTL here; it was
-            # only shown to the tracer (scalars recorded, object dropped),
-            # so the shell goes back to the pool.
             self._trace_drop(node.id, fwd, "ttl_expired")
-            self._pool.release(fwd)
 
 
 # Registry hookup: addressable by name in stack compositions.

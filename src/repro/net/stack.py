@@ -31,6 +31,7 @@ through the context and type them via ``TYPE_CHECKING`` only.
 from __future__ import annotations
 
 from itertools import compress
+from math import hypot
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -50,7 +51,6 @@ import numpy as np
 from repro.net.channel import _NP_VERDICT_MIN
 from repro.net.mac import ContentionMac, MacAccess
 from repro.net.packet import Packet, PacketKind
-from repro.util.geometry import distance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.channel import Channel
@@ -283,25 +283,11 @@ class PhyLayer(LayerBase):
         self.channel = channel
         self._pair_cache: Dict[Tuple, float] = {}
         self._pair_era: Optional[Tuple] = None
-        # (sender_id, receiver_id) -> propagation seconds; purely position
-        # dependent, so validity is the network's topology_version alone.
-        self._prop_cache: Dict[Tuple[int, int], float] = {}
-        self._prop_version = -1
 
-    def propagation_s(self, sender: "NetNode", receiver: "NetNode") -> float:
-        assert self.ctx is not None
-        version = self.ctx.network.topology_version
-        if version != self._prop_version:
-            self._prop_cache.clear()
-            self._prop_version = version
-        key = (sender.id, receiver.id)
-        prop = self._prop_cache.get(key)
-        if prop is None:
-            prop = distance(sender.position, receiver.position) / SPEED_OF_LIGHT_M_S
-            if len(self._prop_cache) >= _PAIR_CACHE_MAX:
-                self._prop_cache.clear()
-            self._prop_cache[key] = prop
-        return prop
+    @staticmethod
+    def propagation_s(sender: "NetNode", receiver: "NetNode") -> float:
+        a, b = sender.position, receiver.position
+        return hypot(a.x - b.x, a.y - b.y) / SPEED_OF_LIGHT_M_S
 
     def _live_pair_cache(self) -> Dict[Tuple, float]:
         assert self.ctx is not None
@@ -338,8 +324,8 @@ class PhyLayer(LayerBase):
         """Delivery probability for every receiver of one transmission.
 
         Bit-identical to calling :meth:`delivery_probability` per
-        receiver; cache misses go through the channel's fused batch
-        kernel in one call instead of re-entering the scalar chain.  When
+        receiver; cache misses go through the channel's batch kernel in
+        one call instead of one call per receiver.  When
         ``receivers`` is the sender's fan-out row the vector is kept on it:
         every broadcast of the row's era after the first reads it back
         whole (a jammer edit refills it), filled from the pair cache so a

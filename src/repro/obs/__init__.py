@@ -203,14 +203,12 @@ def wire_from_env(sim, env: Optional[dict] = None, *, shard: Optional[int] = Non
     * ``REPRO_OBS_RING_DIR`` — like the above but binary: the simulator's
       trace is dumped as a struct-packed ``.ring`` file at export time
       (``sim.export_obs()``), the cheapest way to keep a full trace;
-    * ``REPRO_OBS_ROTATE_BYTES`` — rotation threshold (default 64 MiB);
-    * ``REPRO_OBS_RING_BUDGET_BYTES`` — byte budget for the in-memory
-      binary trace ring: oldest records are evicted once the packed
-      buffer exceeds it (counted on the ``trace.evicted`` metric);
     * ``REPRO_OBS_PROFILE`` — any non-empty value enables the kernel
       profiler; its rows reach the sink when ``sim.export_obs()`` runs;
     * ``REPRO_OBS_TRACE`` — any non-empty value enables causal packet
       tracing (:mod:`repro.obs.tracing`) on the simulator.
+
+    NDJSON sinks rotate at :data:`ENV_ROTATE_BYTES`.
 
     Sinks are fed in batches, at each trace compaction and each flush
     point, like every :class:`~repro.sim.trace.TraceLog` sink: env-wired
@@ -223,37 +221,26 @@ def wire_from_env(sim, env: Optional[dict] = None, *, shard: Optional[int] = Non
     prefix) so shard workers sharing one export directory can never
     collide: fork-mode siblings inherit the parent's sequence counter and
     can race the same ``task-<pid>-<seq>`` name; the shard index is
-    unique by construction.  (:class:`~repro.shard.runtime.ShardRuntime`
-    passes its shard index; the ``REPRO_OBS_SHARD`` variable is the
-    env-only override.)
+    unique by construction (:class:`~repro.shard.runtime.ShardRuntime`
+    passes its shard index).
 
     Returns ``sim`` so builders can chain it.
     """
     env = env if env is not None else os.environ
-    if shard is None and env.get("REPRO_OBS_SHARD"):
-        shard = int(env["REPRO_OBS_SHARD"])
     prefix = "" if shard is None else f"shard{shard}-"
-    max_bytes = int(env.get("REPRO_OBS_ROTATE_BYTES", ENV_ROTATE_BYTES))
     path = env.get("REPRO_OBS_NDJSON")
     if path:
-        sim.trace.add_sink(NdjsonSink(path, max_bytes=max_bytes, append=True))
+        sim.trace.add_sink(NdjsonSink(path, max_bytes=ENV_ROTATE_BYTES, append=True))
     export_dir = env.get("REPRO_OBS_NDJSON_DIR")
     if export_dir:
         name = f"{prefix}task-{os.getpid()}-{next(_export_seq)}.ndjson"
         sim.trace.add_sink(
-            NdjsonSink(
-                os.path.join(export_dir, name),
-                max_bytes=max_bytes,
-                append=True,
-            )
+            NdjsonSink(os.path.join(export_dir, name), max_bytes=ENV_ROTATE_BYTES, append=True)
         )
     ring_dir = env.get("REPRO_OBS_RING_DIR")
     if ring_dir:
         name = f"{prefix}task-{os.getpid()}-{next(_export_seq)}.ring"
         sim.ring_dump_path = os.path.join(ring_dir, name)
-    ring_budget = env.get("REPRO_OBS_RING_BUDGET_BYTES")
-    if ring_budget:
-        sim.trace.ring_budget_bytes = int(ring_budget)
     if env.get("REPRO_OBS_PROFILE"):
         sim.enable_profiling()
     if env.get("REPRO_OBS_TRACE"):

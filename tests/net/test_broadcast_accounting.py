@@ -33,6 +33,7 @@ from repro.net.transport import MessageService
 from repro.sim import Simulator
 from repro.util.geometry import Point
 from tests.net import stack_scenarios
+from tests.net.test_gremlin_slab_pin import counters_digest
 
 REGISTRY_COUNTERS = (
     "net.tx",
@@ -227,6 +228,18 @@ SCENARIOS = {
 }
 
 
+#: Recorded from the code that recycled dead forwarding copies (124 of
+#: them); see ``ttl_death_flood``.
+TTL_DEATH = {
+    "net.tx": 224.0, "net.rx": 2627.0, "net.dropped": 1922.0,
+    "route.flooding.tx": 224.0, "route.flooding.delivered": 2627.0,
+    "route.flooding.control_tx": 0.0,
+    "net.tx_attempts": 224.0, "net.tx_success": 2627.0,
+}
+TTL_DEATH_EXPIRED = 124
+TTL_DEATH_FINGERPRINT = "96d1ffb9b3e0dbdd9e3df4d31f595993"
+TTL_DEATH_COUNTERS = "dc4870159c1fce6d"
+
 FAULTED_FINGERPRINT = "512129f0f4ace3877ede1af55f9584f6"
 FAULTED_DROP_REASONS = {"loss": 835, "gremlin": 70, "link_blocked": 140, "corrupt": 49}
 FAULTED_DELAYED_RX = 124
@@ -343,6 +356,42 @@ def test_faulted_traced_flood_is_bit_identical():
     assert fingerprint == FAULTED_FINGERPRINT
 
 
+def ttl_death_flood():
+    """Unicast floods on a static 8 x 8 grid whose copies die of TTL, traced.
+
+    Every flood of ``flood_world`` carries the default TTL of 32 and none of
+    its copies expires; here each unicast flood carries ``ttl=3``, so relays
+    three hops out abandon their forwarding copy (``FloodingRouter``'s
+    ``ttl_expired`` branch) while broadcasts and shorter unicasts still
+    deliver.  The values were recorded from the code that recycled those
+    copies through a free-list; a plain copy must reproduce them.
+    """
+    sim = Simulator(seed=41)
+    sim.enable_packet_tracing()
+    net, ids, svc = flooding_grid(sim, 8)
+    for k in range(6):
+        src = ids[(11 * k + 3) % len(ids)]
+        dst = ids[(17 * k + 40) % len(ids)]
+        sim.call_at(1.0 + 0.5 * k, lambda s=src, d=dst, k=k: svc.send(s, d, payload=k, ttl=3))
+    sim.call_at(4.5, lambda: svc.send(ids[0], None, payload="all", ttl=3))
+    sim.run()
+    expired = sum(
+        rec.category == "pkt.route_drop" and rec.get("reason") == "ttl_expired"
+        for rec in sim.trace.records
+    )
+    return sim, expired
+
+
+def test_ttl_death_flood_is_bit_identical():
+    sim, expired = ttl_death_flood()
+    acct = accounting(sim, "flooding")
+    assert expired == TTL_DEATH_EXPIRED
+    assert acct == TTL_DEATH
+    assert_identities(acct, "flooding")
+    assert sim.trace.fingerprint() == TTL_DEATH_FINGERPRINT
+    assert counters_digest(sim) == TTL_DEATH_COUNTERS
+
+
 if __name__ == "__main__":
     for label, kwargs in (
         ("STATIC", {}),
@@ -359,3 +408,8 @@ if __name__ == "__main__":
         print(f"    # receiver_down on broadcast: {receiver_down_on_broadcast(sim)}")
     print("}")
     print("FAULTED_FINGERPRINT, FAULTED_DROP_REASONS, FAULTED_DELAYED_RX =", faulted_traced_flood())
+    sim, expired = ttl_death_flood()
+    print(f"TTL_DEATH = {accounting(sim, 'flooding')!r}")
+    print(f"TTL_DEATH_EXPIRED = {expired}")
+    print(f"TTL_DEATH_FINGERPRINT = {sim.trace.fingerprint()!r}")
+    print(f"TTL_DEATH_COUNTERS = {counters_digest(sim)!r}")

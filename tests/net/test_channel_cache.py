@@ -1,12 +1,13 @@
 """Channel memo caches: correctness and jammer invalidation.
 
-PR 10 memoized ``path_loss_db``, ``shadowing_db`` and ``comm_range_m`` and
-gave the stack a pair-probability cache keyed on ``jam_signature()``.
+The channel memoizes ``path_loss_db`` per distance and ``shadowing_db`` per
+link, and the stack keeps a pair-probability cache keyed on
+``jam_signature()``; ``comm_range_m`` is a closed form with no memo.
 Caching propagation math is only safe if every way jamming state can
 change — roster edits through the channel API *and* in-place attribute
 flips by attack scenarios — invalidates the dependent values, and only
-those: the three channel memos hold nothing jamming can change.  These are
-the regression tests for that contract.
+those: neither channel memo, nor the comm range, holds anything jamming
+can change.  These are the regression tests for that contract.
 """
 
 from __future__ import annotations
@@ -37,12 +38,14 @@ def test_path_loss_cache_bounded():
 
 
 def test_comm_range_cached_per_power_and_margin():
+    """A function of ``(tx_power_dbm, margin_db)`` alone: a repeat and a
+    second channel give the same bits."""
     channel = Channel(seed=3)
     r0 = channel.comm_range_m(20.0)
     r_margin = channel.comm_range_m(20.0, margin_db=6.0)
     assert r_margin < r0
-    assert channel.comm_range_m(20.0) == r0  # cache hit, same value
-    assert Channel(seed=3).comm_range_m(20.0) == r0  # matches uncached
+    assert channel.comm_range_m(20.0) == r0
+    assert Channel(seed=3).comm_range_m(20.0) == r0
 
 
 def test_jammer_edits_change_the_signature_and_no_jam_free_memo(generators_built):

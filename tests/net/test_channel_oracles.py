@@ -7,8 +7,8 @@ promise the same bits.  The references are in ``frozen_oracles``; mutations
 these tests were shown to catch: a wrong ``SeedSequence`` constant, the
 eight output words cycling the pool from the wrong offset, a seed below
 2**32 mixed as two words, PCG64's second increment dropped, the sorted pair
-key dropped, the batch multiplying by ``1 / softness`` where the scalar
-divides, and in ``delivery_verdicts`` a ``<=`` for the ``<``, a float32
+key dropped, the batch multiplying by ``1 / softness`` where the frozen
+chain divides, and in ``delivery_verdicts`` a ``<=`` for the ``<``, a float32
 cast and a dropped ``survival`` on one side of the width switch.
 """
 
@@ -184,11 +184,12 @@ point = st.builds(Point, coordinate, coordinate)
 def test_batch_is_the_scalar_chain_bit_for_bit(
     params, tx_id, tx_pos, receivers, jammer, extra_mw, pl_cap
 ):
-    """``delivery_probability_batch`` is one pass over the memos; it must
-    equal ``delivery_probability`` per receiver, on a channel that shares no
-    memo with it and on the batch's own, warm channel alike — with the
-    path-loss memo capped small enough to reset mid-batch.  Mutants of the
-    batch this was shown to catch: shadowing a receiver id of -1, the extra
+    """``delivery_probability_batch`` is one pass over the memos; cold and
+    warm, with the path-loss memo capped small enough to reset mid-batch, it
+    must equal the frozen scalar chain per receiver, and so must
+    ``delivery_probability`` (its batch of one) on a channel that shares no
+    memo with it and on the batch's own channel alike.  Mutants of the batch
+    this was shown to catch: shadowing a receiver id of -1, the extra
     interference dropped from the unjammed denominator, the logistic's clamp
     dropped, and ``* (1 / softness)`` for ``/ softness``."""
     batch_channel, scalar_channel = Channel(**params), Channel(**params)
@@ -211,6 +212,14 @@ def test_batch_is_the_scalar_chain_bit_for_bit(
         warm = batch_channel.delivery_probability_batch(
             17.0, tx_pos, rx_pos, rx_ids, tx_id, extra_interference_mw=extra_mw
         )
+        frozen = [
+            frozen_delivery_probability(
+                batch_channel, 17.0, tx_pos, pos, tx_id, rx_id, extra_interference_mw=extra_mw
+            ).hex()
+            for pos, rx_id in zip(rx_pos, rx_ids)
+        ]
+        assert [p.hex() for p in cold] == frozen
+        assert [p.hex() for p in warm] == frozen
         for channel in (scalar_channel, batch_channel):
             scalar = [
                 channel.delivery_probability(
@@ -218,8 +227,7 @@ def test_batch_is_the_scalar_chain_bit_for_bit(
                 )
                 for pos, rx_id in zip(rx_pos, rx_ids)
             ]
-            assert [p.hex() for p in cold] == [p.hex() for p in scalar]
-            assert [p.hex() for p in warm] == [p.hex() for p in scalar]
+            assert [p.hex() for p in scalar] == frozen
         assert len(batch_channel._pl_cache) <= pl_cap
 
 
@@ -228,8 +236,8 @@ def test_jammed_denominator_sums_in_the_scalar_order():
     ``noise + extra + jam`` differ in about one receiver in 250 once all
     three are near the noise floor, too rarely for the example budget above.
     One wide batch with extra interference on a jammed channel makes the
-    order observable (a mutant summing noise + extra + interference is
-    caught here)."""
+    order observable against the frozen scalar chain (a mutant summing
+    noise + extra + interference is caught here)."""
     rng = random.Random(29)
     channel = Channel(seed=4, shadowing_sigma_db=0.0)
     channel.add_jammer(Jammer(Point(30.0, -20.0), power_dbm=5.0))
@@ -240,11 +248,13 @@ def test_jammed_denominator_sums_in_the_scalar_order():
         batch = channel.delivery_probability_batch(
             17.0, tx_pos, rx_pos, [-1] * len(rx_pos), extra_interference_mw=extra
         )
-        scalar = [
-            channel.delivery_probability(17.0, tx_pos, pos, extra_interference_mw=extra)
+        frozen = [
+            frozen_delivery_probability(
+                channel, 17.0, tx_pos, pos, -1, -1, extra_interference_mw=extra
+            )
             for pos in rx_pos
         ]
-        assert [p.hex() for p in batch] == [p.hex() for p in scalar]
+        assert [p.hex() for p in batch] == [p.hex() for p in frozen]
         reordered = sum(
             noise + jam + extra != noise + extra + jam
             for jam in map(channel.interference_mw, rx_pos)

@@ -16,22 +16,45 @@ fan-out row (``StackContext.fanout_row``: the live neighbours' nodes, plus
 the delivery-probability vector ``PhyLayer.delivery_probability_batch``
 leaves on it).  The same machine, with jammer rules added (roster edits and
 the in-place ``active`` / ``power_dbm`` writes attack scenarios make), holds
-every sender's row to ``frozen_neighbors``, to the scalar
-``Channel.delivery_probability`` of each pair, bit for bit, and
+every sender's row to ``frozen_neighbors``, to the frozen scalar chain
+(``frozen_delivery_probability``) of each pair, bit for bit, and
 ``busy_neighbors`` to a direct sum.  Mutations of the row this was shown to
 catch: the era keyed on ``topology_version`` alone (a liveness flip keeps
 the row) and the vector read back without comparing ``jam_signature()``.
+
+Under the row sit the unicast hop's answers: ``PhyLayer.delivery_probability``
+(the pair cache, one era per ``topology_version`` and jam signature),
+``PhyLayer.propagation_s`` and ``Channel.comm_range_m``.  Each is held to a
+cache-free answer for every live ordered pair or node, and the pair cache to
+its size cap; ``TestCappedPairCacheFuzz`` reruns the machine with the cap
+at 1-5 so resets happen mid-run.  Mutations of the pair cache this was
+shown to catch: the era without the jam term, the era without
+``topology_version``, and the cap's reset skipped.
 """
+
+import math
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
+from repro.net import stack as stack_mod
 from repro.net.channel import Jammer
 from repro.net.node import Network
+from repro.net.stack import SPEED_OF_LIGHT_M_S
 from repro.sim import Simulator
 from repro.util.geometry import Point
-from tests.net.frozen_oracles import frozen_neighbors
+from tests.net.frozen_oracles import (
+    frozen_comm_range_m,
+    frozen_delivery_probability,
+    frozen_neighbors,
+)
 
 coords = st.floats(-200.0, 500.0, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
@@ -153,10 +176,25 @@ class NeighborCacheMachine(RuleBasedStateMachine):
     def set_queue_load(self, data, in_flight):
         self.network.node(self._some_node(data)).busy_tx = in_flight
 
+    def _frozen_p(self, sender, receiver):
+        return frozen_delivery_probability(
+            self.network.channel,
+            sender.tx_power_dbm,
+            sender.position,
+            receiver.position,
+            sender.id,
+            receiver.id,
+        ).hex()
+
+    def _assert_pair_cache_capped(self):
+        # A batch refills at most one sender's live neighbours after a reset.
+        bound = max(stack_mod._PAIR_CACHE_MAX, len(self.network.nodes) - 1)
+        assert len(self.network.stack.phy._pair_cache) <= bound
+
     @invariant()
     def fanout_rows_match_oracles_they_did_not_write(self):
         network = self.network
-        stack, channel = network.stack, network.channel
+        stack = network.stack
         for node_id in sorted(network.nodes):
             sender = network.nodes[node_id]
             expected = [network.nodes[i] for i in frozen_neighbors(network, node_id, False)]
@@ -164,13 +202,31 @@ class NeighborCacheMachine(RuleBasedStateMachine):
             assert list(row) == expected
             probs = stack.phy.delivery_probability_batch(sender, row)
             assert probs is row.probs
-            assert [float(p).hex() for p in probs] == [
-                channel.delivery_probability(
-                    sender.tx_power_dbm, sender.position, n.position, node_id, n.id
-                ).hex()
-                for n in expected
-            ]
+            assert [float(p).hex() for p in probs] == [self._frozen_p(sender, n) for n in expected]
             assert stack.queue.busy_neighbors(sender) == sum(n.busy_tx for n in expected)
+        self._assert_pair_cache_capped()
+
+    @invariant()
+    def unicast_answers_match_a_cache_free_world(self):
+        network = self.network
+        phy, channel = network.stack.phy, network.channel
+        live = [network.nodes[i] for i in sorted(network.nodes) if network.nodes[i].up]
+        margin_db = -network.neighbor_margin_db
+        for sender in live:
+            assert channel.comm_range_m(sender.tx_power_dbm, margin_db) == frozen_comm_range_m(
+                channel, sender.tx_power_dbm, margin_db
+            )
+            for receiver in live:
+                if receiver is sender:
+                    continue
+                assert phy.delivery_probability(sender, receiver).hex() == self._frozen_p(
+                    sender, receiver
+                )
+                a, b = sender.position, receiver.position
+                assert phy.propagation_s(sender, receiver) == (
+                    math.hypot(a.x - b.x, a.y - b.y) / SPEED_OF_LIGHT_M_S
+                )
+        self._assert_pair_cache_capped()
 
     @invariant()
     def views_match_a_cache_free_scan(self):
@@ -190,6 +246,25 @@ NeighborCacheMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
 TestNeighborCacheFuzz = NeighborCacheMachine.TestCase
+
+
+class CappedPairCacheMachine(NeighborCacheMachine):
+    """The same machine with ``_PAIR_CACHE_MAX`` at 1-5."""
+
+    _saved_cap = None
+
+    @initialize(cap=st.integers(1, 5))
+    def cap_the_pair_cache(self, cap):
+        self._saved_cap = stack_mod._PAIR_CACHE_MAX
+        stack_mod._PAIR_CACHE_MAX = cap
+
+    def teardown(self):
+        if self._saved_cap is not None:
+            stack_mod._PAIR_CACHE_MAX = self._saved_cap
+
+
+CappedPairCacheMachine.TestCase.settings = NeighborCacheMachine.TestCase.settings
+TestCappedPairCacheFuzz = CappedPairCacheMachine.TestCase
 
 
 def line_network(n=5, spacing_m=40.0):

@@ -1,4 +1,4 @@
-"""PacketPool recycling semantics and the slotted Packet surface."""
+"""The slotted Packet surface: no instance dict, unhashable, picklable."""
 
 from __future__ import annotations
 
@@ -7,50 +7,12 @@ import pickle
 import pytest
 
 from repro.net.packet import Packet, PacketKind
-from repro.net.pool import PacketPool
 
 
 def _packet(**kw):
     defaults = dict(src=1, dst=9, payload=("m", 0), ttl=4, created_at=2.0)
     defaults.update(kw)
     return Packet(**defaults)
-
-
-class TestPool:
-    def test_clone_matches_plain_copy(self):
-        pool = PacketPool()
-        original = _packet(headers={"geo": {"detours": 1}})
-        pooled = pool.clone_for_forwarding(original)
-        assert pooled == original.copy_for_forwarding()
-        assert pooled.ttl == original.ttl - 1
-        assert pooled.path is not original.path
-        # One-level-deep header copy: the dict value is its own object.
-        assert pooled.headers["geo"] is not original.headers["geo"]
-
-    def test_release_then_clone_reuses_the_shell(self):
-        pool = PacketPool()
-        dead = pool.clone_for_forwarding(_packet())
-        pool.release(dead)
-        assert len(pool) == 1 and pool.released == 1
-        revived = pool.clone_for_forwarding(_packet(src=5, dst=6, payload="x"))
-        assert revived is dead  # same shell, fully overwritten
-        assert pool.reused == 1 and len(pool) == 0
-        assert revived.src == 5 and revived.payload == "x" and revived.ttl == 3
-
-    def test_release_drops_application_references(self):
-        pool = PacketPool()
-        clone = pool.clone_for_forwarding(_packet(payload={"big": "blob"}))
-        clone.path.append(3)
-        pool.release(clone)
-        assert clone.payload is None
-        assert clone.path == [] and clone.headers == {}
-
-    def test_free_list_is_bounded(self):
-        pool = PacketPool(max_free=2)
-        for _ in range(5):
-            pool.release(_packet())
-        assert len(pool) == 2
-        assert pool.released == 5
 
 
 class TestSlottedPacket:
