@@ -18,10 +18,10 @@ Entry points:
 * :func:`run_serial` — the 1-shard reference with identical keyed-RNG
   semantics; serial and sharded fingerprints of the same spec are equal.
 
->>> from repro.shard import ShardScenarioSpec, ShardedSimulator, run_serial
+>>> from repro.shard import ShardPlan, ShardScenarioSpec, ShardedSimulator, run_serial
 >>> spec = ShardScenarioSpec(seed=7, bitrate_cap_bps=5e4)
 >>> serial = run_serial(spec, until=2.0)
->>> sharded = ShardedSimulator(spec, n_shards=4, mode="inline").run(until=2.0)
+>>> sharded = ShardedSimulator(spec, ShardPlan(n_shards=4), mode="inline").run(until=2.0)
 >>> assert serial.fingerprint() == sharded.fingerprint()
 """
 

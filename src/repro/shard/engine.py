@@ -2,31 +2,33 @@
 
 :class:`ShardedSimulator` exposes the same ``run(until=...)`` surface as
 :class:`~repro.sim.kernel.Simulator` but executes the world as N shard
-replicas advancing in conservative time windows:
+replicas advancing in conservative time windows.  One coordinator loop
+(``ShardedSimulator._run``) drives every shard through one protocol:
 
-1. Every worker builds the same world from the spec (``"ready"``
-   handshake reports its lookahead; the coordinator takes the min).
+1. Every shard builds the same world from the spec; its ``("ready", ...)``
+   handshake reports its lookahead and the coordinator takes the min.
 2. Per window, the coordinator sends ``("window", t_end, handoffs,
-   lifecycle)`` to every worker, which applies the inbound cross-shard
+   lifecycle)`` to every shard, which applies the inbound cross-shard
    deliveries and injected node up/down events, advances its simulator to
    the barrier, and replies ``("done", ...)`` with its outbox.  A window
    of ``lookahead / 2`` (strictly any window ≤ lookahead) guarantees
    every handoff generated in window *j* delivers after barrier *j*, so
    applying it at the start of window *j+1* never schedules into the
    past.
-3. ``("finish",)`` collects per-shard traces and counters, which are
-   merged deterministically: traces via
-   :func:`repro.obs.merge.merge_traces`, counters by sum (max for
-   replicated fault counters).
+3. ``("finish",)`` collects per-shard traces and counters, which
+   :func:`_merged` merges deterministically — the same merge
+   :func:`run_serial` uses: traces via :func:`repro.obs.merge.merge_traces`,
+   counters by sum (max for replicated fault counters).
 
-Failure semantics follow :mod:`repro.campaign.runner`: a worker that dies
-or misses a barrier deadline poisons the whole attempt — workers share
-replicated state, so partial recovery is impossible by design — and the
-coordinator kills the pool and retries the entire run from scratch
-(deterministic worlds make the retry bit-identical, minus the chaos that
-killed it).  ``mode="inline"`` runs every shard runtime in-process with
-the same barrier algebra: slower than a real pool but deterministic,
-debuggable, and what most tests use.
+The shard is an :class:`_InlineShard` — a runtime answering the protocol
+in-process — under ``mode="inline"``, and the same object behind a pipe in
+a forked worker under ``mode="fork"``.  Failure semantics follow
+:mod:`repro.campaign.runner`: a worker that dies, errors or misses a
+barrier deadline poisons the whole attempt — workers share replicated
+state, so partial recovery is impossible by design — and the coordinator
+kills the pool and retries the entire run from scratch (deterministic
+worlds make the retry bit-identical, minus the chaos that killed it).
+Inline exceptions propagate raw.
 """
 
 from __future__ import annotations
@@ -138,25 +140,11 @@ def run_serial(
     t0 = time.perf_counter()
     runtime.sim.run(until=until)
     wall = time.perf_counter() - t0
-    payload = runtime.collect()
-    metrics = merge_metrics(
-        [payload["metrics"]], replicated_prefixes=REPLICATED_METRIC_PREFIXES
-    )
-    metrics["shard.lag_events"] = {"kind": "gauge", "value": 0.0}
-    return ShardRunResult(
-        until=until,
-        n_shards=1,
-        mode="serial",
-        records=merge_traces([payload_to_records(payload["trace"])]),
-        counters=dict(payload["counters"]),
-        metrics=metrics,
-        events_processed=payload["events_processed"],
-        wall_elapsed_s=wall,
-        per_shard=[{"shard": 0, "owned": payload["owned"]}],
-        rng_streams=runtime.sim.rng.stream_states(),
-        rng_checkpoints=list(runtime.sim.rng_checkpoints),
-        checkpoint_interval_s=checkpoint_interval_s,
-    )
+    result = _merged(until, "serial", [runtime.collect()], wall, collect_trace)
+    result.rng_streams = runtime.sim.rng.stream_states()
+    result.rng_checkpoints = list(runtime.sim.rng_checkpoints)
+    result.checkpoint_interval_s = checkpoint_interval_s
+    return result
 
 
 def _merge_counters(payloads: Sequence[Dict[str, Any]]) -> Dict[str, float]:
@@ -170,43 +158,159 @@ def _merge_counters(payloads: Sequence[Dict[str, Any]]) -> Dict[str, float]:
     return merged
 
 
-def _shard_worker_main(
-    conn: Any,
-    spec: ShardScenarioSpec,
-    plan: ShardPlan,
-    shard_index: int,
+def _merged(
+    until: float,
+    mode: str,
+    payloads: List[Dict[str, Any]],
+    wall: float,
     collect_trace: bool,
+    lookahead: float = math.inf,
+    window: float = math.inf,
+    n_windows: int = 0,
+) -> ShardRunResult:
+    """One :class:`ShardRunResult` from per-shard ``collect()`` payloads."""
+    records: List[Dict[str, Any]] = []
+    if collect_trace:
+        records = merge_traces([payload_to_records(p["trace"]) for p in payloads])
+    metrics = merge_metrics(
+        [p["metrics"] for p in payloads],
+        replicated_prefixes=REPLICATED_METRIC_PREFIXES,
+    )
+    # Coordinator-side gauge: how unevenly the partition loaded the
+    # workers (max minus min events fired).  A lag of ~0 means the
+    # layout is balanced; a large one names the scaling bottleneck.
+    events = [p["events_processed"] for p in payloads]
+    metrics["shard.lag_events"] = {"kind": "gauge", "value": float(max(events) - min(events))}
+    return ShardRunResult(
+        until=until,
+        n_shards=len(payloads),
+        mode=mode,
+        records=records,
+        counters=_merge_counters(payloads),
+        metrics=metrics,
+        events_processed=sum(events),
+        wall_elapsed_s=wall,
+        lookahead_s=lookahead,
+        window_s=window,
+        n_windows=n_windows,
+        per_shard=[{"shard": p["shard"], "owned": p["owned"]} for p in payloads],
+    )
+
+
+class _InlineShard:
+    """One shard runtime answering the worker protocol in-process.
+
+    :meth:`recv` first returns the ``("ready", ...)`` handshake; each
+    :meth:`send` then runs the message to completion and stores the reply
+    the next :meth:`recv` returns.  A worker process is this object
+    behind a pipe (:func:`_shard_worker_main`).
+    """
+
+    def __init__(self, spec: ShardScenarioSpec, plan: ShardPlan, index: int, collect_trace: bool):
+        self.runtime = ShardRuntime(spec, plan, index, collect_trace=collect_trace)
+        self.index = index
+        self._reply = ("ready", index, self.runtime.lookahead_s, len(self.runtime.owned))
+
+    def send(self, msg: Tuple[Any, ...]) -> None:
+        runtime = self.runtime
+        if msg[0] == "window":
+            _tag, t_end, handoffs, lifecycle = msg
+            runtime.apply_handoffs(handoffs)
+            runtime.apply_lifecycle(lifecycle)
+            outbox = runtime.run_window(t_end)
+            self._reply = ("done", self.index, outbox, runtime.sim.events_processed)
+        elif msg[0] == "finish":
+            self._reply = ("result", self.index, runtime.collect())
+        else:  # pragma: no cover - protocol guard
+            raise ShardWorkerError(f"unknown message {msg[0]!r}")
+
+    def recv(self) -> Tuple[Any, ...]:
+        return self._reply
+
+
+def _shard_worker_main(
+    conn: Any, spec: ShardScenarioSpec, plan: ShardPlan, shard_index: int, collect_trace: bool
 ) -> None:
-    """Worker process entry: build, handshake, serve window barriers."""
+    """Worker process entry: an :class:`_InlineShard` relayed over a pipe."""
     try:
-        runtime = ShardRuntime(
-            spec, plan, shard_index, collect_trace=collect_trace
-        )
-        conn.send(("ready", shard_index, runtime.lookahead_s, len(runtime.owned)))
+        shard = _InlineShard(spec, plan, shard_index, collect_trace)
+        conn.send(shard.recv())
         while True:
             msg = conn.recv()
-            if msg[0] == "window":
-                _tag, t_end, handoffs, lifecycle = msg
-                runtime.apply_handoffs(handoffs)
-                runtime.apply_lifecycle(lifecycle)
-                outbox = runtime.run_window(t_end)
-                conn.send(
-                    ("done", shard_index, outbox, runtime.sim.events_processed)
-                )
-            elif msg[0] == "finish":
-                conn.send(("result", shard_index, runtime.collect()))
+            shard.send(msg)
+            conn.send(shard.recv())
+            if msg[0] == "finish":
                 return
-            else:  # pragma: no cover - protocol guard
-                raise ShardWorkerError(f"unknown message {msg[0]!r}")
     except EOFError:  # coordinator went away; nothing to report to
         pass
     except Exception as exc:
         try:
             conn.send(("error", shard_index, repr(exc)))
-        except (OSError, BrokenPipeError):
+        except OSError:
             pass
     finally:
         conn.close()
+
+
+class _PoolShard:
+    """The coordinator's end of one worker process's pipe."""
+
+    def __init__(self, worker_args: Tuple[Any, ...], timeout_s: float):
+        self.index = worker_args[2]
+        self.timeout_s = timeout_s
+        # Fork is the mode; spawn only stands in on a platform without it.
+        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
+        self.conn, child_conn = ctx.Pipe()
+        self.proc = ctx.Process(
+            target=_shard_worker_main, args=(child_conn, *worker_args), daemon=True
+        )
+        self.proc.start()
+        child_conn.close()
+
+    def send(self, msg: Tuple[Any, ...]) -> None:
+        self.conn.send(msg)
+
+    def recv(self) -> Tuple[Any, ...]:
+        """One message within the barrier deadline."""
+        deadline = time.monotonic() + self.timeout_s
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0:
+                raise ShardWorkerError(f"shard {self.index} missed barrier deadline")
+            try:
+                if self.conn.poll(min(remaining, 0.25)):
+                    msg = self.conn.recv()
+                    break
+            except (EOFError, OSError) as exc:
+                raise ShardWorkerError(f"shard {self.index} pipe failed: {exc!r}")
+            if not self.proc.is_alive():
+                raise ShardWorkerError(f"shard {self.index} died (exitcode={self.proc.exitcode})")
+        if msg[0] == "error":
+            raise ShardWorkerError(f"shard {self.index} errored: {msg[2]}")
+        return msg
+
+
+def _kill_pool(shards: List[_PoolShard]) -> None:
+    for shard in shards:
+        try:
+            shard.conn.close()
+        except OSError:
+            pass
+    for shard in shards:
+        if shard.proc.is_alive():
+            shard.proc.terminate()
+    for shard in shards:
+        shard.proc.join(timeout=2.0)
+        if shard.proc.is_alive():  # pragma: no cover - stuck worker
+            shard.proc.kill()
+            shard.proc.join(timeout=2.0)
+
+
+def _expect(shard: Any, tag: str) -> Tuple[Any, ...]:
+    msg = shard.recv()
+    if msg[0] != tag:
+        raise ShardWorkerError(f"shard {shard.index}: expected {tag}, got {msg[0]!r}")
+    return msg
 
 
 class ShardedSimulator:
@@ -215,24 +319,17 @@ class ShardedSimulator:
     def __init__(
         self,
         spec: ShardScenarioSpec,
-        plan: Optional[ShardPlan] = None,
+        plan: ShardPlan = ShardPlan(),
         *,
-        n_shards: Optional[int] = None,
         mode: str = "fork",
         collect_trace: bool = True,
         barrier_timeout_s: float = 120.0,
         max_retries: int = 1,
     ):
-        if plan is None:
-            plan = ShardPlan(n_shards=n_shards if n_shards is not None else 1)
-        elif n_shards is not None and n_shards != plan.n_shards:
-            raise ShardConfigError("n_shards conflicts with plan.n_shards")
-        if mode not in ("fork", "spawn", "inline"):
+        if mode not in ("fork", "inline"):
             raise ShardConfigError(f"unknown mode {mode!r}")
         if mode == "inline" and spec.chaos_crash is not None:
-            raise ShardConfigError(
-                "chaos_crash hard-kills its process; use fork/spawn mode"
-            )
+            raise ShardConfigError("chaos_crash hard-kills its process; use fork mode")
         spec.validate()
         plan.validate()
         self.spec = spec
@@ -253,10 +350,7 @@ class ShardedSimulator:
         retries = 0
         while True:
             try:
-                if self.mode == "inline":
-                    result = self._run_inline(until)
-                else:
-                    result = self._run_pool(until)
+                result = self._run(until)
                 result.retries = retries
                 return result
             except ShardWorkerError:
@@ -354,187 +448,41 @@ class ShardedSimulator:
                     break
         return buckets
 
-    def _merged(
-        self,
-        until: float,
-        payloads: List[Dict[str, Any]],
-        wall: float,
-        lookahead: float,
-        window: float,
-        n_windows: int,
-    ) -> ShardRunResult:
-        records: List[Dict[str, Any]] = []
-        if self.collect_trace:
-            records = merge_traces(
-                [payload_to_records(p["trace"]) for p in payloads]
-            )
-        metrics = merge_metrics(
-            [p["metrics"] for p in payloads],
-            replicated_prefixes=REPLICATED_METRIC_PREFIXES,
-        )
-        # Coordinator-side gauge: how unevenly the partition loaded the
-        # workers (max minus min events fired).  A lag of ~0 means the
-        # layout is balanced; a large one names the scaling bottleneck.
-        events = [p["events_processed"] for p in payloads]
-        metrics["shard.lag_events"] = {
-            "kind": "gauge",
-            "value": float(max(events) - min(events)) if events else 0.0,
-        }
-        return ShardRunResult(
-            until=until,
-            n_shards=self.plan.n_shards,
-            mode=self.mode,
-            records=records,
-            counters=_merge_counters(payloads),
-            metrics=metrics,
-            events_processed=sum(p["events_processed"] for p in payloads),
-            wall_elapsed_s=wall,
-            lookahead_s=lookahead,
-            window_s=window,
-            n_windows=n_windows,
-            per_shard=[
-                {"shard": p["shard"], "owned": p["owned"]} for p in payloads
-            ],
-        )
-
-    # ---------------------------------------------------------------- inline
-
-    def _run_inline(self, until: float) -> ShardRunResult:
+    def _run(self, until: float) -> ShardRunResult:
+        """One attempt: handshake, window barriers, finish, merge."""
         k = self.plan.n_shards
         t0 = time.perf_counter()
-        runtimes = [
-            ShardRuntime(self.spec, self.plan, i, collect_trace=self.collect_trace)
-            for i in range(k)
-        ]
-        lookahead = min(rt.lookahead_s for rt in runtimes)
-        window = self._resolve_window(lookahead)
-        barriers = self._barriers(until, window)
-        buckets = self._lifecycle_buckets(barriers)
-        inboxes: List[List[Any]] = [[] for _ in range(k)]
-        for j, t_end in enumerate(barriers):
-            outboxes: List[List[Any]] = [[] for _ in range(k)]
-            for i, runtime in enumerate(runtimes):
-                runtime.apply_handoffs(inboxes[i])
-                runtime.apply_lifecycle(buckets[j])
-                outboxes[i] = runtime.run_window(t_end)
-            inboxes = [[] for _ in range(k)]
-            for out in outboxes:
-                for handoff in out:
-                    inboxes[handoff[4]].append(handoff)
-        payloads = [rt.collect() for rt in runtimes]
-        wall = time.perf_counter() - t0
-        return self._merged(
-            until, payloads, wall, lookahead, window, len(barriers)
-        )
-
-    # ------------------------------------------------------------------ pool
-
-    def _recv(self, conn: Any, proc: Any, shard: int) -> Tuple[Any, ...]:
-        """One message from ``conn`` within the barrier deadline."""
-        deadline = time.monotonic() + self.barrier_timeout_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0.0:
-                raise ShardWorkerError(f"shard {shard} missed barrier deadline")
-            try:
-                if conn.poll(min(remaining, 0.25)):
-                    msg = conn.recv()
-                    break
-            except (EOFError, OSError, BrokenPipeError) as exc:
-                raise ShardWorkerError(f"shard {shard} pipe failed: {exc!r}")
-            if not proc.is_alive():
-                raise ShardWorkerError(
-                    f"shard {shard} died (exitcode={proc.exitcode})"
-                )
-        if msg[0] == "error":
-            raise ShardWorkerError(f"shard {shard} errored: {msg[2]}")
-        return msg
-
-    @staticmethod
-    def _kill_pool(procs: List[Any], conns: List[Any]) -> None:
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-        for proc in procs:
-            proc.join(timeout=2.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.kill()
-                proc.join(timeout=2.0)
-
-    def _run_pool(self, until: float) -> ShardRunResult:
-        k = self.plan.n_shards
-        start_method = self.mode
-        if start_method not in mp.get_all_start_methods():  # pragma: no cover
-            start_method = "spawn"
-        ctx = mp.get_context(start_method)
-        t0 = time.perf_counter()
-        procs: List[Any] = []
-        conns: List[Any] = []
+        shards: List[Any] = []
         try:
             for i in range(k):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_shard_worker_main,
-                    args=(child_conn, self.spec, self.plan, i, self.collect_trace),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                procs.append(proc)
-                conns.append(parent_conn)
-
-            lookaheads = []
-            for i in range(k):
-                msg = self._recv(conns[i], procs[i], i)
-                if msg[0] != "ready":
-                    raise ShardWorkerError(
-                        f"shard {i}: expected ready, got {msg[0]!r}"
-                    )
-                lookaheads.append(msg[2])
-            lookahead = min(lookaheads)
+                args = (self.spec, self.plan, i, self.collect_trace)
+                if self.mode == "inline":
+                    shards.append(_InlineShard(*args))
+                else:
+                    shards.append(_PoolShard(args, self.barrier_timeout_s))
+            lookahead = min(_expect(shard, "ready")[2] for shard in shards)
             window = self._resolve_window(lookahead)
             barriers = self._barriers(until, window)
             buckets = self._lifecycle_buckets(barriers)
-
             inboxes: List[List[Any]] = [[] for _ in range(k)]
             for j, t_end in enumerate(barriers):
-                for i in range(k):
-                    conns[i].send(("window", t_end, inboxes[i], buckets[j]))
+                for shard, inbox in zip(shards, inboxes):
+                    shard.send(("window", t_end, inbox, buckets[j]))
                 inboxes = [[] for _ in range(k)]
-                for i in range(k):
-                    msg = self._recv(conns[i], procs[i], i)
-                    if msg[0] != "done":
-                        raise ShardWorkerError(
-                            f"shard {i}: expected done, got {msg[0]!r}"
-                        )
-                    for handoff in msg[2]:
+                for shard in shards:
+                    for handoff in _expect(shard, "done")[2]:
                         inboxes[handoff[4]].append(handoff)
-
-            payloads: List[Optional[Dict[str, Any]]] = [None] * k
-            for i in range(k):
-                conns[i].send(("finish",))
-            for i in range(k):
-                msg = self._recv(conns[i], procs[i], i)
-                if msg[0] != "result":
-                    raise ShardWorkerError(
-                        f"shard {i}: expected result, got {msg[0]!r}"
-                    )
-                payloads[msg[1]] = msg[2]
-        except (OSError, BrokenPipeError) as exc:
+            for shard in shards:
+                shard.send(("finish",))
+            payloads = [_expect(shard, "result")[2] for shard in shards]
+        except OSError as exc:
+            if self.mode == "inline":
+                raise
             raise ShardWorkerError(f"pool pipe failure: {exc!r}")
         finally:
-            self._kill_pool(procs, conns)
+            if self.mode == "fork":
+                _kill_pool(shards)
         wall = time.perf_counter() - t0
-        return self._merged(
-            until,
-            [p for p in payloads if p is not None],
-            wall,
-            lookahead,
-            window,
-            len(barriers),
+        return _merged(
+            until, self.mode, payloads, wall, self.collect_trace, lookahead, window, len(barriers)
         )

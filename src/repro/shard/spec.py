@@ -240,7 +240,7 @@ class ShardScenarioSpec:
 class ShardPlan:
     """How to cut a world: the cache-key-relevant half of a sharded run.
 
-    Execution mode (fork / spawn / inline) deliberately lives on the
+    Execution mode (fork / inline) deliberately lives on the
     engine, not here: a plan describes *what* is computed — and sharded
     results are fingerprint-equal across modes — while the mode only
     describes *where*.  Embed a plan (or its ``n_shards`` /

@@ -94,28 +94,6 @@ class ResultTable:
     def to_dicts(self) -> List[Dict[str, Any]]:
         return [dict(row) for row in self.rows]
 
-    @classmethod
-    def from_dicts(
-        cls,
-        title: str,
-        rows: Sequence[Dict[str, Any]],
-        columns: Optional[Sequence[str]] = None,
-    ) -> "ResultTable":
-        """Rebuild a table from row dicts (e.g. a parsed JSON export).
-
-        Column order defaults to first-seen key order across the rows.
-        """
-        if columns is None:
-            columns = []
-            for row in rows:
-                for key in row:
-                    if key not in columns:
-                        columns.append(key)
-        table = cls(title, columns)
-        for row in rows:
-            table.add_row(**row)
-        return table
-
     def to_json(self, path: Optional[str] = None) -> str:
         """Serialize as a JSON document with non-finite values nulled.
 

@@ -26,8 +26,8 @@ Under the row sit the unicast hop's answers: ``PhyLayer.delivery_probability``
 (the pair cache, one era per ``topology_version`` and jam signature),
 ``PhyLayer.propagation_s`` and ``Channel.comm_range_m``.  Each is held to a
 cache-free answer for every live ordered pair or node, and the pair cache to
-its size cap; ``TestCappedPairCacheFuzz`` reruns the machine with the cap
-at 1-5 so resets happen mid-run.  Mutations of the pair cache this was
+its size cap; ``TestCappedPairCacheFuzz`` reruns the machine with that cap
+and the channel's path-loss memo cap each at 1-5, so both reset mid-run.  Mutations of the pair cache this was
 shown to catch: the era without the jam term, the era without
 ``topology_version``, and the cap's reset skipped.
 """
@@ -44,6 +44,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.net import channel as channel_mod
 from repro.net import stack as stack_mod
 from repro.net.channel import Jammer
 from repro.net.node import Network
@@ -249,18 +250,24 @@ TestNeighborCacheFuzz = NeighborCacheMachine.TestCase
 
 
 class CappedPairCacheMachine(NeighborCacheMachine):
-    """The same machine with ``_PAIR_CACHE_MAX`` at 1-5."""
+    """The same machine with ``_PAIR_CACHE_MAX`` and the channel's
+    path-loss memo cap ``_PL_CACHE_MAX`` each at 1-5."""
 
-    _saved_cap = None
+    _saved_caps = None
 
-    @initialize(cap=st.integers(1, 5))
-    def cap_the_pair_cache(self, cap):
-        self._saved_cap = stack_mod._PAIR_CACHE_MAX
+    @initialize(cap=st.integers(1, 5), pl_cap=st.integers(1, 5))
+    def cap_the_pair_cache(self, cap, pl_cap):
+        self._saved_caps = (stack_mod._PAIR_CACHE_MAX, channel_mod._PL_CACHE_MAX)
         stack_mod._PAIR_CACHE_MAX = cap
+        channel_mod._PL_CACHE_MAX = pl_cap
+
+    @invariant()
+    def path_loss_memo_stays_capped(self):
+        assert len(self.network.channel._pl_cache) <= channel_mod._PL_CACHE_MAX
 
     def teardown(self):
-        if self._saved_cap is not None:
-            stack_mod._PAIR_CACHE_MAX = self._saved_cap
+        if self._saved_caps is not None:
+            stack_mod._PAIR_CACHE_MAX, channel_mod._PL_CACHE_MAX = self._saved_caps
 
 
 CappedPairCacheMachine.TestCase.settings = NeighborCacheMachine.TestCase.settings

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import multiprocessing
+import time
 
 import pytest
 
 from repro.shard import (
     ChurnSpec,
     FaultPlanSpec,
+    LinkFlapSpec,
     ShardConfigError,
     ShardPlan,
     ShardRunResult,
+    ShardRuntime,
     ShardScenarioSpec,
+    ShardWorkerError,
     ShardedSimulator,
     WorkloadSpec,
     run_serial,
@@ -30,15 +36,12 @@ _FLOOD = ShardScenarioSpec(
 
 class TestValidation:
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ShardConfigError, match="mode"):
-            ShardedSimulator(_FLOOD, mode="threads")
-
-    def test_rejects_shard_count_conflict(self):
-        with pytest.raises(ShardConfigError, match="n_shards"):
-            ShardedSimulator(_FLOOD, ShardPlan(n_shards=4), n_shards=2)
+        for mode in ("threads", "spawn"):
+            with pytest.raises(ShardConfigError, match="mode"):
+                ShardedSimulator(_FLOOD, mode=mode)
 
     def test_rejects_nonpositive_horizon(self):
-        engine = ShardedSimulator(_FLOOD, n_shards=2, mode="inline")
+        engine = ShardedSimulator(_FLOOD, ShardPlan(n_shards=2), mode="inline")
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ShardConfigError, match="until"):
                 engine.run(bad)
@@ -53,12 +56,12 @@ class TestValidation:
             seed=1, chaos_crash=(0, 1.0, "/tmp/never-used-sentinel")
         )
         with pytest.raises(ShardConfigError, match="chaos"):
-            ShardedSimulator(spec, n_shards=2, mode="inline")
+            ShardedSimulator(spec, ShardPlan(n_shards=2), mode="inline")
 
     def test_rejects_unsafe_router(self):
         spec = ShardScenarioSpec(seed=1, router="gossip")
         with pytest.raises(ShardConfigError, match="shard-safe"):
-            ShardedSimulator(spec, n_shards=2, mode="inline")
+            ShardedSimulator(spec, ShardPlan(n_shards=2), mode="inline")
 
     def test_window_count_cap(self):
         plan = ShardPlan(n_shards=2, cell_size_m=60.0, window_s=1e-9)
@@ -68,7 +71,7 @@ class TestValidation:
 
 class TestResultSurface:
     def test_single_shard_plan_runs_serial(self):
-        result = ShardedSimulator(_FLOOD, n_shards=1).run(1.0)
+        result = ShardedSimulator(_FLOOD, ShardPlan(n_shards=1)).run(1.0)
         assert result.mode == "serial"
         assert result.n_shards == 1
         assert result.records
@@ -148,6 +151,34 @@ class TestLifecycleOverPipes:
         assert sharded.fingerprint() == run_serial(_FLOOD, 2.0).fingerprint()
 
 
+class TestModesAgree:
+    SPEC = ShardScenarioSpec(
+        seed=19,
+        blocks=3,
+        n_blue=18,
+        bitrate_cap_bps=5e4,
+        router="flooding",
+        workload=WorkloadSpec(kind="beacons", rate_hz=1.0, ttl=4, sender_stride=2),
+        faults=FaultPlanSpec(
+            link_flap=LinkFlapSpec(start_s=0.5, n_links=6, mtbf_s=2.0, mean_downtime_s=1.5)
+        ),
+        lifecycle=((1.0, 3, False), (2.2, 3, True)),
+    )
+
+    def test_inline_equals_fork_field_by_field(self):
+        """Both modes run one coordinator loop: every result field but the
+        mode and the wall clock must match, not just the fingerprint."""
+        plan = ShardPlan(n_shards=2, cell_size_m=60.0)
+        fork = ShardedSimulator(self.SPEC, plan, mode="fork").run(3.0)
+        inline = ShardedSimulator(self.SPEC, plan, mode="inline").run(3.0)
+        assert (fork.mode, inline.mode) == ("fork", "inline")
+        assert inline.records and inline.n_windows > 1
+        assert repr(inline.counters) == repr(fork.counters)
+        for f in dataclasses.fields(ShardRunResult):
+            if f.name not in ("mode", "wall_elapsed_s"):
+                assert getattr(inline, f.name) == getattr(fork, f.name), f.name
+
+
 class TestKillRetry:
     def test_chaos_crash_kills_one_attempt_then_retry_succeeds(self, tmp_path):
         sentinel = tmp_path / "crashed.once"
@@ -176,8 +207,6 @@ class TestKillRetry:
         assert result.fingerprint() == run_serial(spec, 3.0).fingerprint()
 
     def test_exhausted_retries_raise(self, tmp_path):
-        from repro.shard import ShardWorkerError
-
         spec = ShardScenarioSpec(
             seed=5,
             blocks=3,
@@ -200,6 +229,52 @@ class TestKillRetry:
         )
         with pytest.raises(ShardWorkerError):
             engine.run(3.0)
+
+
+class TestPoolFailureDrills:
+    """The pool's deadline and error branches, reached by patching the
+    runtime before the fork: every worker inherits the patch."""
+
+    @staticmethod
+    def _drill(monkeypatch, tmp_path, misbehave, match):
+        attempts = tmp_path / "attempts"
+        real_run_window = ShardRuntime.run_window
+
+        def run_window(self, t_end):
+            if self.shard_index == 1:
+                with open(attempts, "a") as fh:
+                    fh.write("x")
+                misbehave()
+            return real_run_window(self, t_end)
+
+        monkeypatch.setattr(ShardRuntime, "run_window", run_window)
+        engine = ShardedSimulator(
+            _FLOOD,
+            ShardPlan(n_shards=2, cell_size_m=60.0),
+            mode="fork",
+            barrier_timeout_s=1.0,
+            max_retries=2,
+        )
+        t0 = time.monotonic()
+        with pytest.raises(ShardWorkerError, match=match):
+            engine.run(3.0)
+        assert time.monotonic() - t0 < 30.0
+        # One first attempt plus max_retries retries, each stopped at its
+        # first window.
+        assert attempts.read_text() == "xxx"
+        assert multiprocessing.active_children() == []
+
+    def test_stalled_worker_misses_the_barrier_deadline(self, monkeypatch, tmp_path):
+        def stall():
+            time.sleep(60.0)
+
+        self._drill(monkeypatch, tmp_path, stall, "shard 1 missed barrier deadline")
+
+    def test_raising_worker_reports_its_error(self, monkeypatch, tmp_path):
+        def boom():
+            raise RuntimeError("drill")
+
+        self._drill(monkeypatch, tmp_path, boom, r"shard 1 errored: RuntimeError\('drill'\)")
 
 
 class TestFaultReplication:
