@@ -8,23 +8,25 @@ layer every performance PR reports against:
   wall-clock durations (``with sim.span("synthesis"): ...``);
 * :mod:`repro.obs.profiler` — opt-in per-event-callback wall-clock
   attribution with hot-path tables and collapsed stacks for flamegraphs;
-* :mod:`repro.obs.sinks` — streaming NDJSON (size-rotated) and in-memory
-  ring sinks, so traces stop silently truncating at ``max_records``;
+* :mod:`repro.obs.sinks` — streaming, size-rotated NDJSON sinks, so
+  traces stop silently truncating at ``max_records``;
 * :mod:`repro.obs.registry` — fixed-size counter/gauge/histogram
   instruments fed by :mod:`repro.net` and :mod:`repro.faults`;
 * :mod:`repro.obs.tracing` — causal (Dapper-style) packet tracing:
-  per-hop ``pkt.*`` events with trace contexts carried in packet headers;
+  per-hop ``pkt.*`` events linked by a ``(tid, span, hop)`` packet header;
 * :mod:`repro.obs.analyze` — offline happens-before reconstruction,
   latency phase attribution, critical paths, Chrome-trace export;
-* :mod:`repro.obs.telemetry` — the zero-tax binary trace plane: a
-  preallocated struct-packed ring with string interning that the hot
-  path appends to without building dicts, decoded lazily on first read;
+* :mod:`repro.obs.telemetry` — the zero-tax binary trace plane: an
+  append-only struct-packed store with string interning that staged
+  records are compacted into, decoded lazily on first read, and its
+  ``.ring`` file format;
 * :mod:`repro.obs.merge` — cross-shard unification: deterministic trace
   merging plus :func:`~repro.obs.merge.merge_metrics` for registry
   states (counters summed, replicated families max-merged);
 * :mod:`repro.obs.export` — OpenMetrics text rendering/parsing and the
   live snapshot/SLO layer;
-* :mod:`repro.obs.forensics` — run forensics: RunManifests stamped next
+* :mod:`repro.obs.forensics` (imported on its own: it pulls in the
+  campaign layer) — run forensics: RunManifests stamped next
   to every export, ``python -m repro.obs replay <manifest>``
   (deterministic re-execution with checkpointed asserts), and
   ``python -m repro.obs diff A B`` (first-divergence location with
@@ -76,20 +78,13 @@ from repro.obs.report import render_report, summarize_run
 from repro.obs.telemetry import (
     BinaryTraceRing,
     RecordSchema,
+    RingFormatError,
     StringTable,
     load_ring,
-    load_ring_ex,
 )
-from repro.obs.sinks import (
-    NdjsonSink,
-    RingSink,
-    Sink,
-    iter_ndjson,
-    ndjson_parts,
-    read_ndjson,
-)
+from repro.obs.sinks import NdjsonSink, Sink, ndjson_parts, read_ndjson
 from repro.obs.spans import Span, SpanTracker
-from repro.obs.tracing import TRACE_CATEGORIES, TRACE_HEADER, PacketTracer, TraceContext
+from repro.obs.tracing import TRACE_CATEGORIES, TRACE_HEADER, PacketTracer
 
 __all__ = [
     "merge_traces",
@@ -99,8 +94,8 @@ __all__ = [
     "BinaryTraceRing",
     "RecordSchema",
     "StringTable",
+    "RingFormatError",
     "load_ring",
-    "load_ring_ex",
     "render_openmetrics",
     "parse_openmetrics",
     "state_from_records",
@@ -119,8 +114,6 @@ __all__ = [
     "MetricsRegistry",
     "Sink",
     "NdjsonSink",
-    "RingSink",
-    "iter_ndjson",
     "ndjson_parts",
     "read_ndjson",
     "summarize_run",
@@ -129,7 +122,6 @@ __all__ = [
     "collect_export",
     "ReportInputError",
     "PacketTracer",
-    "TraceContext",
     "TRACE_HEADER",
     "TRACE_CATEGORIES",
     "TraceAnalysis",
@@ -138,51 +130,7 @@ __all__ = [
     "render_trace_report",
     "trace_summary_json",
     "wire_from_env",
-    # Forensics layer (resolved lazily via __getattr__; see below).
-    "RunManifest",
-    "content_hash",
-    "manifest_path",
-    "manifest_for_sim",
-    "manifest_for_shard_result",
-    "write_manifest",
-    "load_manifest",
-    "replay_manifest",
-    "diff_records",
-    "diff_exports",
-    "dump_divergence",
-    "ForensicsError",
-    "ReplayError",
 ]
-
-#: Names re-exported from :mod:`repro.obs.forensics`.  Resolved lazily:
-#: forensics pulls in the campaign layer (for canonical spec hashing),
-#: and importing that eagerly from here would cycle through the kernel's
-#: ``repro.obs`` import at interpreter start.
-_FORENSICS_EXPORTS = frozenset(
-    {
-        "RunManifest",
-        "content_hash",
-        "manifest_path",
-        "manifest_for_sim",
-        "manifest_for_shard_result",
-        "write_manifest",
-        "load_manifest",
-        "replay_manifest",
-        "diff_records",
-        "diff_exports",
-        "dump_divergence",
-        "ForensicsError",
-        "ReplayError",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _FORENSICS_EXPORTS:
-        from repro.obs import forensics
-
-        return getattr(forensics, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Default rotation size for env-wired NDJSON sinks (64 MiB).
 ENV_ROTATE_BYTES = 64 * 1024 * 1024
@@ -212,8 +160,7 @@ def wire_from_env(sim, env: Optional[dict] = None, *, shard: Optional[int] = Non
 
     Sinks are fed in batches, at each trace compaction and each flush
     point, like every :class:`~repro.sim.trace.TraceLog` sink: env-wired
-    telemetry rides the staging path, and a ring byte budget never evicts
-    a record the sinks have not received.  Every env-wired flow already
+    telemetry rides the staging path.  Every env-wired flow already
     flushes — ``sim.export_obs()`` and ``trace.flush_sinks()`` both drain
     the backlog first.
 

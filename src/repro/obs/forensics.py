@@ -212,7 +212,6 @@ def manifest_for_sim(sim: Any, *, exports: Iterable[str] = ()) -> RunManifest:
         counters={
             "events_processed": sim.events_processed,
             "n_trace_records": len(records),
-            "trace_evicted": getattr(sim.trace, "ring_evicted", 0),
         },
         created_at=_time.time(),
     )
@@ -494,9 +493,9 @@ def diff_records(
     causal packet trace (``tid``), the happens-before chain from
     :func:`causal_context`.
 
-    Capture-quality warnings (ring evictions, in-memory trace caps seen in
-    either stream) are surfaced so "diverged" is never silently conflated
-    with "evicted before capture".
+    Capture-quality warnings (an in-memory trace cap seen in either
+    stream) are surfaced so "diverged" is never silently conflated with
+    "dropped before capture".
     """
     list_a = list(records_a)
     list_b = list(records_b)
@@ -560,33 +559,18 @@ def diff_records(
 
 
 def _capture_warnings(records: List[Any], label: str) -> List[str]:
-    """Scan a stream for signs the capture itself was lossy."""
-    warnings: List[str] = []
+    """Flag a stream whose capture was lossy (it hit ``max_records``)."""
     for record in records:
-        if not isinstance(record, Mapping):
-            continue
-        rtype = record.get("type")
-        if rtype == "meta" and record.get("event") == "ring_evicted":
-            warnings.append(
-                f"{label}: trace ring evicted records under its byte budget "
-                "before capture — the stream is a suffix of the run"
-            )
-        elif rtype == "meta" and record.get("event") == "trace_capped":
-            warnings.append(
+        if (
+            isinstance(record, Mapping)
+            and record.get("type") == "meta"
+            and record.get("event") == "trace_capped"
+        ):
+            return [
                 f"{label}: in-memory trace hit max_records; records were "
                 "dropped from memory"
-            )
-        elif (
-            rtype == "metric"
-            and record.get("name") == "trace.evicted"
-            and record.get("value")
-        ):
-            warnings.append(
-                f"{label}: trace.evicted={record['value']:.0f} — ring "
-                "evictions occurred during the run"
-            )
-    # One warning per distinct condition is enough.
-    return sorted(set(warnings))
+            ]
+    return []
 
 
 def causal_context(

@@ -3,7 +3,7 @@
 The discrete-event kernel fires every callback in the run, which makes it
 the one choke point where wall time can be attributed without touching any
 model code.  When a :class:`KernelProfiler` is attached
-(``sim.enable_profiling()``), :meth:`Simulator.step` times each event fire
+(``sim.enable_profiling()``), :meth:`Simulator.run` times each event fire
 and charges it to a label — the event's name when it has one (processes
 and ``call_in``/``call_at`` stamp names while profiling is on), otherwise
 the qualified name of its first callback.

@@ -41,7 +41,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.sinks import ndjson_parts, read_ndjson
-from repro.obs.telemetry import load_ring_ex
+from repro.obs.telemetry import RingFormatError, load_ring
 from repro.util.tables import json_safe
 
 __all__ = [
@@ -70,10 +70,10 @@ def collect_export(path: str) -> Tuple[List[Dict[str, Any]], int, List[str]]:
     exports (each with its rotations) and ``*.ring`` dumps — shard
     workers and the serial path may land different formats in the same
     export directory.  Returns ``(records, skipped, parts)``, where
-    ``skipped`` counts unparsable NDJSON lines plus ring records carrying
-    value tags this repro version does not know (written by a newer one).
-    Raises :class:`ReportInputError` with a human-ready message when the
-    path is missing, matches nothing, or yields zero records.
+    ``skipped`` counts unparsable NDJSON lines.  Raises
+    :class:`ReportInputError` with a human-ready message when the path is
+    missing, matches nothing, holds a ``.ring`` that is not one whole dump
+    (see :func:`~repro.obs.telemetry.load_ring`), or yields zero records.
     """
     if os.path.isdir(path):
         names = sorted(os.listdir(path))
@@ -106,9 +106,10 @@ def collect_export(path: str) -> Tuple[List[Dict[str, Any]], int, List[str]]:
     skipped = 0
     for part in parts:
         if part.endswith(".ring"):
-            ring_records, ring_skipped, _evicted = load_ring_ex(part)
-            records.extend(ring_records)
-            skipped += ring_skipped
+            try:
+                records.extend(load_ring(part))
+            except RingFormatError as exc:
+                raise ReportInputError(str(exc)) from exc
             continue
         part_records, part_skipped = read_ndjson(part)
         records.extend(part_records)

@@ -6,11 +6,10 @@ it.  Sinks exist so large runs stop losing data when the in-memory
 :class:`~repro.sim.trace.TraceLog` hits ``max_records``: the memory cap
 bounds RAM, the sink path keeps the full stream.
 
-* :class:`NdjsonSink` — newline-delimited JSON with size-based rotation
-  (``run.ndjson`` → ``run.ndjson.1`` → …), the export format
-  ``python -m repro.obs report`` consumes.
-* :class:`RingSink` — a bounded in-memory ring of the most recent records,
-  for always-on flight-recorder style capture with fixed memory.
+:class:`NdjsonSink` writes newline-delimited JSON with size-based rotation
+(``run.ndjson`` → ``run.ndjson.1`` → …), the export format
+``python -m repro.obs report`` consumes; any :class:`Sink` subclass
+attaches to a trace the same way.
 
 :func:`read_ndjson` reads an export back and tolerates a truncated final
 line (the normal artifact of a killed run), so reports survive crashes.
@@ -20,17 +19,14 @@ from __future__ import annotations
 
 import json
 import os
-from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.util.tables import json_safe
 
 __all__ = [
     "Sink",
     "NdjsonSink",
-    "RingSink",
     "read_ndjson",
-    "iter_ndjson",
     "ndjson_parts",
 ]
 
@@ -155,32 +151,6 @@ class NdjsonSink(Sink):
             self._fh.close()
 
 
-class RingSink(Sink):
-    """Keep the most recent ``capacity`` records in memory."""
-
-    def __init__(self, capacity: int = 10_000):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.total = 0
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
-
-    def write(self, record: Dict[str, Any]) -> None:
-        self._ring.append(record)
-        self.total += 1
-
-    @property
-    def evicted(self) -> int:
-        """Records pushed out of the ring by newer ones."""
-        return self.total - len(self._ring)
-
-    def records(self) -> List[Dict[str, Any]]:
-        return list(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-
 def ndjson_parts(path: Union[str, os.PathLike], max_files: int = 99) -> List[str]:
     """All on-disk parts of a (possibly rotated) export, oldest first.
 
@@ -197,15 +167,6 @@ def ndjson_parts(path: Union[str, os.PathLike], max_files: int = 99) -> List[str
     if os.path.exists(base):
         parts.append(base)
     return parts
-
-
-def iter_ndjson(path: Union[str, os.PathLike]) -> Iterator[Dict[str, Any]]:
-    """Yield records from an NDJSON file, skipping a truncated final line.
-
-    Use :func:`read_ndjson` to also learn how many lines were skipped.
-    """
-    records, _ = read_ndjson(path)
-    return iter(records)
 
 
 def read_ndjson(

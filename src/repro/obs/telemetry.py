@@ -17,10 +17,10 @@ Three pieces:
 * :class:`RecordSchema` — a per-category tuple of *pre-sorted* field
   names; emitters that know their field set ahead of time (the packet
   tracer) skip both the kwargs dict and the per-record sort.
-* :class:`BinaryTraceRing` — a preallocated, struct-packed append buffer
-  with optional flight-recorder eviction, ``dump``/``load_ring`` disk
-  persistence (the ``.ring`` export format), and a picklable payload form
-  for shipping a shard's trace across a process boundary.
+* :class:`BinaryTraceRing` — a struct-packed append-only buffer with
+  ``dump``/:func:`load_ring` disk persistence (the ``.ring`` export
+  format) and a picklable payload form for shipping a shard's trace
+  across a process boundary.
 
 Field values survive a pack/decode round trip **bit-identically**: floats
 travel as IEEE doubles, ints as signed 64-bit (wider ints fall back to
@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import warnings
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.util.tables import json_safe
@@ -43,8 +42,8 @@ __all__ = [
     "StringTable",
     "RecordSchema",
     "BinaryTraceRing",
+    "RingFormatError",
     "load_ring",
-    "load_ring_ex",
     "RING_MAGIC",
     "RING_SCHEMA",
 ]
@@ -148,7 +147,10 @@ class _Cursor:
         pos = self.pos + _HEAD.size
         for _ in range(n_fields):
             tag = self.buf[pos + 4]
-            pos += _FIELD.size + _VALUE_SIZE[tag]
+            size = _VALUE_SIZE.get(tag)
+            if size is None:
+                raise ValueError(f"unknown value tag {tag} at byte {pos + 4}")
+            pos += _FIELD.size + size
         self.pos = pos
 
 
@@ -165,43 +167,19 @@ _VALUE_SIZE = {
 
 
 class BinaryTraceRing:
-    """Struct-packed append buffer for trace records.
+    """Struct-packed append-only store for trace records.
 
-    ``capacity_records`` turns it into a flight recorder: the oldest
-    records are evicted (counted on :attr:`evicted`) once the cap is hit.
-    ``capacity_bytes`` bounds the packed buffer the same way — the oldest
-    records are dropped until the buffer fits the byte budget, but the
-    newest record is always retained even when it alone exceeds it.
-    Without a cap it is a compact append-only store — the form
-    :class:`~repro.sim.trace.TraceLog` compacts its staged tail into.
+    The form :class:`~repro.sim.trace.TraceLog` compacts its staged tail
+    into; :meth:`iter_tuples` is the one walker that decodes it, whether
+    the bytes came from ``append``, a shard's payload or a ``.ring`` file.
     """
 
-    __slots__ = (
-        "strings",
-        "capacity_records",
-        "capacity_bytes",
-        "evicted",
-        "_buf",
-        "_offsets",
-        "_objects",
-    )
+    __slots__ = ("strings", "_buf", "_offsets", "_objects")
 
-    def __init__(
-        self,
-        capacity_records: Optional[int] = None,
-        capacity_bytes: Optional[int] = None,
-    ):
-        if capacity_records is not None and capacity_records < 1:
-            raise ValueError("capacity_records must be >= 1 or None")
-        if capacity_bytes is not None and capacity_bytes < 1:
-            raise ValueError("capacity_bytes must be >= 1 or None")
+    def __init__(self) -> None:
         self.strings = StringTable()
-        self.capacity_records = capacity_records
-        self.capacity_bytes = capacity_bytes
-        #: Records evicted by the flight-recorder caps.
-        self.evicted = 0
         self._buf = bytearray()
-        # Start offset of every retained record, in order.
+        # Start offset of every record, in order.
         self._offsets: List[int] = []
         # Side table for values no fixed-width tag covers (big ints,
         # tuples, arbitrary objects); packed records index into it.
@@ -250,33 +228,6 @@ class BinaryTraceRing:
                 self._objects.append(value)
         _HEAD.pack_into(buf, head_at, time, intern(category), n_fields)
         self._offsets.append(start)
-        if (
-            self.capacity_records is not None
-            and len(self._offsets) > self.capacity_records
-        ) or (self.capacity_bytes is not None and len(buf) > self.capacity_bytes):
-            self._evict()
-
-    def _evict(self) -> None:
-        """Drop the oldest records down to capacity; reclaim the bytes."""
-        drop = 0
-        if self.capacity_records is not None:
-            drop = max(0, len(self._offsets) - self.capacity_records)
-        if self.capacity_bytes is not None:
-            # Smallest drop whose suffix fits the byte budget; the newest
-            # record survives even when it alone exceeds the budget (a
-            # flight recorder that recorded nothing would be worse).
-            total = len(self._buf)
-            while (
-                drop < len(self._offsets) - 1
-                and total - self._offsets[drop] > self.capacity_bytes
-            ):
-                drop += 1
-        if drop <= 0:
-            return
-        self.evicted += drop
-        cut = self._offsets[drop]
-        del self._buf[:cut]
-        self._offsets = [off - cut for off in self._offsets[drop:]]
 
     # ------------------------------------------------------------------- read
 
@@ -326,13 +277,6 @@ class BinaryTraceRing:
                 fields.append((lookup(kid), value))
             yield (time, lookup(cid), tuple(fields))
 
-    def clear(self) -> None:
-        self._buf.clear()
-        self._offsets.clear()
-        self._objects.clear()
-        self.strings = StringTable()
-        self.evicted = 0
-
     # -------------------------------------------------------------- transport
 
     def to_payload(self) -> Dict[str, Any]:
@@ -344,22 +288,33 @@ class BinaryTraceRing:
         return {
             "strings": self.strings.as_list(),
             "packed": bytes(self._buf),
-            "offset0": self._offsets[0] if self._offsets else 0,
             "n": len(self._offsets),
             "objects": list(self._objects),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "BinaryTraceRing":
+        """Rebuild a ring from :meth:`to_payload` output.
+
+        Raises :class:`ValueError` on a value tag this reader does not know
+        or when ``n`` records do not fill the buffer exactly, and
+        :class:`struct.error` or :class:`IndexError` when it ends inside a
+        record.
+        """
         ring = cls()
         ring.strings = StringTable(payload["strings"])
         ring._buf = bytearray(payload["packed"])
         ring._objects = list(payload["objects"])
         # Rebuild offsets by walking the buffer with a cursor.
-        cursor = _Cursor(bytes(ring._buf), payload.get("offset0", 0))
+        cursor = _Cursor(bytes(ring._buf))
         for _ in range(payload["n"]):
             ring._offsets.append(cursor.pos)
             cursor.skip_record()
+        if cursor.pos != len(ring._buf):
+            raise ValueError(
+                f"{payload['n']} records span {cursor.pos} of "
+                f"{len(ring._buf)} packed bytes"
+            )
         return ring
 
     # ------------------------------------------------------------------- disk
@@ -378,18 +333,13 @@ class BinaryTraceRing:
             for rec in (aux_records or [])
         ]
         strings_blob = "\x00".join(self.strings.as_list()).encode("utf-8")
-        packed = bytes(self._buf[self._offsets[0]:]) if self._offsets else b""
         header = {
             "schema": RING_SCHEMA,
             "n_records": len(self._offsets),
             "strings_len": len(strings_blob),
-            "packed_len": len(packed),
+            "packed_len": len(self._buf),
             "n_aux": len(aux_lines),
             "objects": json_safe(list(self._objects)),
-            # Forward compatibility: readers use the *writer's* tag->size
-            # map to skip over records holding tags they don't know.
-            "tag_sizes": {str(tag): size for tag, size in _VALUE_SIZE.items()},
-            "evicted": self.evicted,
         }
         parent = os.path.dirname(path)
         if parent:
@@ -399,11 +349,17 @@ class BinaryTraceRing:
             fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
             fh.write(b"\n")
             fh.write(strings_blob)
-            fh.write(packed)
+            fh.write(self._buf)
             for line in aux_lines:
                 fh.write(line.encode("utf-8"))
                 fh.write(b"\n")
         return path
+
+
+class RingFormatError(ValueError):
+    """A ``.ring`` file that is not one whole dump: bad magic, a header
+    section that is short or miscounted, or a value tag this reader does
+    not know."""
 
 
 def load_ring(path: str) -> List[Dict[str, Any]]:
@@ -412,99 +368,48 @@ def load_ring(path: str) -> List[Dict[str, Any]]:
     Trace records come back as ``{"type": "trace", "time": ...,
     "category": ..., **fields}`` — the exact shape an
     :class:`~repro.obs.sinks.NdjsonSink` would have written — followed by
-    the dump's auxiliary records (meta/metric/profile rows), so reports
-    and analyzers consume ``.ring`` and ``.ndjson`` through one path.
+    the dump's auxiliary (meta/metric/profile) records, so reports and
+    analyzers consume ``.ring`` and ``.ndjson`` through one path.
 
-    Records packed with value tags this reader does not know (a newer
-    writer) are skipped with a single warning rather than crashing; use
-    :func:`load_ring_ex` to observe the skip count programmatically.
-    """
-    records, skipped, _evicted = load_ring_ex(path)
-    if skipped:
-        warnings.warn(
-            f"{path}: skipped {skipped} record(s) with unknown value tags "
-            "(written by a newer repro?)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return records
-
-
-def load_ring_ex(path: str) -> Tuple[List[Dict[str, Any]], int, int]:
-    """Like :func:`load_ring`, returning ``(records, skipped, evicted)``.
-
-    ``skipped`` counts records dropped because they carried value tags
-    unknown to this reader (forward compatibility: the dump header's
-    ``tag_sizes`` map lets us hop over them without losing framing);
-    ``evicted`` is the writer-side flight-recorder eviction count, so
-    forensics can tell "diverged" from "evicted before capture".
+    Every section must be as long as the header says and hold as many
+    records as it says; anything else — a file torn by a killed run
+    included — raises :class:`RingFormatError`.  Only a missing final
+    newline is forgiven.
     """
     with open(path, "rb") as fh:
         magic = fh.readline()
-        if magic != RING_MAGIC:
-            raise ValueError(f"{path!r} is not a ring dump (bad magic)")
-        header = json.loads(fh.readline().decode("utf-8"))
-        strings_blob = fh.read(header["strings_len"])
-        packed = fh.read(header["packed_len"])
-        aux = [
-            json.loads(line)
-            for line in fh.read().decode("utf-8").splitlines()
-            if line.strip()
-        ]
-    strings = (
-        strings_blob.decode("utf-8").split("\x00") if strings_blob else []
-    )
-    objects = header.get("objects", [])
-    tag_sizes = {
-        int(tag): size
-        for tag, size in (header.get("tag_sizes") or {}).items()
-    }
-    for tag, size in _VALUE_SIZE.items():
-        tag_sizes.setdefault(tag, size)
-    records: List[Dict[str, Any]] = []
-    skipped = 0
-    pos = 0
-    end = len(packed)
-    for _ in range(header["n_records"]):
-        if pos >= end:
-            break
-        time, cid, n_fields = _HEAD.unpack_from(packed, pos)
-        pos += _HEAD.size
-        fields: List[Tuple[str, Any]] = []
-        known = True
-        for _ in range(n_fields):
-            kid, tag = _FIELD.unpack_from(packed, pos)
-            pos += _FIELD.size
-            if tag == _T_NONE:
-                value: Any = None
-            elif tag == _T_FLOAT:
-                value = _F64.unpack_from(packed, pos)[0]
-            elif tag == _T_INT:
-                value = _I64.unpack_from(packed, pos)[0]
-            elif tag == _T_STR:
-                value = strings[_U32.unpack_from(packed, pos)[0]]
-            elif tag == _T_TRUE:
-                value = True
-            elif tag == _T_FALSE:
-                value = False
-            elif tag == _T_OBJ:
-                value = objects[_U32.unpack_from(packed, pos)[0]]
-            else:
-                size = tag_sizes.get(tag)
-                if size is None:
-                    # No size hint either: framing is lost from here on.
-                    return records + aux, skipped + 1, int(header.get("evicted", 0))
-                known = False
-                value = None
-                pos += size
-                continue
-            pos += tag_sizes[tag]
-            fields.append((strings[kid], value))
-        if not known:
-            skipped += 1
-            continue
-        rec = {"type": "trace", "time": time, "category": strings[cid]}
-        rec.update(fields)
-        records.append(rec)
-    records.extend(aux)
-    return records, skipped, int(header.get("evicted", 0))
+        header_line = fh.readline()
+        body = fh.read()
+    if magic != RING_MAGIC:
+        raise RingFormatError(f"{path!r} is not a ring dump (bad magic)")
+    try:
+        header = json.loads(header_line)
+        packed_at = header["strings_len"]
+        aux_at = packed_at + header["packed_len"]
+        if len(body) < aux_at:
+            raise ValueError(f"{len(body)} body bytes, header declares {aux_at}+")
+        aux_lines = body[aux_at:].splitlines()
+        if len(aux_lines) != header["n_aux"]:
+            raise ValueError(
+                f"{len(aux_lines)} aux lines, header declares {header['n_aux']}"
+            )
+        strings = body[:packed_at].decode("utf-8").split("\x00") if packed_at else []
+        ring = BinaryTraceRing.from_payload(
+            {
+                "strings": strings,
+                "packed": body[packed_at:aux_at],
+                "n": header["n_records"],
+                "objects": header["objects"],
+            }
+        )
+        records: List[Dict[str, Any]] = []
+        for time, category, fields in ring.iter_tuples():
+            rec = {"type": "trace", "time": time, "category": category}
+            rec.update(fields)
+            records.append(rec)
+        records.extend(json.loads(line) for line in aux_lines)
+    except (ValueError, KeyError, IndexError, TypeError, struct.error) as exc:
+        raise RingFormatError(
+            f"{path!r} is not a whole ring dump ({type(exc).__name__}: {exc})"
+        ) from exc
+    return records

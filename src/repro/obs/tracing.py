@@ -4,8 +4,8 @@ Node-local spans (:mod:`repro.obs.spans`) tell you what one node spent its
 time on; they cannot tell you where a *packet's* end-to-end delay went as
 it crossed MAC backoff, retransmissions, DTN custody, and routing detours.
 :class:`PacketTracer` closes that gap: every originated packet gets a
-:class:`TraceContext` (trace id, parent span id, hop index) carried in
-``Packet.headers``, and every hop emits causally-linked events into the
+``(trace_id, parent_span, hop)`` tuple in ``Packet.headers`` under
+:data:`TRACE_HEADER`, and every hop emits causally-linked events into the
 ordinary trace/sink pipeline:
 
 ========================  ====================================================
@@ -49,16 +49,19 @@ Enable per simulator (or via ``REPRO_OBS_TRACE=1`` through
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.obs.telemetry import RecordSchema
 
-__all__ = ["TraceContext", "PacketTracer", "TRACE_HEADER", "TRACE_CATEGORIES"]
+__all__ = ["PacketTracer", "TRACE_HEADER", "TRACE_CATEGORIES"]
 
 #: Header key carrying the (trace_id, parent_span, hop) tuple.  The value is
 #: an immutable tuple, so forwarding copies can never alias each other's
-#: causal state even through a shallow header copy.
+#: causal state even through a shallow header copy.  ``trace_id`` names the
+#: logical packet (stable across forwarding copies and DTN replicas,
+#: distinct per transport retransmission); ``parent_span`` is the
+#: transmission that last delivered it (0 at the origin); ``hop`` counts
+#: successful radio receptions so far.
 TRACE_HEADER = "_trace"
 
 #: Every category the tracer can emit (fingerprint filters use this).
@@ -98,31 +101,6 @@ _ROUTE_DROP = RecordSchema("pkt.route_drop", ("node", "reason", "tid", "uid")).s
 _DELIVER = RecordSchema(
     "pkt.deliver", ("hops", "latency_s", "node", "span", "tid", "uid")
 ).sid
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """The causal coordinates a packet carries between hops.
-
-    ``trace_id`` identifies the logical packet (stable across forwarding
-    copies and DTN replicas, distinct per transport retransmission);
-    ``parent_span`` is the id of the transmission that most recently
-    delivered the packet to its current holder (0 at the origin); ``hop``
-    counts successful radio receptions so far.
-    """
-
-    trace_id: int
-    parent_span: int
-    hop: int
-
-    def as_header(self) -> Tuple[int, int, int]:
-        return (self.trace_id, self.parent_span, self.hop)
-
-    @classmethod
-    def from_header(cls, value: Any) -> Optional["TraceContext"]:
-        if not (isinstance(value, tuple) and len(value) == 3):
-            return None
-        return cls(*value)
 
 
 class PacketTracer:
@@ -165,9 +143,6 @@ class PacketTracer:
         return uid
 
     # -------------------------------------------------------------- contexts
-
-    def context_of(self, packet: "Packet") -> Optional[TraceContext]:  # noqa: F821
-        return TraceContext.from_header(packet.headers.get(TRACE_HEADER))
 
     def stamp_origin(self, packet: "Packet") -> Optional[int]:  # noqa: F821
         """Assign a root context to a freshly-originated packet.

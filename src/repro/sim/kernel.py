@@ -206,39 +206,6 @@ class Simulator:
 
     # ----------------------------------------------------------------- running
 
-    def step(self) -> bool:
-        """Fire the single next event.  Returns False when queue is empty."""
-        queue = self._queue
-        while queue:
-            time, _, _, payload = heappop(queue)
-            is_event = isinstance(payload, Event)
-            if is_event and payload._cancelled:
-                continue
-            if time < self.now:  # pragma: no cover - guarded by schedule()
-                raise SimulationError("event queue corrupted: time went backward")
-            self.now = time
-            self.events_processed += 1
-            profiler = self.profiler
-            if profiler is not None and profiler.enabled:
-                # Label before firing: _fire clears the callback list.
-                if is_event:
-                    label = profiler.label_of(payload)
-                    t0 = perf_counter()
-                    payload._fire(payload.value)
-                else:
-                    self.events_fast += 1
-                    label = getattr(payload, "__qualname__", "") or repr(payload)
-                    t0 = perf_counter()
-                    payload()
-                profiler.record(label, perf_counter() - t0)
-            elif is_event:
-                payload._fire(payload.value)
-            else:
-                self.events_fast += 1
-                payload()
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> None:
         """Run until the queue drains, ``until`` is reached, or event budget ends.
 
@@ -254,7 +221,7 @@ class Simulator:
         t_wall = perf_counter()
         queue = self._queue
         horizon = math.inf if until is None else until
-        # The loop below is step() unrolled (a method call per event is
+        # The one event loop, inlined (a method call per event is
         # measurable at millions of events).  An entry past the horizon is
         # left at the head of the heap, where a later run() call finds it.
         try:
@@ -322,7 +289,7 @@ class Simulator:
         """Kernel throughput across all :meth:`run` calls so far.
 
         Counts both lanes — rich Events and fast-lane callables — since
-        :meth:`step` tallies them on the same counter.  Degenerate clocks
+        :meth:`run` tallies them on the same counter.  Degenerate clocks
         (a zero-work run, a coarse timer rounding wall time to ~0, or a
         poisoned ``wall_elapsed``) yield ``0.0`` rather than letting
         ``inf``/``nan`` leak into exported telemetry JSON.
@@ -353,7 +320,7 @@ class Simulator:
         """Attach (or return the existing) causal packet tracer.
 
         Networks bound to this simulator start stamping
-        :class:`~repro.obs.tracing.TraceContext` headers and emitting
+        :data:`~repro.obs.tracing.TRACE_HEADER` headers and emitting
         per-hop ``pkt.*`` events; ``python -m repro.obs trace``
         reconstructs latency attributions from the export.
         """

@@ -15,9 +15,8 @@ when :attr:`~TraceLog.records` is read, bit-identically.
 
 Sinks are fed in batches: every compaction and every flush point
 (``flush_sinks``/``write_record``/``close_sinks``) first writes the records
-the sinks have not seen yet, in order, so neither the watermark nor a ring
-byte budget evicts a record before the sinks have it.  Records past
-``max_records`` are not retained and go to the sinks at emit time.
+the sinks have not seen yet, in order.  Records past ``max_records`` are
+not retained and go to the sinks at emit time.
 """
 
 from __future__ import annotations
@@ -92,9 +91,6 @@ class TraceLog:
         self._sinks: List[Any] = []
         # --- store: packed prefix + staged tail + decode cache -------------
         self._ring = BinaryTraceRing()
-        # Ring evictions already accounted for (counter + cache shift).
-        self._ring_base = 0
-        self._warned_evicted = False
         # Staged entries, one flat tuple each (see `stage`).
         self._tail: List[Tuple[Any, ...]] = []
         # Bound append, saving a lookup per staged record; `_tail` is only
@@ -146,33 +142,6 @@ class TraceLog:
     def max_records(self, value: int) -> None:
         self._max_records = value
         self._refresh_guards()
-
-    @property
-    def ring_budget_bytes(self) -> Optional[int]:
-        """Byte budget for the packed ring (flight-recorder mode).
-
-        Setting it turns the compacted store into a bounded flight
-        recorder: once compaction pushes the packed buffer past the
-        budget, the oldest records are evicted — counted on the
-        ``trace.evicted`` registry counter and warned about once, so a
-        truncated trace is never mistaken for a complete one.  Attached
-        sinks still receive every record.
-        """
-        return self._ring.capacity_bytes
-
-    @ring_budget_bytes.setter
-    def ring_budget_bytes(self, value: Optional[int]) -> None:
-        self._ring.capacity_bytes = value
-        if value is not None and self._ring.nbytes > value:
-            # Every packed record already reached the sinks (see compact).
-            self._ring._evict()
-            self._account_evictions()
-            self._refresh_guards()
-
-    @property
-    def ring_evicted(self) -> int:
-        """Records lost to the ring byte budget so far."""
-        return self._ring.evicted
 
     # ------------------------------------------------------------------ stage
 
@@ -260,9 +229,7 @@ class TraceLog:
 
         Runs at flush points (and past the stage watermark): record content
         moves from N Python tuples to one struct-packed buffer.  Purely a
-        representation change — ``records`` decodes the same stream — and
-        since the sinks drain first, a ring byte budget can only evict
-        records they already have.
+        representation change — ``records`` decodes the same stream.
         """
         self._drain()
         if self._tail:
@@ -276,47 +243,10 @@ class TraceLog:
                 else:
                     ring.append(entry[0], key, sorted(entry[2].items()))
             self._tail.clear()
-            if ring.evicted != self._ring_base:
-                self._account_evictions()
         # Re-arm the in-stage compaction watermark relative to the new count.
         self._compact_at = self._n + COMPACT_WATERMARK
         self._refresh_guards()
         return self._ring.nbytes
-
-    def _account_evictions(self) -> None:
-        """Settle byte-budget evictions: shift the decode cache and the
-        sink drain mark to the new retained stream, count the loss on the
-        ``trace.evicted`` registry counter, and warn once."""
-        newly = self._ring.evicted - self._ring_base
-        if newly <= 0:
-            return
-        self._ring_base = self._ring.evicted
-        # Retained-stream index k now maps to old index k + newly.
-        if len(self._cache) > newly:
-            del self._cache[:newly]
-        else:
-            self._cache = []
-        self._drained = max(0, self._drained - newly)
-        registry = getattr(self._sim, "registry", None)
-        if registry is not None:
-            registry.counter("trace.evicted").inc(newly)
-        if not self._warned_evicted:
-            self._warned_evicted = True
-            logger.warning(
-                "trace ring evicted %d record(s) under its %s-byte budget; "
-                "the in-memory trace is now a suffix of the run (raise "
-                "ring_budget_bytes or attach a sink to keep everything)",
-                newly,
-                self._ring.capacity_bytes,
-            )
-            self.write_record(
-                {
-                    "type": "meta",
-                    "event": "ring_evicted",
-                    "time": self._sim.now,
-                    "budget_bytes": self._ring.capacity_bytes,
-                }
-            )
 
     def packed_payload(self) -> Dict[str, Any]:
         """Compact everything and return the picklable binary payload
@@ -448,16 +378,6 @@ class TraceLog:
         """
         for rec in self.records:
             yield {"type": "trace", **rec.as_dict()}
-
-    def clear(self) -> None:
-        self._drain()
-        self._ring.clear()
-        self._tail.clear()
-        self._cache = []
-        self._drained = 0
-        self._ring_base = 0
-        self._compact_at = COMPACT_WATERMARK
-        self._refresh_guards()
 
     def __len__(self) -> int:
         return self._n

@@ -181,16 +181,19 @@ class TestDiff:
         result = diff_records(reference.records, truncated)
         assert not result["identical"]
 
-    def test_eviction_warnings_surface(self, reference):
+    def test_capture_warnings_surface(self, reference):
         noisy = list(reference.records) + [
-            {"type": "meta", "event": "ring_evicted", "time": 1.0},
-            {"type": "metric", "name": "trace.evicted", "value": 12.0},
+            {"type": "meta", "event": "trace_capped", "time": 1.0,
+             "max_records": 10},
         ]
         result = diff_records(reference.records, noisy, label_b="lossy")
         # Meta records are not trace records: streams still identical...
         assert result["identical"]
-        # ...but the capture-quality warnings name the lossy side.
-        assert any("lossy" in w and "evicted" in w for w in result["warnings"])
+        # ...but the capture-quality warning names the lossy side.
+        assert result["warnings"] == [
+            "lossy: in-memory trace hit max_records; records were dropped "
+            "from memory"
+        ]
 
 
 class TestCli:

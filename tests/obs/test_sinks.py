@@ -1,19 +1,24 @@
-"""Tests for streaming sinks: NDJSON rotation/recovery, ring sink, the
-TraceLog overflow path (count drops, warn once, keep streaming) and the
-batched drain (flush points and compactions, nothing lost to eviction)."""
+"""Tests for streaming sinks: NDJSON rotation/recovery, the TraceLog
+overflow path (count drops, warn once, keep streaming) and the batched
+drain (flush points and compactions)."""
 
 import json
 import logging
 import os
 
-from repro.obs.sinks import (
-    NdjsonSink,
-    RingSink,
-    ndjson_parts,
-    read_ndjson,
-)
+from repro.obs.sinks import NdjsonSink, Sink, ndjson_parts, read_ndjson
 from repro.sim import Simulator
 from repro.sim import trace as trace_module
+
+
+class ListSink(Sink):
+    """Keeps every record written to it, in order."""
+
+    def __init__(self):
+        self.got = []
+
+    def write(self, record):
+        self.got.append(record)
 
 
 class TestNdjsonSink:
@@ -96,24 +101,13 @@ class TestNdjsonSink:
         assert ndjson_parts(tmp_path / "nope.ndjson") == []
 
 
-class TestRingSink:
-    def test_keeps_most_recent(self):
-        ring = RingSink(capacity=3)
-        for i in range(10):
-            ring.write({"i": i})
-        assert [r["i"] for r in ring.records()] == [7, 8, 9]
-        assert ring.evicted == 7
-        assert ring.total == 10
-        assert len(ring) == 3
-
-
 class TestTraceLogSinks:
     def test_sink_receives_trace_records(self, tmp_path):
         sim = Simulator()
-        ring = sim.trace.add_sink(RingSink())
+        sink = sim.trace.add_sink(ListSink())
         sim.trace.emit("evt", x=1)
         sim.trace.flush_sinks()
-        (rec,) = ring.records()
+        (rec,) = sink.got
         assert rec["type"] == "trace"
         assert rec["category"] == "evt"
         assert rec["x"] == 1
@@ -121,16 +115,16 @@ class TestTraceLogSinks:
     def test_overflow_counts_drops_and_keeps_streaming(self):
         sim = Simulator()
         sim.trace.max_records = 3
-        ring = sim.trace.add_sink(RingSink())
+        sink = sim.trace.add_sink(ListSink())
         for i in range(10):
             sim.trace.emit("evt", i=i)
         # In-memory list capped, drop count exact ...
         assert len(sim.trace) == 3
         assert sim.trace.dropped == 7
         # ... but the sink saw the entire stream (plus one capped-marker).
-        traces = [r for r in ring.records() if r["type"] == "trace"]
+        traces = [r for r in sink.got if r["type"] == "trace"]
         assert [r["i"] for r in traces] == list(range(10))
-        capped = [r for r in ring.records() if r.get("event") == "trace_capped"]
+        capped = [r for r in sink.got if r.get("event") == "trace_capped"]
         assert len(capped) == 1
         assert capped[0]["max_records"] == 3
 
@@ -146,10 +140,10 @@ class TestTraceLogSinks:
 
     def test_remove_sink(self):
         sim = Simulator()
-        ring = sim.trace.add_sink(RingSink())
-        sim.trace.remove_sink(ring)
+        sink = sim.trace.add_sink(ListSink())
+        sim.trace.remove_sink(sink)
         sim.trace.emit("evt")
-        assert len(ring) == 0
+        assert len(sink.got) == 0
         assert sim.trace.sinks == ()
 
     def test_ndjson_export_end_to_end(self, tmp_path):
@@ -178,17 +172,17 @@ class TestLazySinks:
 
     def test_lazy_sink_fills_at_flush_points(self):
         sim = Simulator()
-        ring = sim.trace.add_sink(RingSink())
+        sink = sim.trace.add_sink(ListSink())
         sim.trace.emit("evt", i=0)
         sim.trace.emit("evt", i=1)
         # Nothing written at emit time — records are still staged.
-        assert len(ring) == 0
+        assert len(sink.got) == 0
         sim.trace.flush_sinks()
-        assert [r["i"] for r in ring.records()] == [0, 1]
+        assert [r["i"] for r in sink.got] == [0, 1]
         # Flush is a watermark, not a replay: no duplicates on re-flush.
         sim.trace.emit("evt", i=2)
         sim.trace.flush_sinks()
-        assert [r["i"] for r in ring.records()] == [0, 1, 2]
+        assert [r["i"] for r in sink.got] == [0, 1, 2]
 
     def test_lazy_sink_drained_by_close_and_export(self, tmp_path):
         path = tmp_path / "run.ndjson"
@@ -203,29 +197,25 @@ class TestLazySinks:
     def test_overflow_records_reach_lazy_sinks(self):
         sim = Simulator()
         sim.trace.max_records = 2
-        ring = sim.trace.add_sink(RingSink())
+        sink = sim.trace.add_sink(ListSink())
         for i in range(6):
             sim.trace.emit("evt", i=i)
         sim.trace.flush_sinks()
-        traces = [r for r in ring.records() if r["type"] == "trace"]
+        traces = [r for r in sink.got if r["type"] == "trace"]
         assert [r["i"] for r in traces] == list(range(6))
 
-    def test_ring_budget_eviction_loses_nothing_from_sinks(self, monkeypatch):
-        # The in-stage watermark compacts every 100 records and the 2000-byte
-        # ring budget then evicts most of them from memory; the sink drains
-        # before each compaction, so it still holds every record, in order.
+    def test_watermark_compaction_loses_nothing_from_sinks(self, monkeypatch):
+        # The in-stage watermark compacts every 100 records; the sink drains
+        # before each compaction, so it holds every record, in order, once.
         monkeypatch.setattr(trace_module, "COMPACT_WATERMARK", 100)
         sim = Simulator()
-        sim.trace.ring_budget_bytes = 2000
-        ring = sim.trace.add_sink(RingSink())
+        sink = sim.trace.add_sink(ListSink())
         for i in range(1000):
             sim.trace.emit("evt", i=i)
+        assert 900 <= len(sink.got) < 1000  # drained by the watermark alone
         sim.trace.flush_sinks()
-        assert sim.trace.ring_evicted > 0
-        traces = [r for r in ring.records() if r["type"] == "trace"]
-        assert [r["i"] for r in traces] == list(range(1000))
-        evicted = [r for r in ring.records() if r.get("event") == "ring_evicted"]
-        assert len(evicted) == 1
+        assert [r["i"] for r in sink.got] == list(range(1000))
+        assert [r.get("i") for r in sim.trace.iter_dicts()] == list(range(1000))
 
 
 class TestRotationRaceGuard:

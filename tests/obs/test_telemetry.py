@@ -1,22 +1,21 @@
-"""Binary trace ring: pack/decode fidelity, eviction, transport, disk."""
+"""Binary trace ring: pack/decode fidelity, transport, disk, torn files."""
 
 from __future__ import annotations
 
 import json
-import struct
 
-import numpy as np
 import pytest
 
+from repro.obs import report
 from repro.obs.telemetry import (
     RING_MAGIC,
-    RING_SCHEMA,
     BinaryTraceRing,
     RecordSchema,
+    RingFormatError,
     StringTable,
     load_ring,
-    load_ring_ex,
 )
+from repro.sim import Simulator
 
 
 def test_string_table_interns_and_restores():
@@ -61,112 +60,6 @@ def test_pack_decode_round_trip_is_bit_identical():
     assert values["big"] == 2**70
 
 
-def test_flight_recorder_eviction_keeps_newest():
-    ring = BinaryTraceRing(capacity_records=3)
-    for i in range(10):
-        ring.append(float(i), "c", (("i", i),))
-    assert len(ring) == 3
-    assert ring.evicted == 7
-    assert [t for t, _c, _f in ring.iter_tuples()] == [7.0, 8.0, 9.0]
-    ring.clear()
-    assert len(ring) == 0 and ring.evicted == 0 and ring.nbytes == 0
-
-
-def test_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        BinaryTraceRing(capacity_records=0)
-    with pytest.raises(ValueError):
-        BinaryTraceRing(capacity_bytes=0)
-
-
-def _record_nbytes(fields) -> int:
-    """Packed size of one record with the given fields (for boundary math)."""
-    probe = BinaryTraceRing()
-    probe.append(0.0, "c", fields)
-    return probe.nbytes
-
-
-def test_byte_budget_evicts_at_exact_record_boundary():
-    fields = (("i", 7),)
-    size = _record_nbytes(fields)
-    # Budget for exactly three records: the fourth append must evict
-    # exactly one (a boundary off-by-one would drop zero or two).
-    ring = BinaryTraceRing(capacity_bytes=3 * size)
-    for i in range(3):
-        ring.append(float(i), "c", fields)
-    assert len(ring) == 3 and ring.evicted == 0 and ring.nbytes == 3 * size
-    ring.append(3.0, "c", fields)
-    assert len(ring) == 3 and ring.evicted == 1
-    assert [t for t, _c, _f in ring.iter_tuples()] == [1.0, 2.0, 3.0]
-    # One byte under the exact fit forces a second record out.
-    tight = BinaryTraceRing(capacity_bytes=3 * size - 1)
-    for i in range(4):
-        tight.append(float(i), "c", fields)
-    assert len(tight) == 2 and tight.evicted == 2
-
-
-def test_byte_budget_always_keeps_newest_record():
-    ring = BinaryTraceRing(capacity_bytes=1)
-    ring.append(0.0, "cat", (("payload", "x" * 64),))
-    ring.append(1.0, "cat", (("payload", "y" * 64),))
-    assert len(ring) == 1 and ring.evicted == 1
-    [(t, _c, fields)] = list(ring.iter_tuples())
-    assert t == 1.0 and dict(fields)["payload"] == "y" * 64
-
-
-def test_byte_budget_eviction_property_seeded():
-    """Property-style sweep: any append sequence under any byte budget
-    keeps a decodable suffix of what was appended, within budget."""
-    rng = np.random.default_rng(20260809)
-    for _trial in range(25):
-        budget = int(rng.integers(40, 500))
-        ring = BinaryTraceRing(capacity_bytes=budget)
-        appended = []
-        for i in range(int(rng.integers(5, 90))):
-            fields = tuple(
-                sorted(
-                    {
-                        "i": int(i),
-                        "s": f"tok-{int(rng.integers(0, 9))}",
-                        "f": float(rng.random()),
-                    }.items()
-                )
-            )
-            category = f"cat.{int(rng.integers(0, 4))}"
-            ring.append(float(i), category, fields)
-            appended.append((float(i), category, fields))
-            # Invariant: within budget, or a single oversized newest record.
-            assert ring.nbytes <= budget or len(ring) == 1
-        decoded = list(ring.iter_tuples())
-        assert len(decoded) == len(ring)
-        assert ring.evicted + len(decoded) == len(appended)
-        # Exactly the newest suffix survives, bit-identical.
-        assert decoded == appended[len(appended) - len(decoded):]
-
-
-def test_string_table_round_trips_after_eviction(tmp_path):
-    """Eviction drops records, never interned strings: payload and disk
-    round trips decode the surviving suffix exactly."""
-    rng = np.random.default_rng(7)
-    ring = BinaryTraceRing(capacity_bytes=256)
-    appended = []
-    for i in range(60):
-        fields = (("name", f"node-{int(rng.integers(0, 12))}"), ("seq", int(i)))
-        ring.append(float(i), "s.cat", fields)
-        appended.append((float(i), "s.cat", fields))
-    assert ring.evicted > 0  # the budget actually bit
-    survivors = appended[len(appended) - len(ring):]
-    clone = BinaryTraceRing.from_payload(ring.to_payload())
-    assert list(clone.iter_tuples()) == survivors
-    path = ring.dump(str(tmp_path / "evicted.ring"))
-    records, skipped, evicted = load_ring_ex(path)
-    assert skipped == 0 and evicted == ring.evicted
-    assert len(records) == len(survivors)
-    for rec, (t, category, fields) in zip(records, survivors):
-        assert rec["time"] == t and rec["category"] == category
-        assert all(rec[k] == v for k, v in fields)
-
-
 def test_payload_round_trip_survives_pickle_shapes():
     ring = BinaryTraceRing()
     for i in range(50):
@@ -176,14 +69,6 @@ def test_payload_round_trip_survives_pickle_shapes():
     assert isinstance(payload["packed"], bytes)
     clone = BinaryTraceRing.from_payload(payload)
     assert list(clone.iter_tuples()) == list(ring.iter_tuples())
-
-
-def test_payload_respects_eviction_offset():
-    ring = BinaryTraceRing(capacity_records=4)
-    for i in range(9):
-        ring.append(float(i), "c", (("i", i),))
-    clone = BinaryTraceRing.from_payload(ring.to_payload())
-    assert [t for t, _c, _f in clone.iter_tuples()] == [5.0, 6.0, 7.0, 8.0]
 
 
 def test_iter_tuples_from_offset():
@@ -225,73 +110,109 @@ def test_empty_ring_dump_round_trips(tmp_path):
     assert load_ring(path) == []
 
 
-def _write_ring_with_future_tag(path, *, advertise_size):
-    """Hand-craft a ring whose second record uses value tag 9 (unknown to
-    this reader).  ``advertise_size`` controls whether the header's
-    ``tag_sizes`` map carries the skip hint a newer writer would include.
-    """
-    head = struct.Struct("<dII")
-    field = struct.Struct("<IB")
-    u32 = struct.Struct("<I")
-    strings = ["known.cat", "key", "value-str", "future.cat"]
-    packed = bytearray()
-    packed += head.pack(1.0, 0, 1) + field.pack(1, 3) + u32.pack(2)  # _T_STR
-    packed += head.pack(2.0, 3, 1) + field.pack(1, 9) + u32.pack(0)  # tag 9
-    packed += head.pack(3.0, 0, 1) + field.pack(1, 3) + u32.pack(2)
-    strings_blob = "\x00".join(strings).encode("utf-8")
-    tag_sizes = {"0": 0, "1": 8, "2": 8, "3": 4, "4": 0, "5": 0, "6": 4}
-    if advertise_size:
-        tag_sizes["9"] = 4
-    header = {
-        "schema": RING_SCHEMA,
-        "n_records": 3,
-        "strings_len": len(strings_blob),
-        "packed_len": len(packed),
-        "n_aux": 1,
-        "objects": [],
-        "tag_sizes": tag_sizes,
-        "evicted": 2,
-    }
+def _rewrite_header(path, **changes):
+    """Rewrite a dump's JSON header in place; ``None`` deletes a key."""
+    with open(path, "rb") as fh:
+        magic, header, body = fh.readline(), json.loads(fh.readline()), fh.read()
+    for key, value in changes.items():
+        if value is None:
+            header.pop(key, None)
+        else:
+            header[key] = value
     with open(path, "wb") as fh:
-        fh.write(RING_MAGIC)
-        fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(strings_blob)
-        fh.write(packed)
-        fh.write(b'{"type":"meta","event":"export"}\n')
-    return str(path)
+        fh.write(magic)
+        fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
+        fh.write(body)
 
 
-def test_unknown_tag_records_are_skipped_not_fatal(tmp_path):
-    path = _write_ring_with_future_tag(
-        tmp_path / "future.ring", advertise_size=True
+def test_unknown_tag_raises_ring_format_error(tmp_path):
+    ring = BinaryTraceRing()
+    ring.append(1.0, "known.cat", (("key", "value-str"),))
+    ring.append(2.0, "known.cat", (("key", None),))
+    path = ring.dump(str(tmp_path / "future.ring"))
+    data = bytearray(open(path, "rb").read())
+    # With no aux records the file ends in the last record, whose one field
+    # (key id u32, tag u8) carries no payload: the last byte is its tag.
+    assert data[-1] == 0  # _T_NONE
+    data[-1] = 9  # a value tag no writer has used
+    open(path, "wb").write(bytes(data))
+    with pytest.raises(RingFormatError, match="unknown value tag 9"):
+        load_ring(path)
+    assert issubclass(RingFormatError, ValueError)
+
+
+def test_header_keys_of_older_writers_are_ignored(tmp_path):
+    """A dump whose header still carries ``tag_sizes`` and ``evicted`` (as
+    writers with a flight-recorder mode wrote them) loads to the same
+    records."""
+    ring = BinaryTraceRing()
+    for i in range(5):
+        ring.append(i * 0.5, f"cat.{i % 2}", (("big", 2**70 + i), ("n", i)))
+    aux = [{"type": "meta", "event": "export"}]
+    path = ring.dump(str(tmp_path / "run.ring"), aux_records=aux)
+    expected = load_ring(path)
+    _rewrite_header(
+        path,
+        tag_sizes={"0": 0, "1": 8, "2": 8, "3": 4, "4": 0, "5": 0, "6": 4},
+        evicted=0,
     )
-    records, skipped, evicted = load_ring_ex(path)
-    # The tag-9 record is skipped whole; framing survives via the
-    # writer-advertised size, so the record *after* it still decodes.
-    assert skipped == 1 and evicted == 2
-    times = [r["time"] for r in records if r.get("type") == "trace"]
-    assert times == [1.0, 3.0]
-    assert records[-1] == {"type": "meta", "event": "export"}
+    assert load_ring(path) == expected
+    assert len(expected) == 6 and expected[-1] == aux[0]
 
 
-def test_unknown_tag_warns_once_via_load_ring(tmp_path):
-    path = _write_ring_with_future_tag(
-        tmp_path / "warn.ring", advertise_size=True
+def test_miscounted_header_raises_ring_format_error(tmp_path):
+    ring = BinaryTraceRing()
+    for i in range(3):
+        ring.append(float(i), "c", (("i", i),))
+    path = str(tmp_path / "run.ring")
+    for changes in ({"n_records": 2}, {"n_records": 4}, {"n_aux": 2},
+                    {"n_aux": 0}, {"packed_len": None}):
+        ring.dump(path, aux_records=[{"type": "meta"}])
+        _rewrite_header(path, **changes)
+        with pytest.raises(RingFormatError):
+            load_ring(path)
+
+
+def _fifty_record_dump(path):
+    sim = Simulator(seed=3)
+    for i in range(50):
+        sim.now = i * 0.25
+        sim.trace.emit(
+            f"cat.{i % 3}", i=i, f=i / 7, s=f"tok-{i % 5}", b=i % 2 == 0,
+            none=None, big=2**64 + i,
+        )
+    return sim.trace.dump_ring(
+        path,
+        aux_records=[
+            {"type": "meta", "event": "export", "events_per_sec": 1.5},
+            {"type": "metric", "kind": "counter", "name": "n", "value": 50},
+        ],
     )
-    with pytest.warns(RuntimeWarning, match="unknown value tags"):
-        records = load_ring(path)
-    assert [r["time"] for r in records if r.get("type") == "trace"] == [1.0, 3.0]
 
 
-def test_unknown_tag_without_size_hint_stops_cleanly(tmp_path):
-    path = _write_ring_with_future_tag(
-        tmp_path / "no-hint.ring", advertise_size=False
-    )
-    records, skipped, _evicted = load_ring_ex(path)
-    # Without a size hint the framing is lost at the unknown record: the
-    # reader keeps what it decoded (plus aux) and reports the skip.
-    assert skipped == 1
-    times = [r["time"] for r in records if r.get("type") == "trace"]
-    assert times == [1.0]
-    assert any(r.get("type") == "meta" for r in records)
+def test_every_torn_prefix_raises_and_the_cli_exits_2(tmp_path, capsys):
+    """Cut a 50-record dump at every offset: each proper prefix but the one
+    that only drops the final newline is a typed error, never a shorter
+    trace, and the CLI's input reader turns it into exit status 2."""
+    good = _fifty_record_dump(str(tmp_path / "good.ring"))
+    data = open(good, "rb").read()
+    whole = load_ring(good)
+    assert len(whole) == 52 and data.endswith(b"\n")
+    torn = str(tmp_path / "torn.ring")
+    for cut in range(len(data)):
+        with open(torn, "wb") as fh:
+            fh.write(data[:cut])
+        if cut == len(data) - 1:
+            assert load_ring(torn) == whole
+            continue
+        with pytest.raises(RingFormatError):
+            load_ring(torn)
+        # Every subcommand reads its input through collect_export, whose
+        # ReportInputError is exit 2; the argv round trip costs ~1.5 ms,
+        # so the full CLI runs on every 13th cut.
+        with pytest.raises(report.ReportInputError):
+            report.collect_export(torn)
+        if cut % 13 == 0:
+            for argv in (["report", torn], ["trace", torn], ["diff", torn, good]):
+                assert report.main(argv) == 2, (cut, argv)
+    assert "is not a whole ring dump" in capsys.readouterr().err

@@ -131,20 +131,6 @@ class TestTraceLog:
             sim.trace.emit("evt")
         assert sim.trace.dropped == 7
 
-    def test_ring_budget_setter_rearms_the_staging_countdown(self):
-        sim = Simulator()
-        trace = sim.trace
-        trace.max_records = 4
-        for _ in range(3):
-            trace.emit("evt")
-        trace.compact()
-        trace.ring_budget_bytes = 16  # one field-less record's packed size
-        assert (len(trace), trace.ring_evicted) == (1, 2)
-        trace.emit("evt")
-        trace.emit("evt")
-        # Both are staged; nothing more is evicted before the next compaction.
-        assert (len(trace), trace.ring_evicted) == (3, 2)
-
     def test_fingerprint_stable_for_identical_runs(self):
         def run():
             sim = Simulator(seed=5)

@@ -2,17 +2,15 @@
 
 The state machine drives every public knob of :class:`repro.sim.trace.TraceLog`
 in random order — keyword and schema emits, ``enabled`` flips, the
-``max_records`` cap, the ring byte budget, explicit compaction, sink
-flushes, auxiliary records, and sinks attached and removed mid-stream —
-and holds the log to a reference that is nothing but Python lists:
+``max_records`` cap, explicit compaction, sink flushes, auxiliary records,
+and sinks attached and removed mid-stream — and holds the log to a
+reference that is nothing but Python lists:
 
-* the retained records, split into a packed prefix and a staged suffix
-  (only packed records can be evicted, and only when compaction or the
-  budget setter runs);
-* ``dropped`` and ``ring_evicted``, counted from the rules alone;
+* the retained records, in stream order;
+* ``dropped``, counted from the rules alone;
 * one expected stream per sink: every record staged while it was attached
-  — retained or past the cap — plus the ``trace_capped``/``ring_evicted``
-  meta markers and every ``write_record``, in order.
+  — retained or past the cap — plus the ``trace_capped`` meta marker and
+  every ``write_record``, in order.
 
 A sink may lag its expected stream (records reach sinks in batches) but
 must always hold a prefix of it, and after ``flush_sinks``, after its own
@@ -80,14 +78,10 @@ class TraceLogMachine(RuleBasedStateMachine):
         self.sim = Simulator()
         self.trace = self.sim.trace
         self.retained = []  # (time, category, fields) in stream order
-        self.packed = 0  # how many of `retained` are in the ring
         self.dropped = 0
-        self.evicted = 0
-        self.budget = None
         self.enabled = True
         self.max_records = self.trace.max_records
         self.warned_capped = False
-        self.warned_evicted = False
         self.expected = {}  # attached sink -> its expected stream
         self.removed = []  # (sink, its complete stream)
         self.aux = 0
@@ -120,30 +114,6 @@ class TraceLogMachine(RuleBasedStateMachine):
         payload.update(fields)
         self._to_sinks(payload)
 
-    def _evict_packed(self):
-        """The longest packed suffix within the budget, never below one."""
-        if self.budget is None or not self.packed:
-            return
-        sizes = [packed_size(rec[2]) for rec in self.retained[: self.packed]]
-        drop = 0
-        while drop < self.packed - 1 and sum(sizes[drop:]) > self.budget:
-            drop += 1
-        if not drop:
-            return
-        del self.retained[:drop]
-        self.packed -= drop
-        self.evicted += drop
-        if not self.warned_evicted:
-            self.warned_evicted = True
-            self._to_sinks(
-                {
-                    "type": "meta",
-                    "event": "ring_evicted",
-                    "time": self.sim.now,
-                    "budget_bytes": self.budget,
-                }
-            )
-
     # ---------------------------------------------------------------- rules
 
     @rule(
@@ -174,17 +144,9 @@ class TraceLogMachine(RuleBasedStateMachine):
         self.trace.max_records = cap
         self.max_records = cap
 
-    @rule(budget=st.one_of(st.none(), st.integers(16, 160)))
-    def set_ring_budget(self, budget):
-        self.trace.ring_budget_bytes = budget
-        self.budget = budget
-        self._evict_packed()
-
     @rule()
     def compact(self):
         nbytes = self.trace.compact()
-        self.packed = len(self.retained)
-        self._evict_packed()
         assert nbytes == sum(packed_size(rec[2]) for rec in self.retained)
 
     @rule()
@@ -232,8 +194,6 @@ class TraceLogMachine(RuleBasedStateMachine):
     def counts_match(self):
         assert len(self.trace) == len(self.retained)
         assert self.trace.dropped == self.dropped
-        assert self.trace.ring_evicted == self.evicted
-        assert self.sim.registry.counter("trace.evicted").value == self.evicted
 
     @invariant()
     def sinks_hold_a_prefix(self):
