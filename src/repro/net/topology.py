@@ -26,6 +26,7 @@ from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.net.node import Network
 from repro.util.rng import derive_seed
@@ -310,8 +311,44 @@ class GridPartition:
         )
 
 
-def _cell_of(x: float, y: float, cell_size: float) -> Tuple[int, int]:
-    return (math.floor(x / cell_size), math.floor(y / cell_size))
+_Table = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _cells(network: Network, ids: List[int], cell_size: float) -> Tuple[np.ndarray, ...]:
+    """``ids``' coordinates and grid cells ``floor(coordinate / cell_size)``, in numpy."""
+    positions = [network.nodes[i].position for i in ids]
+    xs = np.array([p.x for p in positions], dtype=float)
+    ys = np.array([p.y for p in positions], dtype=float)
+    cx, cy = (np.floor(v / cell_size).astype(np.int64) for v in (xs, ys))
+    return xs, ys, cx, cy
+
+
+def _cell_table(cx: np.ndarray, cy: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int, int, _Table]:
+    """The occupancy table of a non-empty set of grid cells.
+
+    Returns each node's column and row on a ``width`` by ``height`` grid
+    whose lowest occupied column and row are 0, the grid's size, and the
+    table :func:`_members` reads: the occupied cells ``row * width +
+    column`` ascending, where each one's nodes start in the node order (and
+    where the last one's end), and that order, node indices sorted by cell.
+    Only occupied cells take space, however sparse the grid.
+    """
+    gx, gy = cx - cx.min(), cy - cy.min()
+    width, height = int(gx.max()) + 1, int(gy.max()) + 1
+    flat = gy * width + gx
+    order = np.argsort(flat, kind="stable")
+    first = np.flatnonzero(np.diff(flat[order], prepend=-1))
+    return gx, gy, width, height, (flat[order[first]], np.r_[first, flat.size], order)
+
+
+def _members(lo: np.ndarray, hi: np.ndarray, table: _Table) -> Tuple[np.ndarray, np.ndarray]:
+    """``(i, node)`` for each node in the cells ``lo[i] <= cell < hi[i]``,
+    by cell and then ascending."""
+    cells, bounds, order = table
+    first, end = bounds[np.searchsorted(cells, lo)], bounds[np.searchsorted(cells, hi)]
+    n = end - first
+    which = np.repeat(np.arange(n.size), n)
+    return which, order[np.arange(which.size) + np.repeat(first - (np.cumsum(n) - n), n)]
 
 
 def partition_network(
@@ -342,47 +379,28 @@ def partition_network(
     if not (cell_size_m > 0.0) or not math.isfinite(cell_size_m):
         raise ValueError(f"cell_size_m must be finite and > 0, got {cell_size_m}")
 
-    by_cell: Dict[Tuple[int, int], List[int]] = {}
-    for nid in sorted(network.nodes):
-        node = network.nodes[nid]
-        cell = _cell_of(node.position.x, node.position.y, cell_size_m)
-        by_cell.setdefault(cell, []).append(nid)
-
-    total = sum(len(v) for v in by_cell.values())
+    ids = sorted(network.nodes)
     assignments: Dict[int, int] = {}
     cell_owner: Dict[Tuple[int, int], int] = {}
-    if total == 0:
-        return GridPartition(
-            n_shards=n_shards,
-            cell_size_m=cell_size_m,
-            seed=seed,
-            assignments=assignments,
-            cells=cell_owner,
-        )
-
-    # Seeded sweep axis: 0 walks columns of constant x (snaking in y),
-    # 1 walks rows of constant y (snaking in x).  The snake keeps
-    # consecutive cells spatially adjacent, so each shard is a contiguous
-    # band and cross-shard traffic concentrates at two cut fronts.
-    axis = derive_seed(seed, "shard.partition.axis") % 2
-
-    def sweep_key(cell: Tuple[int, int]) -> Tuple[int, int]:
-        major, minor = (cell[0], cell[1]) if axis == 0 else (cell[1], cell[0])
-        return (major, -minor if major % 2 else minor)
-
-    ordered = sorted(by_cell, key=sweep_key)
-    shard = 0
-    cum = 0
-    for cell in ordered:
-        # Advance to the next shard once the running population has
-        # reached this shard's ideal cumulative share.
-        while shard < n_shards - 1 and cum * n_shards >= (shard + 1) * total:
-            shard += 1
-        cell_owner[cell] = shard
-        for nid in by_cell[cell]:
-            assignments[nid] = shard
-        cum += len(by_cell[cell])
-
+    if ids:
+        # Seeded sweep axis: 0 walks columns of constant x (snaking in y),
+        # 1 walks rows of constant y (snaking in x).  The snake keeps consecutive
+        # cells spatially adjacent, so each shard is a contiguous band and
+        # cross-shard traffic concentrates at two cut fronts.
+        axis = derive_seed(seed, "shard.partition.axis") % 2
+        _, _, cx, cy = _cells(network, ids, cell_size_m)
+        cells, bounds, order = table = _cell_table(cx, cy)[4]
+        counts = np.diff(bounds)
+        cx, cy = cx[order[bounds[:-1]]], cy[order[bounds[:-1]]]  # each occupied cell's
+        major, minor = (cx, cy) if axis == 0 else (cy, cx)
+        sweep = np.lexsort((np.where(major % 2 == 1, -minor, minor), major))
+        # A cell goes to the last shard whose ideal start, ``s * N /
+        # n_shards`` nodes, the population before the cell has reached.
+        before = np.cumsum(counts[sweep]) - counts[sweep]
+        shard = np.minimum(before * n_shards // len(ids), n_shards - 1)
+        cell_owner.update(zip(zip(cx[sweep].tolist(), cy[sweep].tolist()), shard.tolist()))
+        which, members = _members(cells[sweep], cells[sweep] + 1, table)
+        assignments.update(zip([ids[i] for i in members.tolist()], shard[which].tolist()))
     return GridPartition(
         n_shards=n_shards,
         cell_size_m=cell_size_m,
@@ -406,25 +424,26 @@ def min_cross_shard_distance_m(
     if partition.n_shards <= 1 or not partition.cells:
         return math.inf
     cell_size = partition.cell_size_m
-    members: Dict[Tuple[int, int], List[int]] = {}
-    for nid, shard in partition.assignments.items():
-        node = network.nodes[nid]
-        members.setdefault(
-            _cell_of(node.position.x, node.position.y, cell_size), []
-        ).append(nid)
-
-    best = math.inf
-    cells = partition.cells
-    for (cx, cy), owner in cells.items():
-        for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1)):
-            other = (cx + dx, cy + dy)
-            if other not in cells or cells[other] == owner:
-                continue
-            for a in members[(cx, cy)]:
-                pa = network.nodes[a].position
-                for b in members[other]:
-                    pb = network.nodes[b].position
-                    d = math.hypot(pa.x - pb.x, pa.y - pb.y)
-                    if d < best:
-                        best = d
-    return min(best, cell_size)
+    ids = list(partition.assignments)
+    xs, ys, cx, cy = _cells(network, ids, cell_size)
+    _, _, width, height, table = _cell_table(cx, cy)
+    cells, bounds, order = table
+    owners = np.fromiter(partition.assignments.values(), np.int64, len(ids))
+    owner = owners[order[bounds[:-1]]]  # each occupied cell's
+    # Each occupied cell against its (1, -1), (1, 0), (1, 1) and (0, 1)
+    # neighbours: every member pair of a cross-owner cell pair.
+    qx = (cells % width)[:, None] + np.array([1, 1, 1, 0])
+    qy = (cells // width)[:, None] + np.array([-1, 0, 1, 1])
+    other = np.where((qx < width) & (qy >= 0) & (qy < height), qy * width + qx, -1)
+    at = np.minimum(np.searchsorted(cells, other), cells.size - 1)
+    cross = (cells[at] == other) & (owner[at] != owner[:, None])
+    here, there = np.broadcast_to(cells[:, None], cross.shape)[cross], other[cross]
+    i, a = _members(here, here + 1, table)
+    j, b = _members(there[i], there[i] + 1, table)
+    if not b.size:
+        return cell_size
+    # Screened in numpy; math.hypot decides among the pairs near the best.
+    ax, ay = xs[a[j]] - xs[b], ys[a[j]] - ys[b]
+    dist = np.hypot(ax, ay)
+    near = dist <= dist.min() * (1.0 + 1e-9)
+    return min(min(map(math.hypot, ax[near].tolist(), ay[near].tolist())), cell_size)

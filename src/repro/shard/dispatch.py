@@ -45,13 +45,6 @@ __all__ = ["ShardTraceLog", "ShardHops", "Handoff"]
 #: dst_shard, packet).  Pickled at the window barrier.
 Handoff = Tuple[float, str, int, int, int, Packet]
 
-#: Trace fields identifying the node a record is "about", in precedence
-#: order.  ``node`` covers lifecycle/fault/app records, ``a`` covers
-#: link-pair records (net.link_down, fault.link_cut) — keyed by the
-#: lexically-first endpoint, which both shards compute identically.
-_OWNER_FIELDS = ("node", "a")
-
-
 class ShardTraceLog(TraceLog):
     """A TraceLog that keeps only the records this shard owns.
 
@@ -74,20 +67,16 @@ class ShardTraceLog(TraceLog):
     def emit(self, category: str, **fields: Any) -> None:
         if not self.enabled:
             return
-        if self._owned is None:
-            if self.shard_index != 0:
+        # The node a record is about: ``node`` on lifecycle, fault and app
+        # records, else ``a``, the lexically-first endpoint of a link-pair
+        # record (net.link_down, fault.link_cut), which both shards compute
+        # identically.
+        owner = None if self._owned is None else fields.get("node", fields.get("a"))
+        if isinstance(owner, int):
+            if owner not in self._owned:
                 return
-        else:
-            owner: Any = None
-            for key in _OWNER_FIELDS:
-                if key in fields:
-                    owner = fields[key]
-                    break
-            if isinstance(owner, int):
-                if owner not in self._owned:
-                    return
-            elif self.shard_index != 0:
-                return
+        elif self.shard_index != 0:
+            return
         self.stage((self._sim.now, category, fields))
 
 

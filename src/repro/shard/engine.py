@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -433,19 +434,14 @@ class ShardedSimulator:
             )
         return [min(until, (j + 1) * window) for j in range(n)]
 
-    def _lifecycle_buckets(
-        self, barriers: List[float]
-    ) -> List[List[Tuple[float, int, bool]]]:
-        """Bucket spec lifecycle events by the window containing them."""
+    def _lifecycle_buckets(self, barriers: List[float]) -> List[List[Tuple[float, int, bool]]]:
+        """Bucket spec lifecycle events by the window containing them;
+        events beyond the horizon are dropped, as a serial run drops them."""
         buckets: List[List[Tuple[float, int, bool]]] = [[] for _ in barriers]
         for event in sorted(self.spec.lifecycle):
-            when = event[0]
-            if when > barriers[-1]:
-                continue  # beyond the horizon, same as serial
-            for j, t_end in enumerate(barriers):
-                if when <= t_end:
-                    buckets[j].append(event)
-                    break
+            j = bisect_left(barriers, event[0])  # the first barrier at or after it
+            if j < len(barriers):
+                buckets[j].append(event)
         return buckets
 
     def _run(self, until: float) -> ShardRunResult:

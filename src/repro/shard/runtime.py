@@ -30,6 +30,7 @@ propagation component) and the world is static.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -47,6 +48,9 @@ from repro.net.registry import StackSpec, compose
 from repro.net.stack import SPEED_OF_LIGHT_M_S, FastPathDispatcher
 from repro.net.topology import (
     GridPartition,
+    _cell_table,
+    _cells,
+    _members,
     min_cross_shard_distance_m,
     partition_network,
 )
@@ -130,10 +134,7 @@ class ShardRuntime:
             }
 
         self.scenario = None
-        if spec.kind == "urban":
-            self.network = self._build_urban()
-        else:
-            self.network = self._build_uniform()
+        self.network = self._build_urban() if spec.kind == "urban" else self._build_uniform()
         if spec.bitrate_cap_bps is not None:
             for node in self.network.nodes.values():
                 node.bitrate_bps = min(node.bitrate_bps, spec.bitrate_cap_bps)
@@ -221,14 +222,13 @@ class ShardRuntime:
         network = Network(self.sim, channel=channel, mac=mac)
         rng = np.random.default_rng(derive_seed(spec.seed, "shard.uniform"))
         side = int(math.ceil(math.sqrt(spec.n_nodes)))
-        # One bulk draw keeps the build fast and trivially replicated.
+        # One bulk draw keeps the build fast and trivially replicated; read
+        # as Python floats, so no numpy scalar reaches the hop's arithmetic.
         jitter = rng.uniform(-spec.jitter_m, spec.jitter_m, size=(spec.n_nodes, 2))
-        for i in range(spec.n_nodes):
-            x = (i % side) * spec.spacing_m + jitter[i, 0]
-            y = (i // side) * spec.spacing_m + jitter[i, 1]
+        for i, (jx, jy) in enumerate(zip(jitter[:, 0].tolist(), jitter[:, 1].tolist())):
             network.create_node(
                 i,
-                Point(x, y),
+                Point((i % side) * spec.spacing_m + jx, (i // side) * spec.spacing_m + jy),
                 tx_power_dbm=spec.tx_power_dbm,
                 bitrate_bps=spec.bitrate_bps,
             )
@@ -268,70 +268,82 @@ class ShardRuntime:
 
     # ------------------------------------------------------------- workload
 
-    def _workload_partner(self, sender: int, ids: Sequence[int]) -> int:
-        """Seed-derived fixed unicast partner (never the sender itself)."""
-        others = [n for n in ids if n != sender]
-        pick = derive_seed(self.spec.seed, "shard.partner", str(sender)) % len(others)
-        return others[pick]
+    def _sender_seeds(self, name: str, senders: Sequence[int]) -> List[int]:
+        """``derive_seed(spec.seed, name, str(s))`` for each sender: the
+        shared head is hashed once and its hasher copied per sender."""
+        head = hashlib.sha256(f"{int(self.spec.seed)}/{name}/".encode())
+        seeds = []
+        for sender in senders:
+            hasher = head.copy()
+            hasher.update(str(sender).encode())
+            seeds.append(int.from_bytes(hasher.digest()[:8], "big"))
+        return seeds
 
-    def _neighbor_buckets(
-        self, ids: Sequence[int]
-    ) -> Tuple[float, Dict[Tuple[int, int], List[int]]]:
-        """Spatial hash for nearest-neighbor queries.
+    def _nearest_partners(self, rows: List[int], ids: List[int]) -> List[int]:
+        """The nearest other node to each sender ``ids[row]``, ties to the lowest id.
 
-        A pairwise scan is O(n) per sender — 25M distance evaluations at
-        5k nodes, dwarfing the simulation itself — and the build cost is
-        replicated in every worker, so it would cap sharded speedup cold.
-        Bucketing by node spacing makes each query O(1) on quasi-uniform
-        worlds.
+        Exactly what a ring scan of ``cell``-sized squares returns: ring
+        ``r`` is the cells ``r`` steps from the sender's, and the scan stops
+        at the first ``r`` whose best ``(p.x - q.x) ** 2 + (p.y - q.y) ** 2``
+        over rings 0..r is below ``(r * cell) ** 2``.  numpy decides every
+        sender at once over blocks of ``2k + 1`` by ``2k + 1`` cells, ``k``
+        doubling for senders that have not stopped.  numpy squares by
+        multiplying and Python by ``pow``, which may differ in the last bit,
+        so a sender whose decision compares values within ``near`` of each
+        other is decided again from the scan's own Python expression.
         """
-        cell = max(
-            self.spec.spacing_m
-            if self.spec.kind == "uniform"
-            else self.network._max_range(),
-            1.0,
-        )
-        nodes = self.network.nodes
-        buckets: Dict[Tuple[int, int], List[int]] = {}
-        for nid in ids:
-            p = nodes[nid].position
-            key = (math.floor(p.x / cell), math.floor(p.y / cell))
-            buckets.setdefault(key, []).append(nid)
-        return cell, buckets
+        spec, nodes = self.spec, self.network.nodes
+        cell = max(spec.spacing_m if spec.kind == "uniform" else self.network._max_range(), 1.0)
+        xs, ys, cx, cy = _cells(self.network, ids, cell)
+        gx, gy, width, height, table = _cell_table(cx, cy)
+        near = 1e-12
 
-    def _nearest_neighbor(
-        self,
-        sender: int,
-        cell: float,
-        buckets: Dict[Tuple[int, int], List[int]],
-    ) -> int:
-        """Closest other node; ties break to the lowest id (the same
-        winner the ascending-id pairwise scan would pick)."""
-        nodes = self.network.nodes
-        p = nodes[sender].position
-        cx, cy = math.floor(p.x / cell), math.floor(p.y / cell)
-        best, best_d = sender, math.inf
-        ring = 0
-        while True:
-            for dx in range(-ring, ring + 1):
-                for dy in range(-ring, ring + 1):
-                    if max(abs(dx), abs(dy)) != ring:
-                        continue  # only the new ring's cells
-                    for nid in buckets.get((cx + dx, cy + dy), ()):
-                        if nid == sender:
-                            continue
-                        q = nodes[nid].position
-                        d = (p.x - q.x) ** 2 + (p.y - q.y) ** 2
-                        if d < best_d or (d == best_d and nid < best):
-                            best, best_d = nid, d
-            # A node in ring r+1 can still be closer than one found in
-            # ring r (corner vs edge), so scan until the ring's nearest
-            # possible distance exceeds the best found.
-            if best != sender and (ring * cell) ** 2 > best_d:
-                return best
-            ring += 1
-            if ring * cell > 1e7:  # pragma: no cover - degenerate world
-                return best
+        def block_pairs(s: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+            """(sender row, other node) over the senders' blocks, by row."""
+            y = gy[s, None] + np.arange(-k, k + 1)
+            inside = (y >= 0) & (y < height)
+            lo = np.where(inside, y * width + np.maximum(gx[s, None] - k, 0), 0)
+            hi = np.where(inside, y * width + np.minimum(gx[s, None] + k, width - 1) + 1, 0)
+            segment, cand = _members(lo.ravel(), hi.ravel(), table)
+            row = segment // (2 * k + 1)
+            other = cand != s[row]
+            return row[other], cand[other]
+
+        partner = np.empty(len(rows), dtype=np.int64)
+        senders, pending, k = np.asarray(rows, dtype=np.int64), np.arange(len(rows)), 1
+        while pending.size:
+            s = senders[pending]
+            row, cand = block_pairs(s, k)
+            ring = np.maximum(abs(gx[cand] - gx[s[row]]), abs(gy[cand] - gy[s[row]]))
+            d = (xs[s[row]] - xs[cand]) ** 2 + (ys[s[row]] - ys[cand]) ** 2
+            first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])[: row.size]
+            thresholds = np.array([(r * cell) ** 2 for r in range(k + 1)])
+
+            def decide() -> Tuple[np.ndarray, ...]:
+                best = np.full((len(s), k + 1), np.inf)
+                for r in range(k + 1):
+                    best[row[first], r] = np.minimum.reduceat(np.where(ring == r, d, np.inf), first)
+                best = np.minimum.accumulate(best, axis=1)
+                stop = thresholds > best
+                last = stop.argmax(axis=1)
+                return best, stop.any(axis=1), last, best[np.arange(len(s)), last]
+
+            best, done, last, low = decide()
+            tied = (d <= low[row] * (1.0 + near)) & (ring <= last[row])
+            close = np.isfinite(best) & (abs(thresholds - best) <= near * best)
+            close &= np.arange(k + 1) <= last[:, None]
+            redo = done & ((np.bincount(row[tied], minlength=len(s)) > 1) | close.any(axis=1))
+            if redo.any():
+                for e in np.flatnonzero(redo[row]).tolist():
+                    p, q = nodes[ids[s[row[e]]]].position, nodes[ids[cand[e]]].position
+                    d[e] = (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+                best, done, last, low = decide()
+            win = np.full(len(s), len(ids))
+            hit = (d == low[row]) & (ring <= last[row])
+            np.minimum.at(win, row[hit], cand[hit])
+            partner[pending[done]] = win[done]
+            pending, k = pending[~done], 2 * k
+        return [ids[j] for j in partner.tolist()]
 
     def _install_workload(self) -> None:
         wl = self.spec.workload
@@ -340,27 +352,22 @@ class ShardRuntime:
             return
         period = 1.0 / wl.rate_hz
         network = self.network
-        if wl.kind == "local":
-            cell, buckets = self._neighbor_buckets(ids)
-        for sender in ids[:: wl.sender_stride]:
-            if sender not in self.owned:
-                continue
-            # Seed-derived phase spreads senders across the period so the
-            # serial run and every shard layout see identical tick times.
-            phase = (
-                derive_seed(self.spec.seed, "shard.phase", str(sender)) % 10**6
-            ) / 10**6
-            start = wl.start_s + phase * period
-            if wl.kind == "beacons":
-                dst: Optional[int] = None
-                kind = PacketKind.BEACON
-            else:
-                dst = (
-                    self._workload_partner(sender, ids)
-                    if wl.kind == "unicast"
-                    else self._nearest_neighbor(sender, cell, buckets)
-                )
-                kind = PacketKind.DATA
+        rows = [i for i in range(0, len(ids), wl.sender_stride) if ids[i] in self.owned]
+        senders = [ids[i] for i in rows]
+        kind = PacketKind.BEACON if wl.kind == "beacons" else PacketKind.DATA
+        partners: List[Optional[int]] = [None] * len(rows)
+        if wl.kind == "unicast":
+            # A seed-derived fixed partner among the n - 1 other ids,
+            # indexed around the sender's own position.
+            picks = [seed % (len(ids) - 1) for seed in self._sender_seeds("shard.partner", senders)]
+            partners = [ids[pick if pick < i else pick + 1] for i, pick in zip(rows, picks)]
+        elif wl.kind == "local":
+            partners = list(self._nearest_partners(rows, ids))
+        # Seed-derived phase spreads senders across the period so the
+        # serial run and every shard layout see identical tick times.
+        seeds = self._sender_seeds("shard.phase", senders)
+        for sender, dst, seed in zip(senders, partners, seeds):
+            start = wl.start_s + (seed % 10**6) / 10**6 * period
 
             def tick(s: int = sender, d: Optional[int] = dst, k: PacketKind = kind):
                 node = network.nodes[s]
@@ -387,23 +394,12 @@ class ShardRuntime:
         plan = self.spec.faults
         if plan is None:
             return
-        if plan.churn is not None:
-            c = plan.churn
-            fault = NodeChurnFault(
-                self.network,
-                mtbf_s=c.mtbf_s,
-                mean_downtime_s=c.mean_downtime_s,
-            )
-            fault.schedule(c.start_s, c.duration_s)
-        if plan.link_flap is not None:
-            f = plan.link_flap
-            fault = LinkFlapFault(
-                self.network,
-                n_links=f.n_links,
-                mtbf_s=f.mtbf_s,
-                mean_downtime_s=f.mean_downtime_s,
-            )
-            fault.schedule(f.start_s, f.duration_s)
+        # Each fault spec is its fault's keyword arguments plus its window.
+        for fault, cls in ((plan.churn, NodeChurnFault), (plan.link_flap, LinkFlapFault)):
+            if fault is not None:
+                kwargs = dataclasses.asdict(fault)
+                start_s, duration_s = kwargs.pop("start_s"), kwargs.pop("duration_s")
+                cls(self.network, **kwargs).schedule(start_s, duration_s)
 
     # ---------------------------------------------------------------- chaos
 
