@@ -18,7 +18,9 @@ two expensive per-link terms memoizable:
   node pair.  A miss constructs the link's seeded generator (11 of its 15 us);
   a whole-world pass calls :meth:`Channel.prime_shadowing` first, which does
   the seeding of all its links at once and seats one reused generator on
-  each link's stream for the same draw, bit for bit.
+  each link's stream for the same draw, bit for bit.  ``build_topology`` is
+  one such pass; the broadcast path's first row refill of each topology era
+  is the other.
 * :meth:`Channel.path_loss_db` caches per distinct distance (static worlds
   repeat the same distances forever; the cache is size-capped so mobile
   worlds cannot grow it without bound).
@@ -190,9 +192,11 @@ class Channel:
         is a generator per link (:func:`~repro.util.rng.pcg64_seed_states`).
         """
         sigma, cache, rng = self.shadowing_sigma_db, self._shadow_cache, self._shadow_rng
+        if sigma <= 0:
+            return
         canonical = dict.fromkeys((a, b) if a <= b else (b, a) for a, b in pairs)
         keys = [key for key in canonical if key not in cache]
-        if sigma <= 0 or not keys:
+        if not keys:
             return
         seeds = [derive_seed(self.seed, "shadow", str(a), str(b)) for a, b in keys]
         stream = {"state": 0, "inc": 1}

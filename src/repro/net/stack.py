@@ -283,6 +283,8 @@ class PhyLayer(LayerBase):
         self.channel = channel
         self._pair_cache: Dict[Tuple, float] = {}
         self._pair_era: Optional[Tuple] = None
+        # The topology_version whose neighbour pairs the shadowing memo holds.
+        self._shadow_era = -1
 
     @staticmethod
     def propagation_s(sender: "NetNode", receiver: "NetNode") -> float:
@@ -330,12 +332,30 @@ class PhyLayer(LayerBase):
         every broadcast of the row's era after the first reads it back
         whole (a jammer edit refills it), filled from the pair cache so a
         unicast and a broadcast over one pair agree on ``p``.
+
+        The first row refill of a ``topology_version`` era primes the
+        channel's shadowing memo with every geometric neighbour pair it
+        lacks, in one batch (same bits as the per-link draw), so the floods
+        that follow construct no generator per link.
         """
         row = receivers if type(receivers) is _FanoutRow else None
         if row is not None:
             jam_sig = self.channel.jam_signature()
             if row.jam_sig == jam_sig:
                 return row.probs
+            network, channel = self.ctx.network, self.channel
+            if self._shadow_era != network.topology_version:
+                self._shadow_era = network.topology_version
+                if channel.shadowing_sigma_db > 0:
+                    # Held pairs stay out: a mobile world starts an era every sweep.
+                    memo, neighbors = channel._shadow_cache, network.neighbors
+                    missing = [
+                        (a, b)
+                        for a in network.nodes
+                        for b in neighbors(a, include_down=True)
+                        if a < b and (a, b) not in memo
+                    ]
+                    channel.prime_shadowing(missing)
         cache = self._live_pair_cache()
         sid = sender.id
         spos = sender.position

@@ -27,9 +27,16 @@ Under the row sit the unicast hop's answers: ``PhyLayer.delivery_probability``
 ``PhyLayer.propagation_s`` and ``Channel.comm_range_m``.  Each is held to a
 cache-free answer for every live ordered pair or node, and the pair cache to
 its size cap; ``TestCappedPairCacheFuzz`` reruns the machine with that cap
-and the channel's path-loss memo cap each at 1-5, so both reset mid-run.  Mutations of the pair cache this was
-shown to catch: the era without the jam term, the era without
-``topology_version``, and the cap's reset skipped.
+and the channel's path-loss memo cap each at 1-5, so both reset mid-run.
+Mutations of the pair cache this was shown to catch: the era without the
+jam term, the era without ``topology_version``, and the cap's reset skipped.
+
+Under every probability sits the shadowing memo, which the first row refill
+of each ``topology_version`` era fills in one batch
+(``Channel.prime_shadowing``) and a unicast miss fills one link at a time.
+Every entry is held to ``frozen_shadowing_db`` (a fresh generator per link)
+by ``float.hex``, and once an era's fill has run, the memo must hold every
+geometric neighbour pair.
 """
 
 import math
@@ -55,6 +62,7 @@ from tests.net.frozen_oracles import (
     frozen_comm_range_m,
     frozen_delivery_probability,
     frozen_neighbors,
+    frozen_shadowing_db,
 )
 
 coords = st.floats(-200.0, 500.0, allow_nan=False, allow_infinity=False)
@@ -69,6 +77,8 @@ class NeighborCacheMachine(RuleBasedStateMachine):
         self.next_id = 0
         self.topology_version = 0
         self.liveness_version = 0
+        # Shadowing memo entries already held to the per-link draw, as hex.
+        self.shadow_hex = {}
 
     def _some_node(self, data):
         return data.draw(st.sampled_from(sorted(self.network.nodes)), label="node")
@@ -228,6 +238,21 @@ class NeighborCacheMachine(RuleBasedStateMachine):
                     math.hypot(a.x - b.x, a.y - b.y) / SPEED_OF_LIGHT_M_S
                 )
         self._assert_pair_cache_capped()
+
+    @invariant()
+    def shadowing_memo_matches_the_per_link_draw(self):
+        network = self.network
+        channel = network.channel
+        memo = channel._shadow_cache
+        for a, b in memo.keys() - self.shadow_hex.keys():
+            self.shadow_hex[(a, b)] = frozen_shadowing_db(
+                channel.seed, channel.shadowing_sigma_db, a, b
+            ).hex()
+        assert {pair: value.hex() for pair, value in memo.items()} == self.shadow_hex
+        if network.stack.phy._shadow_era == network.topology_version:
+            # This era's fill ran: it left every geometric neighbour pair.
+            for a in network.nodes:
+                assert all((a, b) in memo for b in network.neighbors(a, include_down=True) if a < b)
 
     @invariant()
     def views_match_a_cache_free_scan(self):
