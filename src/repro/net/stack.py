@@ -347,14 +347,15 @@ class PhyLayer(LayerBase):
             if self._shadow_era != network.topology_version:
                 self._shadow_era = network.topology_version
                 if channel.shadowing_sigma_db > 0:
-                    # Held pairs stay out: a mobile world starts an era every sweep.
-                    memo, neighbors = channel._shadow_cache, network.neighbors
-                    missing = [
-                        (a, b)
+                    # Both directions: with mixed tx power only the stronger
+                    # end may list a pair.  Held pairs stay out: a mobile
+                    # world starts an era every sweep.
+                    neighbors = network.neighbors
+                    missing = {
+                        (a, b) if a < b else (b, a)
                         for a in network.nodes
                         for b in neighbors(a, include_down=True)
-                        if a < b and (a, b) not in memo
-                    ]
+                    }.difference(channel._shadow_cache)
                     channel.prime_shadowing(missing)
         cache = self._live_pair_cache()
         sid = sender.id

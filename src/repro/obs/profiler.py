@@ -4,9 +4,10 @@ The discrete-event kernel fires every callback in the run, which makes it
 the one choke point where wall time can be attributed without touching any
 model code.  When a :class:`KernelProfiler` is attached
 (``sim.enable_profiling()``), :meth:`Simulator.run` times each event fire
-and charges it to a label — the event's name when it has one (processes
-and ``call_in``/``call_at`` stamp names while profiling is on), otherwise
-the qualified name of its first callback.
+and charges it to a label: the callback's ``__qualname__``, or its
+``repr`` when it has none.  Both queue lanes hold the callback itself, so
+an event scheduled before profiling was switched on is labelled the same
+way as one scheduled after.
 
 Costs: *off* is one ``is None`` test per event; *on* adds two
 ``perf_counter`` calls and a dict upsert per event (~34% measured on an
@@ -43,18 +44,6 @@ class KernelProfiler:
         else:
             entry[0] += 1
             entry[1] += wall_s
-
-    @staticmethod
-    def label_of(event: Any) -> str:
-        """Attribution label for an event, computed *before* it fires
-        (firing clears the callback list)."""
-        if event.name:
-            return event.name
-        for fn in event._callbacks:
-            qualname = getattr(fn, "__qualname__", None)
-            if qualname:
-                return qualname
-        return "<anonymous-event>"
 
     # --------------------------------------------------------------- results
 

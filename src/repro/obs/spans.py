@@ -8,12 +8,13 @@ battlefield?"), the latter answers engineering questions ("where does the
 harness spend its real seconds?") — the self-monitoring substrate the
 paper's adaptive IoBT loop assumes.
 
-Spans are tracked per *scope*.  Generator-based processes interleave in
-virtual time, so a single global stack would mis-nest the moment two
-processes hold spans across yields; each scope (defaulting to ``"main"``,
-typically the process name) gets its own stack, and closing removes the
-span by identity, so interleaved open/close orders cannot corrupt a
-neighbour's stack.
+Spans are tracked per *scope*.  A callback chain that opens a span in one
+event and closes it in a later one interleaves in virtual time with every
+other chain, so a single global stack would mis-nest the moment two chains
+hold spans across events; each scope (defaulting to ``"main"``, typically
+the chain's name) gets its own stack, and closing removes the span by
+identity, so interleaved open/close orders cannot corrupt a neighbour's
+stack.
 
 Closed spans are appended to :attr:`SpanTracker.finished` and emitted as
 ``obs.span`` trace records, which means any attached sink (see
@@ -78,7 +79,8 @@ class Span:
     @property
     def wall_s(self) -> float:
         """Wall-clock time elapsed while the span was open (inclusive of
-        everything the host executed meanwhile, including other processes)."""
+        everything the host executed meanwhile, including other callback
+        chains)."""
         end = self.wall_end if self.wall_end is not None else time.perf_counter()
         return end - self.wall_start
 

@@ -1,24 +1,19 @@
 """Discrete-event simulation kernel.
 
-A small, deterministic DES engine: a priority-queue scheduler
-(:class:`Simulator`), generator-based processes (:class:`Process`), and
+A small, deterministic DES engine: a heap-ordered callback scheduler
+(:class:`Simulator`), the cancel handle it returns (:class:`Event`), and
 metric/trace recording (:class:`MetricRecorder`, :class:`TraceLog`).
 All higher layers (network, assets, services) run on this kernel.
 """
 
 from repro.sim.event import Event
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process, Timeout, Waiting, AllOf
 from repro.sim.metrics import MetricRecorder, TimeSeries
 from repro.sim.trace import TraceLog, TraceRecord
 
 __all__ = [
     "Event",
     "Simulator",
-    "Process",
-    "Timeout",
-    "Waiting",
-    "AllOf",
     "MetricRecorder",
     "TimeSeries",
     "TraceLog",

@@ -2,21 +2,21 @@
 
 :class:`Simulator` owns the virtual clock, the event queue, the RNG streams
 for the run, and the metric/trace recorders.  The queue is a binary heap
-(``heapq``) of lean ``(time, priority, seq, payload)`` tuples: ``seq`` is
-unique, so tuple comparison in C fires events in exactly ``(time, priority,
-seq)`` order and never compares two payloads.  Payloads come in two shapes:
+(``heapq``) of lean ``(time, seq, payload)`` tuples: ``seq`` is unique, so
+tuple comparison in C fires events in exactly ``(time, seq)`` order and
+never compares two payloads.  Payloads come in two shapes:
 
-* a rich :class:`~repro.sim.event.Event` — the cancellable, waitable object
-  the process/timer API is built on; and
-* a bare callable — the **fast lane** (:meth:`Simulator.call_in_fast`) used
-  by the per-packet hot path, which skips the Event allocation, the
-  callback list, and the two closure objects ``call_in`` needs.
+* an :class:`~repro.sim.event.Event` — the cancel handle that
+  :meth:`Simulator.schedule` (and ``call_in`` / ``call_at`` through it)
+  wraps around the callback, for callers that may take it back; and
+* a bare callable — the **fast lane** (:meth:`Simulator.call_in_fast`)
+  used by the per-packet hot path, which never cancels.
 
-Both lanes share one sequence counter, so interleaved scheduling keeps the
-historical fire order exactly; fast-lane firings count toward
-:attr:`Simulator.events_processed` (and the separate
-:attr:`Simulator.events_fast` tally) so telemetry, manifests, and
-events/sec never lose them.
+Both lanes share one sequence counter and one firing block, so
+interleaved scheduling keeps the historical fire order exactly;
+fast-lane firings count toward :attr:`Simulator.events_processed` (and
+the separate :attr:`Simulator.events_fast` tally) so telemetry,
+manifests, and events/sec never lose them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.obs.profiler import KernelProfiler
@@ -36,6 +36,10 @@ from repro.sim.trace import TraceLog
 from repro.util.rng import RngStreams
 
 __all__ = ["Simulator"]
+
+
+def _noop() -> None:
+    """The callback of a bare ``schedule(delay)``: the entry only marks a time."""
 
 
 class Simulator:
@@ -50,10 +54,7 @@ class Simulator:
     -------
     >>> sim = Simulator(seed=1)
     >>> hits = []
-    >>> def proc(sim):
-    ...     yield sim.timeout(5.0)
-    ...     hits.append(sim.now)
-    >>> _ = sim.spawn(proc(sim))
+    >>> _ = sim.call_in(5.0, lambda: hits.append(sim.now))
     >>> sim.run(until=10.0)
     >>> hits
     [5.0]
@@ -91,75 +92,47 @@ class Simulator:
         #: a subset, not an addition.
         self.events_fast = 0
         self.wall_elapsed = 0.0
-        #: The pending entries, a ``heapq`` heap of ``(time, priority, seq,
-        #: payload)`` tuples; cancelled Events stay in it until popped.
-        self._queue: List[Tuple[float, int, int, Any]] = []
+        #: The pending entries, a ``heapq`` heap of ``(time, seq, payload)``
+        #: tuples; cancelled Events stay in it until popped.
+        self._queue: List[Tuple[float, int, Any]] = []
         self._seq = 0
         self._running = False
-        self._process_count = 0
 
     # ------------------------------------------------------------------ events
 
-    def event(self, name: str = "") -> Event:
-        """Create an unscheduled event owned by this simulator."""
-        return Event(self, name=name)
-
-    def schedule(
-        self, delay: float, event: Optional[Event] = None, priority: int = 0
-    ) -> Event:
-        """Schedule ``event`` (or a fresh one) to fire ``delay`` from now."""
+    def schedule(self, delay: float, fn: Callable[[], None] = _noop) -> Event:
+        """Run ``fn()`` after ``delay``; the returned Event can cancel it."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        ev = event if event is not None else self.event()
-        if not ev.pending:
-            raise SimulationError(f"cannot schedule non-pending event {ev!r}")
-        ev.time = self.now + delay
-        ev.priority = priority
+        ev = Event(fn)
         seq = self._seq
         self._seq = seq + 1
-        ev.seq = seq
-        heappush(self._queue, (ev.time, priority, seq, ev))
-        return ev
-
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that fires ``delay`` time units from now."""
-        ev = self.schedule(delay)
-        ev.value = value
+        heappush(self._queue, (self.now + delay, seq, ev))
         return ev
 
     def call_at(self, time: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` at absolute virtual time ``time`` (>= now)."""
         if time < self.now:
             raise SimulationError(f"call_at({time}) is in the past (now={self.now})")
-        ev = self.schedule(time - self.now)
-        if self.profiler is not None:
-            ev.name = getattr(fn, "__qualname__", "") or repr(fn)
-        ev.add_callback(lambda _ev: fn())
-        return ev
+        return self.schedule(time - self.now, fn)
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> Event:
         """Run ``fn()`` after ``delay`` time units."""
-        ev = self.schedule(delay)
-        if self.profiler is not None:
-            ev.name = getattr(fn, "__qualname__", "") or repr(fn)
-        ev.add_callback(lambda _ev: fn())
-        return ev
+        return self.schedule(delay, fn)
 
-    def call_in_fast(self, delay: float, fn: Callable[[], None], priority: int = 0) -> None:
+    def call_in_fast(self, delay: float, fn: Callable[[], None]) -> None:
         """Fast-lane ``call_in``: run ``fn()`` after ``delay``, no Event.
 
-        The packet hot path schedules completions that are never waited on
-        and never cancelled; for those this skips the Event object, its
-        callback list, and both closures — one tuple is the entire cost.
-        Ordering is identical to :meth:`call_in` (both lanes consume the
-        same sequence counter).  Use :meth:`call_in` whenever the caller
-        might cancel or wait on the result.
+        The packet hot path schedules completions that are never
+        cancelled; for those one tuple is the entire cost.  Ordering is
+        identical to :meth:`call_in` (both lanes consume the same sequence
+        counter).  Use :meth:`call_in` whenever the caller might cancel.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        heappush(self._queue, (self.now + delay, priority, seq, fn))
+        heappush(self._queue, (self.now + delay, seq, fn))
 
     def every(
         self,
@@ -191,19 +164,6 @@ class Simulator:
 
         self.call_in_fast(first, tick)
 
-    # --------------------------------------------------------------- processes
-
-    def spawn(
-        self,
-        generator: Generator[Event, Any, Any],
-        name: str = "",
-    ) -> "Process":  # noqa: F821
-        """Start a generator-based process; returns its Process handle."""
-        from repro.sim.process import Process
-
-        self._process_count += 1
-        return Process(self, generator, name=name or f"proc-{self._process_count}")
-
     # ----------------------------------------------------------------- running
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> None:
@@ -229,40 +189,25 @@ class Simulator:
             while queue:
                 if queue[0][0] > horizon:
                     break
-                time, _, _, payload = heappop(queue)
-                if isinstance(payload, Event):
-                    if payload._cancelled:
+                time, _, fn = heappop(queue)
+                if isinstance(fn, Event):
+                    if fn.cancelled:
                         continue
-                    if time < self.now:  # pragma: no cover - schedule() guards
-                        raise SimulationError(
-                            "event queue corrupted: time went backward"
-                        )
-                    self.now = time
-                    self.events_processed += 1
-                    profiler = self.profiler
-                    if profiler is not None and profiler.enabled:
-                        label = profiler.label_of(payload)
-                        t0 = perf_counter()
-                        payload._fire(payload.value)
-                        profiler.record(label, perf_counter() - t0)
-                    else:
-                        payload._fire(payload.value)
+                    fn = fn.fn
                 else:
-                    if time < self.now:  # pragma: no cover - schedule() guards
-                        raise SimulationError(
-                            "event queue corrupted: time went backward"
-                        )
-                    self.now = time
-                    self.events_processed += 1
                     self.events_fast += 1
-                    profiler = self.profiler
-                    if profiler is not None and profiler.enabled:
-                        label = getattr(payload, "__qualname__", "") or repr(payload)
-                        t0 = perf_counter()
-                        payload()
-                        profiler.record(label, perf_counter() - t0)
-                    else:
-                        payload()
+                if time < self.now:  # pragma: no cover - schedule() guards
+                    raise SimulationError("event queue corrupted: time went backward")
+                self.now = time
+                self.events_processed += 1
+                profiler = self.profiler
+                if profiler is not None and profiler.enabled:
+                    label = getattr(fn, "__qualname__", "") or repr(fn)
+                    t0 = perf_counter()
+                    fn()
+                    profiler.record(label, perf_counter() - t0)
+                else:
+                    fn()
                 fired += 1
                 if fired >= max_events:
                     raise SimulationError(
@@ -279,7 +224,7 @@ class Simulator:
         return sum(
             1
             for entry in self._queue
-            if not (isinstance(entry[3], Event) and entry[3].cancelled)
+            if not (isinstance(entry[2], Event) and entry[2].cancelled)
         )
 
     # ----------------------------------------------------------- observability
@@ -288,7 +233,7 @@ class Simulator:
     def events_per_sec(self) -> float:
         """Kernel throughput across all :meth:`run` calls so far.
 
-        Counts both lanes — rich Events and fast-lane callables — since
+        Counts both lanes — cancellable Events and fast-lane callables — since
         :meth:`run` tallies them on the same counter.  Degenerate clocks
         (a zero-work run, a coarse timer rounding wall time to ~0, or a
         poisoned ``wall_elapsed``) yield ``0.0`` rather than letting

@@ -287,7 +287,10 @@ def test_duplicated_candidate_is_recruited_once():
     doubled = pool + pool[:]
     comp = _compose_both(doubled, area, topology, n_sensors=4, coverage_target=1.0)
     assert len(set(comp.sensors)) == len(comp.sensors)
-    assert comp.sensors == _compose_both(pool, area, topology, n_sensors=4, coverage_target=1.0).sensors
+    assert (
+        comp.sensors
+        == _compose_both(pool, area, topology, n_sensors=4, coverage_target=1.0).sensors
+    )
 
 
 def test_budget_runs_out_before_the_coverage_target():
@@ -330,7 +333,9 @@ def test_compute_is_recruited_in_reference_order_when_the_sink_falls_short():
     comp = _compose_both(pool, area, topology, n_sensors=2, coverage_target=0.3, compute_scale=10.0)
     assert len(comp.compute) >= 2
     assert comp.total_flops >= comp.requirements.compute_flops
-    short = _compose_both(pool, area, topology, n_sensors=2, coverage_target=0.3, compute_scale=1000.0)
+    short = _compose_both(
+        pool, area, topology, n_sensors=2, coverage_target=0.3, compute_scale=1000.0
+    )
     assert short.total_flops < short.requirements.compute_flops  # every asset with compute is in
 
 

@@ -9,6 +9,8 @@ per-link fill.  Every value is held to ``frozen_shadowing_db`` (a fresh
 generator per link) by ``float.hex``.  Mutations of the fill these were
 shown to catch: the era keyed on ``liveness_version``, the fill run from the
 unicast path, the fill skipped, and pairs the memo holds handed over again.
+With mixed transmit power a pair may be listed by its stronger end only, so
+the fill takes both directions of every neighbour list.
 """
 
 import numpy as np
@@ -155,3 +157,22 @@ def test_no_fill_and_no_neighbour_walk_without_shadowing(monkeypatch):
     assert fills == [] and net.channel._shadow_cache == {}
     assert True not in walks
 
+
+def test_a_pair_only_the_stronger_end_reaches_is_filled(monkeypatch):
+    sim = Simulator(seed=5)
+    channel = Channel(seed=5, shadowing_sigma_db=4.0)
+    net = Network(sim, channel)
+    margin = -net.neighbor_margin_db
+    weak, strong = (channel.comm_range_m(p, margin_db=margin) for p in (10.0, 20.0))
+    net.create_node(0, Point(0.0, 0.0), tx_power_dbm=10.0)
+    net.create_node(1, Point((weak + strong) / 2, 0.0), tx_power_dbm=20.0)
+    assert net.neighbors(0, include_down=True) == []
+    assert net.neighbors(1, include_down=True) == [0]
+    router = FloodingRouter(net)
+    router.attach_all(sorted(net.nodes))
+    built = count_generators(monkeypatch)
+    flood(sim, MessageService(router), src=1, at=1.0)
+    assert sim.metrics.counter("net.tx_attempts") >= 1
+    assert (0, 1) in channel._shadow_cache
+    assert built == []
+    assert_frozen(channel)

@@ -42,18 +42,14 @@ class TestKernelProfiler:
         assert calls == 2
         assert wall >= 0.0
 
-    def test_process_events_labeled_by_process_name(self):
+    def test_event_queued_before_profiling_keeps_its_callback_label(self):
         sim = Simulator()
+        sim.call_in(1.0, module_level_tick)
         sim.enable_profiling()
-
-        def proc():
-            yield sim.timeout(1.0)
-            yield sim.timeout(1.0)
-
-        sim.spawn(proc(), name="scout")
         sim.run()
-        labels = [label for label, _, _ in sim.profiler.hot_paths()]
-        assert "proc:scout" in labels
+        assert [(label, calls) for label, calls, _ in sim.profiler.hot_paths()] == [
+            ("module_level_tick", 1)
+        ]
 
     def test_hot_paths_sorted_by_wall_desc(self):
         profiler = KernelProfiler()
@@ -86,15 +82,6 @@ class TestKernelProfiler:
         lines = out.read_text().splitlines()
         assert lines == sorted(lines)  # deterministic label order
         assert all(" " in line for line in lines)
-
-    def test_label_of_prefers_event_name(self):
-        sim = Simulator()
-        ev = sim.event(name="custom")
-        assert KernelProfiler.label_of(ev) == "custom"
-
-    def test_label_of_anonymous(self):
-        sim = Simulator()
-        assert KernelProfiler.label_of(sim.event()) == "<anonymous-event>"
 
     def test_reset(self):
         profiler = KernelProfiler()

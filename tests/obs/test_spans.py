@@ -72,25 +72,28 @@ class TestSpanBasics:
 
 
 class TestSpanInterleaving:
-    """Two processes holding overlapping spans must not corrupt each
-    other's stacks — the generator interleave case per-scope stacks exist
-    for."""
+    """Two callback chains holding overlapping spans across events must not
+    corrupt each other's stacks — the interleave case per-scope stacks
+    exist for."""
 
-    def test_process_interleaved_spans_stay_scoped(self):
+    def test_callback_chain_interleaved_spans_stay_scoped(self):
         sim = Simulator()
 
         def worker(name, start_delay):
-            yield sim.timeout(start_delay)
-            outer = sim.spans.span("work", scope=name)
-            yield sim.timeout(1.0)
-            inner = sim.spans.span("inner", scope=name)
-            yield sim.timeout(1.0)
-            inner.close()
-            yield sim.timeout(1.0)
-            outer.close()
+            def open_outer():
+                outer = sim.spans.span("work", scope=name)
 
-        sim.spawn(worker("A", 0.0), name="A")
-        sim.spawn(worker("B", 0.5), name="B")  # overlaps A the whole way
+                def open_inner():
+                    inner = sim.spans.span("inner", scope=name)
+                    sim.call_in(1.0, inner.close)
+                    sim.call_in(2.0, outer.close)
+
+                sim.call_in(1.0, open_inner)
+
+            sim.call_in(start_delay, open_outer)
+
+        worker("A", 0.0)
+        worker("B", 0.5)  # overlaps A the whole way
         sim.run()
 
         finished = [(s.path, s.scope, s.virtual_s) for s in sim.spans.finished]
@@ -106,7 +109,7 @@ class TestSpanInterleaving:
             outer = next(s for s in by_scope[scope] if s.path == "work")
             inner = next(s for s in by_scope[scope] if s.path == "work;inner")
             # Nesting survived the interleave: inner's parent is its own
-            # scope's outer, not the other process's span.
+            # scope's outer, not the other chain's span.
             assert inner.parent is outer
             assert outer.virtual_s == pytest.approx(3.0)
             assert inner.virtual_s == pytest.approx(1.0)
@@ -151,11 +154,11 @@ class TestSpanTraceEmission:
         def run():
             sim = Simulator(seed=9)
 
-            def proc():
-                with sim.span("step", scope="p"):
-                    yield sim.timeout(2.0)
+            def step():
+                span = sim.span("step", scope="p")
+                sim.call_in(2.0, span.close)
 
-            sim.spawn(proc(), name="p")
+            sim.call_in(0.0, step)
             sim.run()
             return sim.trace.fingerprint()
 

@@ -140,7 +140,7 @@ def reference_min_cross_shard_distance_m(network: Network, partition: GridPartit
 def workload_ticks(runtime: ShardRuntime) -> Dict[int, Tuple[Optional[int], float]]:
     """``{sender: (partner, first tick time)}`` read off the built queue."""
     out = {}
-    for when, _priority, _seq, payload in runtime.sim._queue:
+    for when, _seq, payload in runtime.sim._queue:
         fn = inspect.getclosurevars(payload).nonlocals.get("fn")
         if fn is not None and fn.__defaults__ is not None and len(fn.__defaults__) == 3:
             sender, partner, _kind = fn.__defaults__

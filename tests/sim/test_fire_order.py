@@ -1,17 +1,16 @@
 """The kernel's fire order, checked on the Simulator itself.
 
-``Simulator`` keeps its pending entries as ``(time, priority, seq, payload)``
-tuples in a ``heapq`` heap; the contract is that events fire in exactly
-``(time, priority, seq)`` order — ``seq`` being the order the schedule
-calls were made in — and that ``run(until=T)`` fires everything due at or
-before ``T`` and nothing after it.  The property test below drives the
-public scheduling API (``call_at``, ``call_in``, ``schedule(priority=...)``,
-``call_in_fast``) with heavy duplicate timestamps, priorities -2..2,
-cancellations of queued events and callbacks that schedule more work, runs
-the result in ``run(until=...)`` windows, and compares what fired with
-``sorted()`` over the keys this test assigned itself.  It was shown to fail
-with the priority dropped from the queued tuple and with ``run(until)``
-firing one entry past the horizon.
+``Simulator`` keeps its pending entries as ``(time, seq, payload)`` tuples
+in a ``heapq`` heap; the contract is that events fire in exactly
+``(time, seq)`` order — ``seq`` being the order the schedule calls were
+made in — and that ``run(until=T)`` fires everything due at or before
+``T`` and nothing after it.  The property test below drives the public
+scheduling API (``call_at``, ``call_in``, ``schedule``, ``call_in_fast``)
+with heavy duplicate timestamps, cancellations of queued events and
+callbacks that schedule more work, runs the result in ``run(until=...)``
+windows, and compares what fired with ``sorted()`` over the keys this test
+assigned itself.  It was shown to fail with ``run(until)`` firing one
+entry past the horizon.
 
 ``Simulator.every`` re-arms on the fast lane; the second property test
 holds its firings, interleaved with ``call_in``, ``call_in_fast`` and
@@ -34,12 +33,10 @@ DELAYS = [0.5, 1.0, 1.5]
 KINDS = ["call_at", "call_in", "schedule", "fast"]
 WINDOWS = [0.25, 0.5, 1.0, 1.75, 2.5, 3.0, 4.0]
 
-_priorities = st.integers(min_value=-2, max_value=2)
-_child = st.tuples(st.sampled_from(KINDS), st.sampled_from(DELAYS), _priorities)
+_child = st.tuples(st.sampled_from(KINDS), st.sampled_from(DELAYS))
 _op = st.tuples(
     st.sampled_from(KINDS),
     st.sampled_from(TIMES),
-    _priorities,
     st.lists(_child, max_size=2),
     # Index of an earlier cancellable event this op's callback cancels.
     st.one_of(st.none(), st.integers(min_value=0, max_value=1000)),
@@ -57,11 +54,9 @@ class Schedule:
         self.cancelled = set()
         self.fired = []
 
-    def add(self, kind, delay, priority, children=(), cancel=None) -> None:
+    def add(self, kind, delay, children=(), cancel=None) -> None:
         sim = self.sim
-        if kind in ("call_at", "call_in"):
-            priority = 0
-        key = (sim.now + delay, priority, self.seq)
+        key = (sim.now + delay, self.seq)
         self.seq += 1
         self.keys.append(key)
 
@@ -78,10 +73,9 @@ class Schedule:
         elif kind == "call_in":
             event = sim.call_in(delay, fire)
         elif kind == "schedule":
-            event = sim.schedule(delay, priority=priority)
-            event.add_callback(lambda _ev: fire())
+            event = sim.schedule(delay, fire)
         else:
-            sim.call_in_fast(delay, fire, priority=priority)
+            sim.call_in_fast(delay, fire)
         if event is not None:
             self.cancellable.append((key, event))
 
@@ -107,10 +101,10 @@ class Schedule:
     st.lists(st.sampled_from(WINDOWS), max_size=4),
 )
 @settings(max_examples=300, deadline=None)
-def test_fire_order_is_sorted_time_priority_seq(ops, upfront_cancels, windows):
+def test_fire_order_is_sorted_time_seq(ops, upfront_cancels, windows):
     world = Schedule()
-    for kind, time, priority, children, cancel in ops:
-        world.add(kind, time, priority, children, cancel)
+    for kind, time, children, cancel in ops:
+        world.add(kind, time, children, cancel)
     for index in upfront_cancels:
         world.cancel(index)
     for until in sorted(set(windows)):
@@ -130,16 +124,6 @@ def test_duplicate_timestamps_preserve_insertion_order():
         sim.call_at(1.0, lambda k=k: order.append(k))
     sim.run()
     assert order == list(range(50))
-
-
-def test_priority_breaks_time_ties():
-    sim = Simulator(seed=0)
-    order = []
-    sim.schedule(1.0, priority=1).add_callback(lambda _ev: order.append("late"))
-    sim.schedule(1.0, priority=-1).add_callback(lambda _ev: order.append("early"))
-    sim.call_in_fast(1.0, lambda: order.append("mid"))
-    sim.run()
-    assert order == ["early", "mid", "late"]
 
 
 def test_simulator_cancellation_and_reschedule():

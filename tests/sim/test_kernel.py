@@ -1,7 +1,10 @@
 """Tests for the DES kernel: scheduling, ordering, determinism."""
 
+import doctest
+
 import pytest
 
+import repro.sim.kernel
 from repro.errors import SimulationError
 from repro.sim import Simulator
 
@@ -43,16 +46,6 @@ class TestScheduling:
         sim.run()
         assert order == [0, 1, 2, 3, 4]
 
-    def test_priority_breaks_ties(self):
-        sim = Simulator()
-        order = []
-        ev_low = sim.schedule(1.0, priority=5)
-        ev_high = sim.schedule(1.0, priority=-5)
-        ev_low.add_callback(lambda e: order.append("low"))
-        ev_high.add_callback(lambda e: order.append("high"))
-        sim.run()
-        assert order == ["high", "low"]
-
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
         seen = []
@@ -78,11 +71,18 @@ class TestScheduling:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         seen = []
-        ev = sim.schedule(1.0)
-        ev.add_callback(lambda e: seen.append(1))
+        ev = sim.schedule(1.0, lambda: seen.append(1))
         ev.cancel()
         sim.run()
         assert seen == []
+
+    def test_bare_schedule_fires_as_a_counted_time_mark(self):
+        sim = Simulator()
+        sim.schedule(4.0)
+        assert sim.queue_length == 1
+        sim.run()
+        assert sim.now == 4.0
+        assert sim.events_processed == 1 and sim.events_fast == 0
 
     def test_event_budget_guard(self):
         sim = Simulator()
@@ -122,39 +122,6 @@ class TestEvery:
             Simulator().every(0.0, lambda: None)
 
 
-class TestEvents:
-    def test_succeed_fires_immediately(self):
-        sim = Simulator()
-        ev = sim.event()
-        got = []
-        ev.add_callback(lambda e: got.append(e.value))
-        ev.succeed("v")
-        assert got == ["v"]
-        assert ev.fired
-
-    def test_callback_after_fired_runs_immediately(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.succeed(7)
-        got = []
-        ev.add_callback(lambda e: got.append(e.value))
-        assert got == [7]
-
-    def test_cannot_schedule_fired_event(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.succeed()
-        with pytest.raises(SimulationError):
-            sim.schedule(1.0, ev)
-
-    def test_cancel_then_succeed_noop(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.cancel()
-        ev.succeed(1)
-        assert not ev.fired
-
-
 class TestDeterminism:
     def _run(self, seed):
         sim = Simulator(seed=seed)
@@ -174,3 +141,8 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         assert self._run(11) != self._run(12)
+
+
+def test_kernel_docstring_examples_run():
+    result = doctest.testmod(repro.sim.kernel)
+    assert result.failed == 0 and result.attempted >= 2
