@@ -30,10 +30,25 @@ from repro.util.tables import json_safe
 EXPERIMENTS: Dict[str, Tuple[str, ...]] = {
     "bench_fig1_functions": (),
     "bench_fig2_synthesis_scale": ("time_s",),
+    "bench_e3_discovery": (),
     "bench_fig3_reflexes": (),
+    "bench_e5_games": (),
+    "bench_e6_intent": (),
+    "bench_e7_interference": (),
+    "bench_e8_diversity": (),
+    "bench_fig4_truth": (),
+    "bench_e10_tomography": (),
+    "bench_e11_byzantine": (),
+    "bench_e12_cost": (),
+    "bench_e13_continual": (),
+    "bench_e14_safety": (),
+    "bench_e15_attention": (),
     "bench_e16_arbiter": (),
     "bench_e17_energy": (),
+    "bench_e18_placement": (),
+    "bench_e19_comms": (),
     "bench_e20_autonomy": (),
+    "bench_faults_reliability": (),
 }
 
 SCHEMA = "experiments-lock/1"
