@@ -13,9 +13,11 @@ two-level fan-out directory (``<root>/<key[:2]>/<key>.json``).  That gives:
 
 Entries are JSON with ``allow_nan`` enabled (the cache is an internal
 store, not an export format), so NaN metric values survive the round-trip
-and a warm read is bit-identical to the cold computation.  Corrupt or
-truncated entries — e.g. from a kill mid-write, although writes are atomic
-via ``os.replace`` — are treated as misses and deleted.
+and a warm read is bit-identical to the cold computation.  Corrupt
+entries — truncated JSON (e.g. from a kill mid-write, although writes are
+atomic via ``os.replace``), valid JSON that is not an entry object, another
+key's entry, or a timestamp that is not a number — are treated as misses
+and deleted.
 """
 
 from __future__ import annotations
@@ -45,23 +47,29 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, task: TaskSpec) -> Optional[Dict[str, Any]]:
-        """Return the cached result for ``task``, or ``None`` on a miss."""
-        path = self.path_for(task.key)
+    def _load(self, path: Path, key: str) -> Optional[Dict[str, Any]]:
+        """The entry stored at ``path`` for ``key``, or ``None``.
+
+        Anything else found there is corrupt: it is deleted and reads as a
+        miss.
+        """
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
         except FileNotFoundError:
-            self.misses += 1
             return None
         except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-            # A corrupt entry must never poison a campaign: drop it and recompute.
+            payload = None
+        if isinstance(payload, dict) and payload.get("key") == key and "result" in payload:
+            return payload
+        self._discard(path)
+        return None
+
+    def get(self, task: TaskSpec) -> Optional[Dict[str, Any]]:
+        """Return the cached result for ``task``, or ``None`` on a miss."""
+        payload = self._load(self.path_for(task.key), task.key)
+        if payload is None:
             self.misses += 1
-            self._discard(path)
-            return None
-        if payload.get("key") != task.key or "result" not in payload:
-            self.misses += 1
-            self._discard(path)
             return None
         self.hits += 1
         return payload["result"]
@@ -79,22 +87,17 @@ class ResultCache:
         rejects but ``max_age_s=None`` accepts.
         """
         path = self.path_for(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-            self._discard(path)
-            return None
-        if payload.get("key") != key or "result" not in payload:
+        payload = self._load(path, key)
+        if payload is None:
             return None
         stored_at = payload.get("stored_at")
-        age_s = (
-            max(0.0, time.time() - float(stored_at))
-            if stored_at is not None
-            else math.inf
-        )
+        age_s = math.inf
+        if stored_at is not None:
+            try:
+                age_s = max(0.0, time.time() - float(stored_at))
+            except (TypeError, ValueError):
+                self._discard(path)
+                return None
         if max_age_s is not None and age_s > max_age_s:
             return None
         return payload["result"], age_s
@@ -128,37 +131,9 @@ class ResultCache:
         os.replace(tmp, path)
         return path
 
-    def invalidate(self, task: TaskSpec) -> bool:
-        """Drop the entry for ``task``; returns whether one existed."""
-        path = self.path_for(task.key)
-        existed = path.exists()
-        self._discard(path)
-        return existed
-
-    def clear(self) -> int:
-        """Remove every cache entry; returns the number dropped."""
-        dropped = 0
-        if not self.root.exists():
-            return dropped
-        for path in self.root.glob("*/*.json"):
-            self._discard(path)
-            dropped += 1
-        return dropped
-
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
     @staticmethod
     def _discard(path: Path) -> None:
         try:
             path.unlink()
         except OSError:
             pass
-
-    def __repr__(self) -> str:
-        return (
-            f"ResultCache(root={str(self.root)!r}, entries={len(self)}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )

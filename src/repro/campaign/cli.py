@@ -231,14 +231,6 @@ def main(argv=None) -> int:
             "`python -m repro.obs trace <dir>`)"
         ),
     )
-    parser.add_argument(
-        "--openmetrics",
-        default=None,
-        help=(
-            "write the campaign's accounting (task counts, retries, wall-"
-            "time histogram) as OpenMetrics text to this path"
-        ),
-    )
     args = parser.parse_args(argv)
 
     logging.basicConfig(
@@ -288,15 +280,6 @@ def main(argv=None) -> int:
         f"wall={result.wall_s:.2f}s workers={result.workers}"
     )
     print(f"wrote {out_path}")
-    if args.openmetrics:
-        from repro.obs.export import render_openmetrics
-
-        om_path = Path(args.openmetrics)
-        om_path.parent.mkdir(parents=True, exist_ok=True)
-        om_path.write_text(
-            render_openmetrics(result.metrics_state()), encoding="utf-8"
-        )
-        print(f"wrote {om_path}")
     return 0
 
 

@@ -183,51 +183,6 @@ class CampaignResult:
             "tasks": tasks,
         }
 
-    #: Wall-time histogram bounds for :meth:`metrics_state` (seconds).
-    _WALL_BUCKETS = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0)
-
-    def metrics_state(self) -> Dict[str, Dict[str, Any]]:
-        """The run as a mergeable registry state (see :mod:`repro.obs`).
-
-        Shapes the campaign's accounting like
-        :meth:`~repro.obs.registry.MetricsRegistry.state` so it flows
-        through the same pipeline as kernel metrics —
-        :func:`~repro.obs.merge.merge_metrics` across campaigns,
-        :func:`~repro.obs.export.render_openmetrics` for scrapers.
-        """
-        walls = sorted(o.elapsed_s for o in self.outcomes if not o.cached)
-        buckets = list(self._WALL_BUCKETS)
-        counts = [0] * (len(buckets) + 1)
-        for w in walls:
-            for i, bound in enumerate(buckets):
-                if w <= bound:
-                    counts[i] += 1
-                    break
-            else:
-                counts[-1] += 1
-        state: Dict[str, Dict[str, Any]] = {
-            "campaign.tasks": {"kind": "counter", "value": float(self.n_tasks)},
-            "campaign.cached": {"kind": "counter", "value": float(self.n_cached)},
-            "campaign.executed": {
-                "kind": "counter", "value": float(self.n_executed)
-            },
-            "campaign.retried": {"kind": "counter", "value": float(self.n_retried)},
-            "campaign.failed": {"kind": "counter", "value": float(self.n_failed)},
-            "campaign.wall_s": {"kind": "gauge", "value": float(self.wall_s)},
-            "campaign.workers": {"kind": "gauge", "value": float(self.workers)},
-        }
-        if walls:
-            state["campaign.task_wall_s"] = {
-                "kind": "histogram",
-                "buckets": buckets,
-                "counts": counts,
-                "count": len(walls),
-                "total": float(sum(walls)),
-                "min": float(walls[0]),
-                "max": float(walls[-1]),
-            }
-        return state
-
     def table(
         self,
         title: Optional[str] = None,

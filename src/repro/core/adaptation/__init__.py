@@ -34,7 +34,6 @@ from repro.core.adaptation.games import (
 from repro.core.adaptation.knobs import AdaptationKnob, KnobRegistry
 from repro.core.adaptation.perception import ModalityManager
 from repro.core.adaptation.resources import (
-    EdgeAllocator,
     AdaptiveRateController,
     CoordinatedRateControllers,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "AdaptationKnob",
     "KnobRegistry",
     "ModalityManager",
-    "EdgeAllocator",
     "AdaptiveRateController",
     "CoordinatedRateControllers",
     "TransportSwitcher",

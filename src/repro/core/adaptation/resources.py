@@ -1,13 +1,8 @@
-"""Dynamic resource allocation for compute and communication.
+"""Dynamic rate allocation for communication.
 
-§IV-B requires allocators that (i) reallocate heterogeneous edge resources
-as conditions change, (ii) scale with spatio-temporally varying workloads,
-and (iii) "prevent any subset of IoBT devices (including attackers) from
-saturating cloud processing".
+§IV-B requires allocators that reallocate heterogeneous resources as
+conditions change and scale with spatio-temporally varying workloads.
 
-* :class:`EdgeAllocator` — dispatches tasks across compute elements
-  (join-shortest-expected-delay), re-dispatches around failures, and
-  enforces per-source admission quotas (the saturation defense).
 * :class:`AdaptiveRateController` — an integral controller adjusting a
   source's offered rate to hold queueing delay at a setpoint.
 * :class:`CoordinatedRateControllers` — the E7 contrast: several such
@@ -19,96 +14,16 @@ saturating cloud processing".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import AdaptationError
-from repro.things.compute import ComputeElement, ComputeTask
 
 __all__ = [
-    "EdgeAllocator",
     "AdaptiveRateController",
     "CoordinatedRateControllers",
 ]
-
-
-class EdgeAllocator:
-    """Dispatch tasks to compute elements with failure-aware admission.
-
-    ``submit`` picks the element with the least expected completion time
-    (queue work / flops), skipping failed elements.  Per-source token
-    quotas refill each ``quota_window_s``; a source exceeding its quota is
-    rejected *before* dispatch, so an attacker flooding tasks cannot starve
-    other sources (saturation protection).
-    """
-
-    def __init__(
-        self,
-        elements: Sequence[ComputeElement],
-        *,
-        per_source_quota: Optional[int] = None,
-        quota_window_s: float = 10.0,
-    ):
-        if not elements:
-            raise AdaptationError("need at least one compute element")
-        self.elements = list(elements)
-        self.per_source_quota = per_source_quota
-        self.quota_window_s = quota_window_s
-        self.sim = self.elements[0].sim
-        self._used: Dict[int, int] = {}
-        self._window_started = False
-        self.submitted = 0
-        self.quota_rejections = 0
-        self.dispatch_rejections = 0
-        self.failed_elements: set = set()
-
-    def _ensure_window_timer(self) -> None:
-        if not self._window_started and self.per_source_quota is not None:
-            self._window_started = True
-            self.sim.every(self.quota_window_s, self._used.clear)
-
-    def fail_element(self, node_id: int) -> None:
-        """Mark an element failed; future dispatch avoids it."""
-        self.failed_elements.add(node_id)
-
-    def restore_element(self, node_id: int) -> None:
-        self.failed_elements.discard(node_id)
-
-    def _expected_delay(self, element: ComputeElement, work: float) -> float:
-        queued_work = sum(t.work_flops for t in element.queue)
-        if element.running is not None:
-            queued_work += element.running.work_flops / 2.0  # half done, avg
-        return (queued_work + work) / element.flops
-
-    def live_elements(self) -> List[ComputeElement]:
-        return [
-            e for e in self.elements if e.node_id not in self.failed_elements
-        ]
-
-    def submit(self, source_id: int, task: ComputeTask) -> bool:
-        """Admit and dispatch a task; False when rejected."""
-        self._ensure_window_timer()
-        if self.per_source_quota is not None:
-            used = self._used.get(source_id, 0)
-            if used >= self.per_source_quota:
-                self.quota_rejections += 1
-                return False
-            self._used[source_id] = used + 1
-        live = self.live_elements()
-        if not live:
-            self.dispatch_rejections += 1
-            return False
-        best = min(live, key=lambda e: self._expected_delay(e, task.work_flops))
-        ok = best.submit(task)
-        if ok:
-            self.submitted += 1
-        else:
-            self.dispatch_rejections += 1
-        return ok
-
-    def utilizations(self) -> Dict[int, float]:
-        return {e.node_id: e.utilization() for e in self.elements}
 
 
 class AdaptiveRateController:

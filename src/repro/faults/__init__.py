@@ -21,7 +21,6 @@ from repro.faults.gremlin import GremlinVerdict, PacketGremlin
 from repro.faults.injector import FaultInjector, FaultSchedule
 from repro.faults.metrics import (
     availability,
-    availability_timeline,
     downtime_intervals,
     fault_windows,
     mttr,
@@ -40,7 +39,6 @@ __all__ = [
     "downtime_intervals",
     "mttr",
     "availability",
-    "availability_timeline",
     "fault_windows",
     "windowed_delivery_ratio",
 ]

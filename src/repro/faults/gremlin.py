@@ -13,7 +13,7 @@ from the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.faults import Fault
@@ -178,14 +178,3 @@ class PacketGremlin(Fault):
             self.counts.dropped += len(dropped)
             self.sim.metrics.incr("faults.gremlin.dropped", len(dropped))
         return dropped
-
-    def mischief_summary(self) -> Dict[str, int]:
-        c = self.counts
-        return {
-            "judged": c.judged,
-            "dropped": c.dropped,
-            "duplicated": c.duplicated,
-            "corrupted": c.corrupted,
-            "delayed": c.delayed,
-            "reordered": c.reordered,
-        }

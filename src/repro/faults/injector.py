@@ -11,7 +11,7 @@ answers recovery questions (MTTR, availability) from the trace afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.faults.faults import (
     Fault,
@@ -20,12 +20,7 @@ from repro.faults.faults import (
     PartitionFault,
 )
 from repro.faults.gremlin import PacketGremlin
-from repro.faults.metrics import (
-    availability,
-    availability_timeline,
-    fault_windows,
-    mttr,
-)
+from repro.faults.metrics import availability, mttr
 from repro.net.node import Network
 
 __all__ = ["FaultSchedule", "FaultInjector"]
@@ -44,9 +39,6 @@ class FaultSchedule:
         fault.schedule(start_s, duration_s)
         self.entries.append(fault)
         return fault
-
-    def active_faults(self) -> List[str]:
-        return [f.name for f in self.entries if f.active]
 
 
 class FaultInjector:
@@ -148,17 +140,3 @@ class FaultInjector:
             len(self.network.nodes),
             horizon_s if horizon_s is not None else self.sim.now,
         )
-
-    def availability_timeline(
-        self, dt_s: float, horizon_s: Optional[float] = None
-    ) -> List[Tuple[float, float]]:
-        return availability_timeline(
-            self.sim.trace,
-            len(self.network.nodes),
-            horizon_s if horizon_s is not None else self.sim.now,
-            dt_s,
-        )
-
-    def fault_windows(self) -> Dict[str, List[Tuple[float, float]]]:
-        """Launch/cease windows per fault name, from the trace."""
-        return fault_windows(self.sim.trace, until=self.sim.now)

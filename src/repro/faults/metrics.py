@@ -17,7 +17,6 @@ __all__ = [
     "downtime_intervals",
     "mttr",
     "availability",
-    "availability_timeline",
     "fault_windows",
     "windowed_delivery_ratio",
 ]
@@ -81,26 +80,6 @@ def availability(trace: TraceLog, n_nodes: int, horizon_s: float) -> float:
         for start, end in windows:
             lost += max(0.0, min(end, horizon_s) - min(start, horizon_s))
     return 1.0 - lost / (n_nodes * horizon_s)
-
-
-def availability_timeline(
-    trace: TraceLog, n_nodes: int, horizon_s: float, dt_s: float
-) -> List[Tuple[float, float]]:
-    """``(t, fraction_up)`` sampled every ``dt_s`` over ``[0, horizon_s]``."""
-    if n_nodes <= 0 or dt_s <= 0:
-        return []
-    intervals = downtime_intervals(trace, until=horizon_s)
-    timeline: List[Tuple[float, float]] = []
-    t = 0.0
-    while t <= horizon_s:
-        down = sum(
-            1
-            for windows in intervals.values()
-            if any(start <= t < end for start, end in windows)
-        )
-        timeline.append((t, 1.0 - down / n_nodes))
-        t += dt_s
-    return timeline
 
 
 def fault_windows(

@@ -1,14 +1,14 @@
 """Wireless battlefield network substrate.
 
 Provides the physical/link layers (log-distance channel with shadowing,
-jamming, contention and ideal MACs), node and network containers, mobility
+jamming, a contention MAC), node and network containers, mobility
 models, topology snapshots, and a family of routing/dissemination protocols
 under :mod:`repro.net.routing`.
 
 Per-node protocol machinery is organized as an explicit layered pipeline
 (:mod:`repro.net.stack`: PHY/channel -> MAC -> queue -> routing ->
 transport -> app), and every swappable component (channels, MACs, routers,
-mobility models, transports) is addressable by string name through
+transports) is addressable by string name through
 :mod:`repro.net.registry`, so scenario builders and campaign sweeps can
 compose stacks declaratively (``router="aodv"``, ``mac="csma"``).
 """
@@ -16,7 +16,7 @@ compose stacks declaratively (``router="aodv"``, ``mac="csma"``).
 from repro.net.packet import Packet, PacketKind
 from repro.net.channel import Channel, Jammer
 from repro.net.node import NetNode, Network
-from repro.net.mac import ContentionMac, IdealMac, MacAccess
+from repro.net.mac import ContentionMac, MacAccess
 from repro.net.stack import (
     LayerBase,
     NetworkStack,
@@ -25,7 +25,6 @@ from repro.net.stack import (
     TransportPort,
 )
 from repro.net.registry import (
-    ComponentRegistry,
     ComposedStack,
     StackSpec,
     compose,
@@ -35,7 +34,6 @@ from repro.net.mobility import (
     StaticMobility,
     RandomWaypoint,
     ManhattanGrid,
-    GroupMobility,
     MobilityManager,
 )
 from repro.net.topology import TopologySnapshot, build_topology
@@ -54,14 +52,12 @@ __all__ = [
     "NetNode",
     "Network",
     "ContentionMac",
-    "IdealMac",
     "MacAccess",
     "LayerBase",
     "NetworkStack",
     "RouterPort",
     "StackContext",
     "TransportPort",
-    "ComponentRegistry",
     "ComposedStack",
     "StackSpec",
     "compose",
@@ -69,7 +65,6 @@ __all__ = [
     "StaticMobility",
     "RandomWaypoint",
     "ManhattanGrid",
-    "GroupMobility",
     "MobilityManager",
     "TopologySnapshot",
     "build_topology",

@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.net.registry import register
 
-__all__ = ["ContentionMac", "IdealMac", "MacAccess"]
+__all__ = ["ContentionMac", "MacAccess"]
 
 
 class MacAccess(NamedTuple):
@@ -96,28 +96,4 @@ class ContentionMac:
         )
 
 
-@dataclass
-class IdealMac:
-    """A contention-free MAC: zero backoff, no collision losses.
-
-    Useful as the control arm in campaign sweeps (isolates routing effects
-    from MAC contention) and as the simplest example of an alternate
-    registry backend.  ``access`` consumes **no** RNG draws, so swapping
-    MACs changes the composition, not just parameters — cache keys and
-    fingerprints differ by design.
-    """
-
-    name = "ideal"
-
-    def access_delay(self, busy_neighbors: int, rng: np.random.Generator) -> float:
-        return 0.0
-
-    def collision_survival(self, busy_neighbors: int) -> float:
-        return 1.0
-
-    def access(self, busy_neighbors: int, rng: np.random.Generator) -> MacAccess:
-        return MacAccess(backoff_s=0.0, collision_survival=1.0)
-
-
 register("mac", ContentionMac.name, ContentionMac)
-register("mac", IdealMac.name, IdealMac)

@@ -10,14 +10,12 @@ Models implemented (the standard MANET set):
 * :class:`RandomWaypoint` — dismounted/vehicle free movement.
 * :class:`ManhattanGrid` — movement constrained to urban street grids
   (the paper's mega-city environment).
-* :class:`GroupMobility` — reference-point group mobility (squads/platoons
-  following a leader).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +29,6 @@ __all__ = [
     "StaticMobility",
     "RandomWaypoint",
     "ManhattanGrid",
-    "GroupMobility",
     "MobilityManager",
 ]
 
@@ -188,50 +185,10 @@ class ManhattanGrid(MobilityModel):
         return self.position
 
 
-class GroupMobility(MobilityModel):
-    """Reference-point group mobility: follow a leader model with jitter.
-
-    The leader is any other :class:`MobilityModel` (typically RandomWaypoint
-    or ManhattanGrid); members hold a fixed offset from it plus bounded
-    random jitter, like a squad moving in formation.
-    """
-
-    def __init__(
-        self,
-        leader: MobilityModel,
-        offset: Point,
-        *,
-        jitter_m: float = 3.0,
-        region: Optional[Region] = None,
-    ):
-        super().__init__(
-            Point(leader.position.x + offset.x, leader.position.y + offset.y)
-        )
-        self.leader = leader
-        self.offset = offset
-        self.jitter_m = jitter_m
-        self.region = region
-
-    def step(self, dt: float, rng: np.random.Generator) -> Point:
-        # NOTE: the leader must be stepped exactly once per sweep by the
-        # MobilityManager; followers only read its current position.
-        jx = float(rng.uniform(-self.jitter_m, self.jitter_m))
-        jy = float(rng.uniform(-self.jitter_m, self.jitter_m))
-        pos = Point(
-            self.leader.position.x + self.offset.x + jx,
-            self.leader.position.y + self.offset.y + jy,
-        )
-        if self.region is not None:
-            pos = self.region.clamp(pos)
-        self.position = pos
-        return pos
-
-
 class MobilityManager:
     """Steps all mobility models on a fixed period and updates the network.
 
-    Leaders are stepped before followers (followers reference leader
-    positions), and the spatial index is invalidated once per sweep.
+    The spatial index is invalidated once per sweep.
     """
 
     def __init__(
@@ -265,41 +222,8 @@ class MobilityManager:
         self.sim.every(self.update_period_s, self._sweep)
 
     def _sweep(self) -> None:
-        leaders: List[Tuple[int, MobilityModel]] = []
-        followers: List[Tuple[int, MobilityModel]] = []
         for node_id, model in self._models.items():
-            if isinstance(model, GroupMobility):
-                followers.append((node_id, model))
-            else:
-                leaders.append((node_id, model))
-        # Step independent leader models referenced by followers even if
-        # they are not attached to any node themselves.
-        stepped = set()
-        for _node_id, follower in followers:
-            leader = follower.leader
-            if id(leader) not in stepped and all(
-                leader is not m for _n, m in leaders
-            ):
-                leader.step(self.update_period_s, self._rng)
-                stepped.add(id(leader))
-        for node_id, model in leaders:
-            node = self.network.node(node_id)
-            if node.up:
-                node.position = model.step(self.update_period_s, self._rng)
-        for node_id, model in followers:
             node = self.network.node(node_id)
             if node.up:
                 node.position = model.step(self.update_period_s, self._rng)
         self.network.invalidate_topology()
-
-
-# Registry hookup: mobility models addressable by name in campaign sweeps.
-from repro.net.registry import register  # noqa: E402  (registration epilogue)
-
-StaticMobility.name = "static"
-RandomWaypoint.name = "random_waypoint"
-ManhattanGrid.name = "manhattan"
-GroupMobility.name = "group"
-for _model in (StaticMobility, RandomWaypoint, ManhattanGrid, GroupMobility):
-    register("mobility", _model.name, _model)
-del _model

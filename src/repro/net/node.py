@@ -307,9 +307,6 @@ class Network:
 
     # --------------------------------------------------------------- transmit
 
-    def transmission_delay_s(self, node: NetNode, packet: Packet) -> float:
-        return packet.airtime_s(node.bitrate_bps)
-
     def send(
         self,
         sender_id: int,

@@ -9,7 +9,6 @@ Protocols:
 
 * :class:`~repro.net.routing.flooding.FloodingRouter` — duplicate-suppressed
   blind flooding (the dissemination baseline).
-* :class:`~repro.net.routing.gossip.GossipRouter` — probabilistic flooding.
 * :class:`~repro.net.routing.greedy_geo.GreedyGeoRouter` — greedy geographic
   forwarding with a location service.
 * :class:`~repro.net.routing.aodv.AodvRouter` — on-demand distance-vector
@@ -21,7 +20,6 @@ Protocols:
 
 from repro.net.routing.base import Router
 from repro.net.routing.flooding import FloodingRouter
-from repro.net.routing.gossip import GossipRouter
 from repro.net.routing.greedy_geo import GreedyGeoRouter
 from repro.net.routing.aodv import AodvRouter
 from repro.net.routing.dtn import EpidemicRouter, SprayAndWaitRouter
@@ -29,7 +27,6 @@ from repro.net.routing.dtn import EpidemicRouter, SprayAndWaitRouter
 __all__ = [
     "Router",
     "FloodingRouter",
-    "GossipRouter",
     "GreedyGeoRouter",
     "AodvRouter",
     "EpidemicRouter",

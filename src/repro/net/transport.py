@@ -24,7 +24,6 @@ from repro.net.node import NetNode, Network
 from repro.net.packet import Packet, PacketKind
 from repro.net.routing.base import Router
 from repro.sim.event import Event
-from repro.util.stats import summarize
 
 __all__ = [
     "DeliveryReceipt",
@@ -130,16 +129,6 @@ class MessageService:
             return float("nan")
         done = sum(1 for r in self.receipts.values() if r.delivered)
         return done / len(self.receipts)
-
-    def latency_summary(self) -> Dict[str, float]:
-        lat = [
-            r.latency_s for r in self.receipts.values() if r.latency_s is not None
-        ]
-        return summarize(lat)
-
-    def hops_summary(self) -> Dict[str, float]:
-        hops = [float(r.hops) for r in self.receipts.values() if r.hops is not None]
-        return summarize(hops)
 
     def transmissions_per_delivery(self) -> float:
         delivered = sum(1 for r in self.receipts.values() if r.delivered)
@@ -390,23 +379,12 @@ class ReliableMessageService:
             counts[fate.state] += 1
         return counts
 
-    def latency_summary(self) -> Dict[str, float]:
-        lat = [f.latency_s for f in self.fates.values() if f.latency_s is not None]
-        return summarize(lat)
-
     def retransmit_rate(self) -> float:
         """Fraction of transport sends that were retransmissions."""
         attempts = sum(f.attempts for f in self.fates.values())
         if attempts == 0:
             return float("nan")
         return sum(f.retransmits for f in self.fates.values()) / attempts
-
-    def goodput_bps(self, horizon_s: float) -> float:
-        """Application bits delivered (once each) per second of the run."""
-        if horizon_s <= 0:
-            return float("nan")
-        bits = sum(f.size_bits for f in self.fates.values() if f.delivered)
-        return bits / horizon_s
 
     def transmissions_per_delivery(self) -> float:
         delivered = sum(1 for f in self.fates.values() if f.delivered)

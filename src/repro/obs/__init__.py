@@ -7,7 +7,7 @@ layer every performance PR reports against:
 * :mod:`repro.obs.spans` — hierarchical spans recording virtual *and*
   wall-clock durations (``with sim.span("synthesis"): ...``);
 * :mod:`repro.obs.profiler` — opt-in per-event-callback wall-clock
-  attribution with hot-path tables and collapsed stacks for flamegraphs;
+  attribution, rendered as hot-path tables by :mod:`repro.obs.report`;
 * :mod:`repro.obs.sinks` — streaming, size-rotated NDJSON sinks, so
   traces stop silently truncating at ``max_records``;
 * :mod:`repro.obs.registry` — fixed-size counter/gauge/histogram
@@ -23,8 +23,7 @@ layer every performance PR reports against:
 * :mod:`repro.obs.merge` — cross-shard unification: deterministic trace
   merging plus :func:`~repro.obs.merge.merge_metrics` for registry
   states (counters summed, replicated families max-merged);
-* :mod:`repro.obs.export` — OpenMetrics text rendering/parsing and the
-  live snapshot/SLO layer;
+* :mod:`repro.obs.export` — the live snapshot/SLO layer;
 * :mod:`repro.obs.forensics` (imported on its own: it pulls in the
   campaign layer) — run forensics: RunManifests stamped next
   to every export, ``python -m repro.obs replay <manifest>``
@@ -58,10 +57,8 @@ from repro.obs.export import (
     check_slos,
     flatten_snapshot,
     live_snapshot,
-    parse_openmetrics,
     parse_slo,
     render_live,
-    render_openmetrics,
     state_from_records,
 )
 from repro.obs.merge import (
@@ -96,8 +93,6 @@ __all__ = [
     "StringTable",
     "RingFormatError",
     "load_ring",
-    "render_openmetrics",
-    "parse_openmetrics",
     "state_from_records",
     "live_snapshot",
     "flatten_snapshot",

@@ -1,20 +1,12 @@
-"""OpenMetrics text export and the live SLO snapshot.
+"""The live SLO snapshot.
 
-Two consumers pull the unified metrics plane out of the process:
-
-* :func:`render_openmetrics` serializes a registry state
-  (:meth:`~repro.obs.registry.MetricsRegistry.state`, or the merged state
-  a :class:`~repro.shard.engine.ShardRunResult` carries) as
-  OpenMetrics/Prometheus text — counters as ``_total`` samples,
-  histograms as cumulative ``_bucket{le=...}`` series — so any standard
-  scraper ingests a run's metrics without bespoke glue.
-  :func:`parse_openmetrics` reads that text back; ``parse(render(x))``
-  re-renders byte-identically, which is the round-trip CI asserts.
-* :func:`live_snapshot` folds a state plus the kernel's export meta
-  record into one operator-facing view — kernel events/sec, per-router
-  delivery ratios, service breaker states, shard lag — rendered by
-  :func:`render_live` and policed by :func:`check_slos`
-  (``python -m repro.obs live``, exit-nonzero on breach, is the CLI).
+:func:`live_snapshot` folds a registry state
+(:meth:`~repro.obs.registry.MetricsRegistry.state`, or the merged state a
+:class:`~repro.shard.engine.ShardRunResult` carries) plus the kernel's
+export meta record into one operator-facing view — kernel events/sec,
+per-router delivery ratios, service breaker states, shard lag — rendered
+by :func:`render_live` and policed by :func:`check_slos` (``python -m
+repro.obs live``, exit-nonzero on breach, is the CLI).
 
 SLO specs are ``<metric><=|>=><threshold>`` strings against the
 flattened snapshot (``kernel.events_per_sec>=1000``,
@@ -28,8 +20,6 @@ import re
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
-    "render_openmetrics",
-    "parse_openmetrics",
     "state_from_records",
     "live_snapshot",
     "render_live",
@@ -38,169 +28,8 @@ __all__ = [
     "check_slos",
 ]
 
-#: Prefix for exported metric names (``net.tx`` -> ``repro_net_tx``).
-METRIC_PREFIX = "repro_"
-
-_NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-
 #: Gauge code -> human breaker state (see ``SynthesisService``).
 BREAKER_STATES = {0.0: "closed", 1.0: "half_open", 2.0: "open"}
-
-
-def _sanitize(name: str) -> str:
-    """Metric name to the OpenMetrics charset (dots become underscores)."""
-    return _NAME_BAD.sub("_", name)
-
-
-def _fmt(value: float) -> str:
-    """Shortest exact decimal for a float sample value."""
-    if value != value:  # NaN
-        return "NaN"
-    if value == float("inf"):
-        return "+Inf"
-    if value == float("-inf"):
-        return "-Inf"
-    return repr(float(value))
-
-
-def render_openmetrics(
-    state: Mapping[str, Mapping[str, Any]], *, prefix: str = METRIC_PREFIX
-) -> str:
-    """Serialize a registry state dict as OpenMetrics text.
-
-    Accepts the raw mergeable state
-    (:meth:`~repro.obs.registry.MetricsRegistry.state`): counters render
-    as ``<name>_total``, gauges as bare samples, histograms as cumulative
-    ``_bucket{le="..."}`` series plus ``_count``/``_sum``.  A histogram
-    entry without bucket data (a summary scraped from an old export)
-    degrades to ``_count``/``_sum`` only.  Ends with ``# EOF`` per the
-    OpenMetrics spec.
-    """
-    lines: List[str] = []
-    for name in sorted(state):
-        inst = state[name]
-        kind = inst.get("kind")
-        mname = prefix + _sanitize(name)
-        if kind == "counter":
-            lines.append(f"# TYPE {mname} counter")
-            lines.append(f"{mname}_total {_fmt(inst['value'])}")
-        elif kind == "gauge":
-            lines.append(f"# TYPE {mname} gauge")
-            lines.append(f"{mname} {_fmt(inst['value'])}")
-        elif kind == "histogram":
-            lines.append(f"# TYPE {mname} histogram")
-            buckets = inst.get("buckets")
-            counts = inst.get("counts")
-            count = inst.get("count", 0)
-            if buckets is not None and counts is not None:
-                cumulative = 0
-                for bound, n in zip(buckets, counts):
-                    cumulative += n
-                    lines.append(
-                        f'{mname}_bucket{{le="{_fmt(bound)}"}} {_fmt(cumulative)}'
-                    )
-                lines.append(f'{mname}_bucket{{le="+Inf"}} {_fmt(count)}')
-            total = inst.get("total")
-            if total is None:
-                mean = inst.get("mean")
-                total = (mean or 0.0) * count if count else 0.0
-            lines.append(f"{mname}_count {_fmt(count)}")
-            lines.append(f"{mname}_sum {_fmt(total)}")
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
-
-
-_SAMPLE = re.compile(
-    r"^(?P<name>[a-zA-Z0-9_:]+?)"
-    r"(?:\{le=\"(?P<le>[^\"]+)\"\})? "
-    r"(?P<value>\S+)$"
-)
-
-
-def _parse_value(raw: str) -> float:
-    if raw == "+Inf":
-        return float("inf")
-    if raw == "-Inf":
-        return float("-inf")
-    return float(raw)
-
-
-def parse_openmetrics(
-    text: str, *, prefix: str = METRIC_PREFIX
-) -> Dict[str, Dict[str, Any]]:
-    """Parse OpenMetrics text back into a state dict.
-
-    The inverse of :func:`render_openmetrics` up to name sanitization
-    (dots flattened to underscores) and histogram min/max (not part of
-    the wire format): ``render(parse(render(s))) == render(s)``.
-    """
-    kinds: Dict[str, str] = {}
-    out: Dict[str, Dict[str, Any]] = {}
-
-    def strip(mname: str) -> str:
-        return mname[len(prefix):] if mname.startswith(prefix) else mname
-
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                kinds[parts[2]] = parts[3]
-            continue
-        m = _SAMPLE.match(line)
-        if m is None:
-            raise ValueError(f"unparsable OpenMetrics sample line: {line!r}")
-        sample, le, value = m.group("name"), m.group("le"), m.group("value")
-        v = _parse_value(value)
-        # Resolve which declared metric this sample belongs to: histogram
-        # samples carry _bucket/_count/_sum suffixes, counters _total.
-        if sample in kinds:
-            base = sample
-        elif sample.endswith("_total") and sample[:-6] in kinds:
-            base = sample[:-6]
-        elif sample.endswith("_bucket") and sample[:-7] in kinds:
-            base = sample[:-7]
-        elif sample.endswith("_count") and sample[:-6] in kinds:
-            base = sample[:-6]
-        elif sample.endswith("_sum") and sample[:-4] in kinds:
-            base = sample[:-4]
-        else:
-            raise ValueError(f"sample {sample!r} has no # TYPE declaration")
-        kind = kinds[base]
-        name = strip(base)
-        inst = out.setdefault(name, {"kind": kind})
-        if kind == "counter":
-            inst["value"] = v
-        elif kind == "gauge":
-            inst["value"] = v
-        elif kind == "histogram":
-            if le is not None:
-                if le != "+Inf":
-                    inst.setdefault("buckets", []).append(_parse_value(le))
-                    inst.setdefault("_cumulative", []).append(v)
-            elif sample.endswith("_count"):
-                inst["count"] = v
-            elif sample.endswith("_sum"):
-                inst["total"] = v
-        else:
-            raise ValueError(f"unsupported metric type {kind!r} for {base!r}")
-    # De-cumulate histogram buckets back to per-bucket counts (+ overflow).
-    for inst in out.values():
-        if inst.get("kind") != "histogram":
-            continue
-        cumulative = inst.pop("_cumulative", None)
-        if cumulative is None:
-            continue
-        counts: List[float] = []
-        prev = 0.0
-        for c in cumulative:
-            counts.append(c - prev)
-            prev = c
-        counts.append(inst.get("count", prev) - prev)  # overflow bucket
-        inst["counts"] = counts
-    return out
 
 
 # ----------------------------------------------------------------- live view
@@ -285,32 +114,10 @@ def live_snapshot(
         inst = state.get(metric)
         if inst is not None:
             service[key] = inst.get("value")
-    latency = state.get("service.latency_s")
-    if latency is not None:
-        service["latency_p95_s"] = _histogram_quantile(latency, 0.95)
     snap["service"] = service
     if rates:
         snap["rates_per_sec"] = dict(sorted(rates.items()))
     return snap
-
-
-def _histogram_quantile(inst: Mapping[str, Any], q: float) -> Optional[float]:
-    """Quantile from raw bucket state, or the exported summary estimate."""
-    counts = inst.get("counts")
-    buckets = inst.get("buckets")
-    if counts is None or buckets is None:
-        return inst.get(f"p{int(q * 100)}")
-    count = inst.get("count", sum(counts))
-    if not count:
-        return None
-    target = q * count
-    cumulative = 0.0
-    for i, n in enumerate(counts):
-        if n and cumulative + n >= target:
-            hi = buckets[i] if i < len(buckets) else inst.get("max", buckets[-1])
-            return float(hi)
-        cumulative += n
-    return float(inst.get("max", buckets[-1]))
 
 
 def render_live(snapshot: Mapping[str, Any]) -> str:

@@ -14,9 +14,9 @@ Costs: *off* is one ``is None`` test per event; *on* adds two
 empty-callback stress run, the worst case; real workloads amortize it —
 see DESIGN.md §3.3), which is why it is opt-in.
 
-Output: a sorted hot-path table (:meth:`render_table`) and a
-collapsed-stack file (:meth:`write_collapsed`) directly consumable by
-``flamegraph.pl`` / speedscope.
+Output: the sorted hot paths (:meth:`hot_paths`) and their sink-ready
+records (:meth:`as_records`), which ``python -m repro.obs report`` renders
+as its hot-path table.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ class KernelProfiler:
     def total_s(self) -> float:
         return sum(entry[1] for entry in self._stats.values())
 
-    @property
-    def total_calls(self) -> int:
-        return int(sum(entry[0] for entry in self._stats.values()))
-
     def hot_paths(self, n: int = 10) -> List[Tuple[str, int, float]]:
         """Top ``n`` labels by total wall time: ``(label, calls, total_s)``."""
         rows = [
@@ -63,29 +59,6 @@ class KernelProfiler:
         ]
         rows.sort(key=lambda row: (-row[2], row[0]))
         return rows[:n]
-
-    def render_table(self, n: int = 10) -> str:
-        """The sorted hot-path table as aligned text."""
-        rows = self.hot_paths(n)
-        total = self.total_s
-        lines = [f"== kernel hot paths (top {len(rows)} of {len(self._stats)}) =="]
-        lines.append(f"{'wall_s':>10}  {'share':>6}  {'calls':>9}  label")
-        for label, calls, wall_s in rows:
-            share = wall_s / total if total > 0 else 0.0
-            lines.append(f"{wall_s:>10.4f}  {share:>6.1%}  {calls:>9d}  {label}")
-        return "\n".join(lines)
-
-    def collapsed_lines(self) -> List[str]:
-        """Collapsed-stack lines (``sim;<label> <microseconds>``) for
-        flamegraph tooling; deterministic (label-sorted) order."""
-        return [
-            f"sim;{label} {max(1, int(entry[1] * 1e6))}"
-            for label, entry in sorted(self._stats.items())
-        ]
-
-    def write_collapsed(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.collapsed_lines()) + "\n")
 
     def as_records(self) -> List[Dict[str, Any]]:
         """Sink-ready records, hottest first (cumulative totals)."""
@@ -98,12 +71,3 @@ class KernelProfiler:
             }
             for label, calls, wall_s in self.hot_paths(len(self._stats))
         ]
-
-    def reset(self) -> None:
-        self._stats.clear()
-
-    def __repr__(self) -> str:
-        return (
-            f"KernelProfiler(labels={len(self._stats)}, "
-            f"calls={self.total_calls}, total={self.total_s:.4f}s)"
-        )

@@ -60,16 +60,8 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def add(self, amount: float = 1.0) -> None:
-        self.value += amount
-
     def as_dict(self) -> Dict[str, Any]:
         return {"kind": "gauge", "name": self.name, "value": self.value}
-
-    def state(self) -> Dict[str, Any]:
-        """Mergeable raw state (see :func:`repro.obs.merge.merge_metrics`)."""
-        return {"kind": "gauge", "value": self.value}
-
 
 class Histogram:
     """Fixed-bucket distribution: O(len(buckets)) memory forever.
@@ -189,11 +181,6 @@ class MetricsRegistry:
             )
         return inst
 
-    def names(self) -> List[str]:
-        return sorted(
-            list(self._counters) + list(self._gauges) + list(self._histograms)
-        )
-
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """State of every instrument, keyed by name."""
         out: Dict[str, Dict[str, Any]] = {}
@@ -210,10 +197,11 @@ class MetricsRegistry:
         interpolated quantiles.  Feed a list of these to
         :func:`repro.obs.merge.merge_metrics`.
         """
-        out: Dict[str, Dict[str, Any]] = {}
-        for store in (self._counters, self._gauges, self._histograms):
-            for name, inst in store.items():
-                out[name] = inst.state()
+        out = {name: inst.state() for name, inst in self._counters.items()}
+        for name, gauge in self._gauges.items():
+            out[name] = {"kind": "gauge", "value": gauge.value}
+        for name, inst in self._histograms.items():
+            out[name] = inst.state()
         return out
 
     def as_records(self) -> List[Dict[str, Any]]:

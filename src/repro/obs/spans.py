@@ -67,10 +67,6 @@ class Span:
     # ------------------------------------------------------------- durations
 
     @property
-    def open(self) -> bool:
-        return self.t_end is None
-
-    @property
     def virtual_s(self) -> float:
         """Simulated time elapsed while the span was open."""
         end = self.t_end if self.t_end is not None else self._tracker._sim.now
@@ -110,7 +106,7 @@ class Span:
         self._tracker._close(self)
 
     def __repr__(self) -> str:
-        state = "open" if self.open else "closed"
+        state = "open" if self.t_end is None else "closed"
         return f"Span({self.path!r}, scope={self.scope!r}, {state})"
 
 
@@ -131,14 +127,6 @@ class SpanTracker:
         span = Span(self, name, scope, parent, attrs)
         stack.append(span)
         return span
-
-    def current(self, scope: str = "main") -> Optional[Span]:
-        """The innermost open span of ``scope``, if any."""
-        stack = self._stacks.get(scope)
-        return stack[-1] if stack else None
-
-    def depth(self, scope: str = "main") -> int:
-        return len(self._stacks.get(scope, ()))
 
     def _close(self, span: Span) -> None:
         stack = self._stacks.get(span.scope, [])
@@ -177,15 +165,3 @@ class SpanTracker:
                     **span.attrs,
                 }
             )
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Aggregate finished spans by path: count and total durations."""
-        out: Dict[str, Dict[str, float]] = {}
-        for span in self.finished:
-            agg = out.setdefault(
-                span.path, {"count": 0, "virtual_s": 0.0, "wall_s": 0.0}
-            )
-            agg["count"] += 1
-            agg["virtual_s"] += span.virtual_s
-            agg["wall_s"] += span.wall_s
-        return out

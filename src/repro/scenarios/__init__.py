@@ -2,12 +2,7 @@
 
 from repro.scenarios.builder import Scenario, ScenarioBuilder
 from repro.scenarios.urban import UrbanGrid
-from repro.scenarios.workloads import (
-    Target,
-    TargetGroup,
-    EventField,
-    PoissonTraffic,
-)
+from repro.scenarios.workloads import EventField, Target, TargetGroup
 
 __all__ = [
     "Scenario",
@@ -16,5 +11,4 @@ __all__ = [
     "Target",
     "TargetGroup",
     "EventField",
-    "PoissonTraffic",
 ]

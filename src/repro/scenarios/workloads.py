@@ -1,9 +1,8 @@
-"""Workload generators: targets to track, event fields, background traffic.
+"""Workload generators: targets to track and event fields.
 
 Targets are *ghost* entities — they move through the world and are observed
 by sensors, but are not network nodes.  Event fields generate the binary
-world events that human sources report on (social sensing).  Poisson
-traffic provides background offered load for congestion studies.
+world events that human sources report on (social sensing).
 """
 
 from __future__ import annotations
@@ -15,11 +14,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.net.mobility import MobilityModel, RandomWaypoint
-from repro.net.transport import MessageService
 from repro.sim.kernel import Simulator
 from repro.util.geometry import Point, Region
 
-__all__ = ["Target", "TargetGroup", "EventField", "PoissonTraffic"]
+__all__ = ["Target", "TargetGroup", "EventField"]
 
 _target_ids = itertools.count(1)
 
@@ -124,47 +122,3 @@ class EventField:
 
     def __len__(self) -> int:
         return len(self.truth)
-
-
-class PoissonTraffic:
-    """Background unicast traffic between random attached node pairs."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        service: MessageService,
-        node_ids: List[int],
-        *,
-        rate_hz: float = 1.0,
-        size_bits: int = 2048,
-    ):
-        if rate_hz <= 0:
-            raise ConfigurationError("rate_hz must be positive")
-        if len(node_ids) < 2:
-            raise ConfigurationError("need at least two nodes for traffic")
-        self.sim = sim
-        self.service = service
-        self.node_ids = list(node_ids)
-        self.rate_hz = rate_hz
-        self.size_bits = size_bits
-        self._rng = sim.rng.get("traffic")
-        self.sent = 0
-        self._stopped = False
-
-    def start(self) -> None:
-        self._schedule_next()
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def _schedule_next(self) -> None:
-        gap = float(self._rng.exponential(1.0 / self.rate_hz))
-        self.sim.call_in(gap, self._fire)
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        src, dst = self._rng.choice(self.node_ids, size=2, replace=False)
-        self.service.send(int(src), int(dst), payload=None, size_bits=self.size_bits)
-        self.sent += 1
-        self._schedule_next()

@@ -41,7 +41,7 @@ import numpy as np
 import repro.net.packet as packet_module
 from repro.faults.faults import LinkFlapFault, NodeChurnFault
 from repro.net.channel import Channel
-from repro.net.mac import ContentionMac, IdealMac
+from repro.net.mac import ContentionMac
 from repro.net.node import Network
 from repro.net.packet import Packet, PacketKind
 from repro.net.registry import StackSpec, compose
@@ -216,10 +216,7 @@ class ShardRuntime:
         """
         spec = self.spec
         channel = Channel(seed=derive_seed(spec.seed, "shard.channel"))
-        mac: Any = (
-            ContentionMac() if spec.mac == "csma" else IdealMac()
-        )
-        network = Network(self.sim, channel=channel, mac=mac)
+        network = Network(self.sim, channel=channel, mac=ContentionMac())
         rng = np.random.default_rng(derive_seed(spec.seed, "shard.uniform"))
         side = int(math.ceil(math.sqrt(spec.n_nodes)))
         # One bulk draw keeps the build fast and trivially replicated; read

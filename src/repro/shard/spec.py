@@ -22,9 +22,9 @@ Three spec families live here:
 * The workload/fault sub-specs both of those compose.
 
 ``validate()`` rejects anything that is not shard-safe: routers outside
-``SHARD_SAFE_ROUTERS`` (``gossip``'s and ``geo``'s draws from a sequential
-stream and ``epidemic``'s and ``spray_wait``'s reads of a peer's bundle
-store are partition-coupled; ``tests/shard/test_spec.py`` names each),
+``SHARD_SAFE_ROUTERS`` (``geo``'s draws from a sequential stream and
+``epidemic``'s and ``spray_wait``'s reads of a peer's bundle store are
+partition-coupled; ``tests/shard/test_spec.py`` names each),
 transports (their timers and ACK packets are unaudited for replication),
 and gremlin fault injection (draws from a sequential stream on the hot
 path).
@@ -57,8 +57,8 @@ class ShardConfigError(ValueError):
 #: (raw link-layer sends) is always allowed.
 SHARD_SAFE_ROUTERS = ("flooding", "aodv")
 
-#: MACs that draw nothing (ideal) or draw only via ``ctx.rng`` (csma).
-SHARD_SAFE_MACS = ("csma", "ideal")
+#: MACs that draw only via ``ctx.rng``.
+SHARD_SAFE_MACS = ("csma",)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional
 
-from repro.util.stats import RunningStats, summarize
+from repro.util.stats import RunningStats
 
 __all__ = ["TimeSeries", "MetricRecorder"]
 
@@ -35,12 +35,6 @@ class TimeSeries:
         self.times.append(float(time))
         self.values.append(float(value))
         self.stats.add(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def last(self) -> Optional[float]:
-        return self.values[-1] if self.values else None
 
     def window(
         self, t_start: float, t_end: float, *, include_end: bool = False
@@ -84,13 +78,6 @@ class TimeSeries:
             span += dt
         return total / span if span > 0 else self.values[-1]
 
-    def summary(self) -> Dict[str, float]:
-        return summarize(self.values)
-
-    def __repr__(self) -> str:
-        return f"TimeSeries({self.name}, n={len(self)})"
-
-
 class MetricRecorder:
     """Holds all metrics of one simulation run, keyed by name."""
 
@@ -110,12 +97,6 @@ class MetricRecorder:
         """Record ``value`` for series ``name`` at the current virtual time."""
         self.series(name).add(self._sim.now, value)
 
-    def has_series(self, name: str) -> bool:
-        return name in self._series
-
-    def series_names(self) -> List[str]:
-        return sorted(self._series)
-
     # ---------------------------------------------------------------- counters
 
     def incr(self, name: str, amount: float = 1.0) -> None:
@@ -126,12 +107,3 @@ class MetricRecorder:
 
     def counters(self) -> Dict[str, float]:
         return dict(self._counters)
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Summaries of every series plus all counters (for reports)."""
-        out: Dict[str, Dict[str, float]] = {
-            name: ts.summary() for name, ts in self._series.items()
-        }
-        for name, val in self._counters.items():
-            out[f"counter:{name}"] = {"value": val}
-        return out

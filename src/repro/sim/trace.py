@@ -171,10 +171,6 @@ class TraceLog:
     def emit(self, category: str, **fields: Any) -> None:
         self.stage((self._sim.now, category, fields))
 
-    def emit_schema(self, schema: RecordSchema, values: Tuple[Any, ...]) -> None:
-        """Positional ``values`` against ``schema``'s pre-sorted keys."""
-        self.stage((self._sim.now, schema.sid) + values)
-
     def _overflow(self, entry: Tuple[Any, ...]) -> None:
         """Past the cap: count, warn once, and write the record straight to
         the sinks — it exists nowhere else."""
@@ -276,11 +272,6 @@ class TraceLog:
         self._sinks.append(sink)
         return sink
 
-    def remove_sink(self, sink: Any) -> None:
-        self._drain()
-        if sink in self._sinks:
-            self._sinks.remove(sink)
-
     @property
     def sinks(self) -> Tuple[Any, ...]:
         return tuple(self._sinks)
@@ -329,21 +320,6 @@ class TraceLog:
         self._sinks.clear()
 
     # ---------------------------------------------------------------- queries
-
-    def filter(
-        self, category: Optional[str] = None, **field_filters: Any
-    ) -> List[TraceRecord]:
-        """Records matching a category and exact field values."""
-        out = []
-        for rec in self.records:
-            if category is not None and rec.category != category:
-                continue
-            if all(rec.get(k) == v for k, v in field_filters.items()):
-                out.append(rec)
-        return out
-
-    def count(self, category: str) -> int:
-        return sum(1 for rec in self.records if rec.category == category)
 
     def fingerprint(self, categories: Optional[Iterable[str]] = None) -> str:
         """A stable digest of the trace; equal across identical runs.

@@ -1,8 +1,8 @@
-"""The "things" of the IoBT: sensors, actuators, compute, humans, energy.
+"""The "things" of the IoBT: sensors, actuators, humans, energy.
 
 Assets wrap network nodes with battlefield semantics: an affiliation
 (blue / red / gray), a capability profile, an energy budget, and attached
-devices (sensors, actuators, compute elements) or a human-source model.
+devices (sensors, actuators) or a human-source model.
 """
 
 from repro.things.asset import Affiliation, Asset, AssetInventory
@@ -15,7 +15,6 @@ from repro.things.capabilities import (
 )
 from repro.things.sensors import Sensor, Environment, Detection
 from repro.things.actuators import Actuator, ActuationRequest, SafetyInterlock
-from repro.things.compute import ComputeElement, ComputeTask
 from repro.things.humans import HumanSource, Claim
 from repro.things.energy import Battery
 
@@ -34,8 +33,6 @@ __all__ = [
     "Actuator",
     "ActuationRequest",
     "SafetyInterlock",
-    "ComputeElement",
-    "ComputeTask",
     "HumanSource",
     "Claim",
     "Battery",

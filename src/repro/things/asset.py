@@ -1,7 +1,7 @@
 """Assets: battlefield things bound to network nodes.
 
 An :class:`Asset` joins a capability profile, an affiliation (blue / red /
-gray), optional sensors/actuators/compute/human models, an energy budget,
+gray), optional sensors/actuators/human models, an energy budget,
 and a duty cycle (intermittent presence) around one :class:`NetNode`.
 The :class:`AssetInventory` is the queryable population that discovery and
 composition operate over.
@@ -23,7 +23,6 @@ from repro.things.capabilities import (
     CapabilityProfile,
     SensingModality,
 )
-from repro.things.compute import ComputeElement
 from repro.things.energy import Battery
 from repro.things.humans import HumanSource
 from repro.things.sensors import Sensor
@@ -70,7 +69,6 @@ class Asset:
         self.human = human
         self.sensors: List[Sensor] = []
         self.actuators: List[Actuator] = []
-        self.compute: Optional[ComputeElement] = None
         self.captured = False  # red takeover of a formerly blue/gray asset
         if battery is not None:
             node.energy_hook = battery.drain_radio
@@ -123,12 +121,6 @@ class Asset:
         actuator = Actuator(self.node.id, kind, **kwargs)
         self.actuators.append(actuator)
         return actuator
-
-    def add_compute(self, sim, **kwargs) -> ComputeElement:
-        self.compute = ComputeElement(
-            sim, self.node.id, max(self.profile.compute_flops, 1.0), **kwargs
-        )
-        return self.compute
 
     def is_awake(self, rng: np.random.Generator) -> bool:
         """Duty-cycle draw: is the radio listening right now?"""

@@ -1,7 +1,7 @@
 """Battery / energy model.
 
 Forward-deployed IoBT assets are energy-disadvantaged; every radio bit,
-sensor reading, and compute cycle drains a finite budget.  The battery
+sensor reading, and idle second drains a finite budget.  The battery
 invokes a callback at depletion so the network can take the node down.
 """
 
@@ -29,7 +29,6 @@ class Battery:
         tx_j_per_bit: float = 2.0e-7,
         rx_j_per_bit: float = 1.0e-7,
         sense_j_per_sample: float = 5.0e-4,
-        compute_j_per_flop: float = 1.0e-10,
         idle_w: float = 0.0,
         on_depleted: Optional[Callable[[], None]] = None,
     ):
@@ -40,7 +39,6 @@ class Battery:
         self.tx_j_per_bit = tx_j_per_bit
         self.rx_j_per_bit = rx_j_per_bit
         self.sense_j_per_sample = sense_j_per_sample
-        self.compute_j_per_flop = compute_j_per_flop
         self.idle_w = idle_w
         self.on_depleted = on_depleted
         self._depleted_notified = False
@@ -68,9 +66,6 @@ class Battery:
 
     def drain_sense(self, samples: int = 1) -> None:
         self._drain(samples * self.sense_j_per_sample)
-
-    def drain_compute(self, flops: float) -> None:
-        self._drain(flops * self.compute_j_per_flop)
 
     def drain_idle(self, dt_s: float) -> None:
         self._drain(self.idle_w * dt_s)

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
-__all__ = ["Point", "Region", "distance", "bearing", "centroid"]
+__all__ = ["Point", "Region", "distance", "centroid"]
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,6 @@ class Point:
 
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def translate(self, dx: float, dy: float) -> "Point":
-        return Point(self.x + dx, self.y + dy)
 
     def toward(self, other: "Point", step: float) -> "Point":
         """Return the point ``step`` meters from self toward ``other``.
@@ -43,9 +40,6 @@ class Point:
             self.y + (other.y - self.y) * frac,
         )
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
@@ -54,11 +48,6 @@ class Point:
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points in meters."""
     return a.distance_to(b)
-
-
-def bearing(a: Point, b: Point) -> float:
-    """Angle of the vector a->b in radians, in ``[-pi, pi]``."""
-    return math.atan2(b.y - a.y, b.x - a.x)
 
 
 def centroid(points: Iterable[Point]) -> Point:

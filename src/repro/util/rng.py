@@ -166,17 +166,6 @@ class RngStreams:
             )
         return self._streams[name]
 
-    def spawn(self, name: str) -> "RngStreams":
-        """Return a child ``RngStreams`` rooted under ``name``.
-
-        Useful for handing a subsystem its own namespace of streams.
-        """
-        return RngStreams(derive_seed(self.seed, name))
-
-    def reset(self) -> None:
-        """Drop all streams so the next ``get`` starts from the seed again."""
-        self._streams.clear()
-
     def draw_counts(self) -> Dict[str, Optional[int]]:
         """Exact 64-bit outputs drawn per stream, by stream name.
 

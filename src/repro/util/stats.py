@@ -11,7 +11,6 @@ __all__ = [
     "RunningStats",
     "mean_confidence_interval",
     "summarize",
-    "percentile",
 ]
 
 
@@ -56,34 +55,6 @@ class RunningStats:
         var = self.variance
         return math.sqrt(var) if var == var else math.nan  # NaN-safe
 
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Return a new RunningStats combining both windows."""
-        merged = RunningStats()
-        if self.count == 0:
-            merged.count = other.count
-            merged._mean = other._mean
-            merged._m2 = other._m2
-            merged.min, merged.max = other.min, other.max
-            return merged
-        if other.count == 0:
-            merged.count = self.count
-            merged._mean = self._mean
-            merged._m2 = self._m2
-            merged.min, merged.max = self.min, self.max
-            return merged
-        n = self.count + other.count
-        delta = other._mean - self._mean
-        merged.count = n
-        merged._mean = self._mean + delta * other.count / n
-        merged._m2 = (
-            self._m2
-            + other._m2
-            + delta * delta * self.count * other.count / n
-        )
-        merged.min = min(self.min, other.min)
-        merged.max = max(self.max, other.max)
-        return merged
-
     def __repr__(self) -> str:
         return (
             f"RunningStats(count={self.count}, mean={self.mean:.4g}, "
@@ -125,14 +96,6 @@ def mean_confidence_interval(
     except Exception:  # pragma: no cover - scipy is a hard dep
         t = 1.96
     return mean, t * sem
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0..100) of ``values``; NaN when empty."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return math.nan
-    return float(np.percentile(arr, q))
 
 
 def summarize(values: Sequence[float]) -> Dict[str, float]:

@@ -68,12 +68,6 @@ class ResultTable:
             raise KeyError(f"unknown columns: {sorted(unknown)}")
         self.rows.append({c: values.get(c, "") for c in self.columns})
 
-    def column(self, name: str) -> List[Any]:
-        """Return all values of one column, in insertion order."""
-        if name not in self.columns:
-            raise KeyError(name)
-        return [row[name] for row in self.rows]
-
     def render(self) -> str:
         cells = [[_fmt(row[c]) for c in self.columns] for row in self.rows]
         widths = [
@@ -132,12 +126,6 @@ class ResultTable:
             for ra, rb in zip(self.rows, other.rows)
             for c in self.columns
         )
-
-    def to_csv(self) -> str:
-        out = [",".join(self.columns)]
-        for row in self.rows:
-            out.append(",".join(_fmt(row[c]) for c in self.columns))
-        return "\n".join(out)
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -97,7 +97,7 @@ def sleep_task(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 def stack_sweep_task(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """Run a tiny line network composed entirely from registry names.
 
-    The sweep grids over ``router``/``mac`` strings; this function proves
+    The sweep grids over ``router`` names and ``mac_params``; this function proves
     the declarative composition path end-to-end: names -> registry ->
     StackSpec -> live stack -> delivery metrics.
     """
@@ -109,17 +109,19 @@ def stack_sweep_task(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     sim.enable_packet_tracing()
     spec = StackSpec(
         router=params["router"],
-        mac=params["mac"],
+        mac=params.get("mac", "csma"),
         channel="log_distance",
         transport="basic",
         router_params=dict(params.get("router_params", {})),
+        mac_params=dict(params.get("mac_params", {})),
     )
     composed = compose(sim, spec)
     net = composed.network
     n = int(params.get("n_nodes", 5))
     for i in range(n):
         net.create_node(i + 1, Point(i * 50.0, 0.0))
-    composed.attach_all(sorted(net.nodes))
+    for node_id in sorted(net.nodes):
+        composed.transport.attach(node_id)
     for k in range(int(params.get("n_messages", 6))):
         src = 1 + (k % n)
         dst = 1 + ((k + 2) % n)

@@ -29,7 +29,7 @@ class TestAggregate:
         )
         table = aggregate(result, metrics=["m"])
         assert table.columns == ["a", "m"]
-        assert table.column("m") == [2.0, 15.0]
+        assert [row["m"] for row in table.rows] == [2.0, 15.0]
 
     def test_ci_columns_match_stats_helper(self):
         spec = SweepSpec("t", grid={"a": (1,)}, replicates=3)
@@ -56,19 +56,19 @@ class TestAggregate:
     def test_varying_bools_average_to_a_rate(self):
         spec = SweepSpec("t", grid={"a": (1,)}, replicates=4)
         result = _result_from(spec, [{"ok": v} for v in (True, True, True, False)])
-        assert aggregate(result, metrics=["ok"]).column("ok") == [0.75]
+        assert [row["ok"] for row in aggregate(result, metrics=["ok"]).rows] == [0.75]
 
     def test_nan_replicates_are_omitted_not_poisonous(self):
         spec = SweepSpec("t", grid={"a": (1,)}, replicates=3)
         result = _result_from(
             spec, [{"m": 2.0}, {"m": math.nan}, {"m": 4.0}]
         )
-        assert aggregate(result, metrics=["m"]).column("m") == [3.0]
+        assert [row["m"] for row in aggregate(result, metrics=["m"]).rows] == [3.0]
 
     def test_all_nan_stays_nan(self):
         spec = SweepSpec("t", grid={"a": (1,)}, replicates=2)
         result = _result_from(spec, [{"m": math.nan}, {"m": math.nan}])
-        assert math.isnan(aggregate(result, metrics=["m"]).column("m")[0])
+        assert math.isnan([row["m"] for row in aggregate(result, metrics=["m"]).rows][0])
 
     def test_default_metrics_are_numeric_keys_in_order(self):
         spec = SweepSpec("t", grid={"a": (1,)})

@@ -1,4 +1,4 @@
-"""Cache correctness: warm == cold, zero re-execution, invalidation."""
+"""Cache correctness: warm == cold, zero re-execution, invalidation, corrupt entries."""
 
 import json
 import math
@@ -63,7 +63,7 @@ class TestWarmCache:
         runner.run(spec)
         # Simulate dying before the last two tasks were stored.
         for task in tasks[-2:]:
-            assert cache.invalidate(task)
+            cache.path_for(task.key).unlink()
         before = _executions(marker)
         resumed = runner.run(spec)
         assert resumed.n_cached == len(tasks) - 2
@@ -146,13 +146,32 @@ class TestRobustness:
         assert back["other"] == 1.5
         assert math.isnan(back["metric"])
 
-    def test_len_and_clear(self, tmp_path):
+    def _assert_discarded_by_both_reads(self, tmp_path, body):
+        """An entry holding ``body`` reads as a miss through ``get`` and
+        ``get_stale`` alike, and each read deletes it."""
         cache = ResultCache(tmp_path / "cache")
-        marker = tmp_path / "markers"
-        CampaignRunner(counting_task, cache=cache).run(_spec(marker))
-        assert len(cache) == 6
-        assert cache.clear() == 6
-        assert len(cache) == 0
+        task = _spec(tmp_path / "m").tasks()[0]
+        path = cache.put(task, {"metric": 7.0})
+        for read in (lambda: cache.get(task), lambda: cache.get_stale(task.key)):
+            path.write_text(body, encoding="utf-8")
+            assert read() is None
+            assert not path.exists()
+
+    def test_null_entry_is_a_miss(self, tmp_path):
+        self._assert_discarded_by_both_reads(tmp_path, "null")
+
+    def test_list_entry_is_a_miss(self, tmp_path):
+        self._assert_discarded_by_both_reads(tmp_path, "[]")
+
+    def test_non_numeric_timestamp_is_a_stale_miss(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        task = _spec(tmp_path / "m").tasks()[0]
+        path = cache.put(task, {"metric": 7.0})
+        payload = json.loads(path.read_text())
+        payload["stored_at"] = "yesterday"
+        path.write_text(json.dumps(payload))
+        assert cache.get_stale(task.key, max_age_s=None) is None
+        assert not path.exists()
 
 
 class TestStaleLookup:

@@ -2,13 +2,16 @@
 
 Two contracts from the layered-stack refactor:
 
-* A sweep can grid over stack compositions by *name* (``router="aodv"``,
-  ``mac="csma"``) and run end-to-end through the registry.
+* A sweep can grid over stack compositions by *name* (``router="aodv"``)
+  and by component params (``mac_params``) and run end-to-end through the
+  registry.
 * Stack composition parameters — including a full
   :class:`~repro.net.registry.StackSpec` — content-address into the
   :class:`~repro.campaign.cache.ResultCache` key, so recomposing the stack
   is a cache miss, never a stale hit.
 """
+
+from dataclasses import asdict
 
 from repro.campaign import CampaignRunner, ResultCache, SweepSpec
 from repro.campaign.spec import canonical_json, config_key
@@ -17,10 +20,16 @@ from repro.net.registry import StackSpec
 from tests.campaign.taskfns import stack_sweep_task
 
 
-def _spec(routers, macs, replicates=1):
+#: The default contention MAC and one that loses a fifth of each
+#: transmission to every busy neighbour.
+DEFAULT_MAC = {}
+LOSSY_MAC = {"collision_rho": 0.2}
+
+
+def _spec(routers, mac_params, replicates=1):
     return SweepSpec(
         "stack-sweep",
-        grid={"router": list(routers), "mac": list(macs)},
+        grid={"router": list(routers), "mac_params": list(mac_params)},
         fixed={"n_nodes": 5, "n_messages": 6},
         replicates=replicates,
         base_seed=21,
@@ -29,7 +38,7 @@ def _spec(routers, macs, replicates=1):
 
 class TestDeclarativeSweep:
     def test_sweep_over_router_and_mac_names(self, tmp_path):
-        spec = _spec(routers=("flooding", "gossip", "aodv"), macs=("csma", "ideal"))
+        spec = _spec(routers=("flooding", "geo", "aodv"), mac_params=(DEFAULT_MAC, LOSSY_MAC))
         runner = CampaignRunner(stack_sweep_task, cache=ResultCache(tmp_path / "c"))
         result = runner.run(spec)
         assert result.n_tasks == 6
@@ -43,14 +52,14 @@ class TestDeclarativeSweep:
         assert any(row["delivery_ratio"] > 0.0 for row in rows)
 
     def test_compositions_produce_distinct_runs(self, tmp_path):
-        spec = _spec(routers=("flooding", "gossip"), macs=("csma",))
+        spec = _spec(routers=("flooding", "aodv"), mac_params=(DEFAULT_MAC,))
         runner = CampaignRunner(stack_sweep_task, cache=ResultCache(tmp_path / "c"))
         result = runner.run(spec)
         prints = {row["fingerprint"] for row in result.results()}
         assert len(prints) == 2  # different routers -> different traces
 
     def test_rerun_is_fully_cached(self, tmp_path):
-        spec = _spec(routers=("flooding",), macs=("csma", "ideal"))
+        spec = _spec(routers=("flooding",), mac_params=(DEFAULT_MAC, LOSSY_MAC))
         cache = ResultCache(tmp_path / "c")
         cold = CampaignRunner(stack_sweep_task, cache=cache).run(spec)
         warm = CampaignRunner(stack_sweep_task, cache=cache).run(spec)
@@ -67,7 +76,7 @@ class TestCacheMissOnRecompose:
     def test_stack_spec_hashes_into_key(self):
         base = StackSpec(router="aodv", mac="csma")
         same = StackSpec(router="aodv", mac="csma")
-        other_mac = StackSpec(router="aodv", mac="ideal")
+        other_mac = StackSpec(router="aodv", mac="csma", mac_params=LOSSY_MAC)
         other_params = StackSpec(
             router="aodv", mac="csma", router_params={"x": 1}
         )
@@ -77,7 +86,7 @@ class TestCacheMissOnRecompose:
 
     def test_spec_does_not_collide_with_equivalent_dict(self):
         spec = StackSpec(router="aodv")
-        assert config_key({"stack": spec}) != config_key({"stack": spec.as_config()})
+        assert config_key({"stack": spec}) != config_key({"stack": asdict(spec)})
 
     def test_canonical_json_is_stable(self):
         a = canonical_json(StackSpec(router="aodv", router_params={"b": 2, "a": 1}))
@@ -86,9 +95,9 @@ class TestCacheMissOnRecompose:
 
     def test_recompose_reexecutes_tasks(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        csma = _spec(routers=("flooding",), macs=("csma",))
-        ideal = _spec(routers=("flooding",), macs=("ideal",))
-        CampaignRunner(stack_sweep_task, cache=cache).run(csma)
-        recomposed = CampaignRunner(stack_sweep_task, cache=cache).run(ideal)
+        default = _spec(routers=("flooding",), mac_params=(DEFAULT_MAC,))
+        lossy = _spec(routers=("flooding",), mac_params=(LOSSY_MAC,))
+        CampaignRunner(stack_sweep_task, cache=cache).run(default)
+        recomposed = CampaignRunner(stack_sweep_task, cache=cache).run(lossy)
         assert recomposed.n_cached == 0
         assert recomposed.n_executed == recomposed.n_tasks

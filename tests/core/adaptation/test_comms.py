@@ -143,4 +143,4 @@ class TestEndToEnd:
         sim.call_at(12.0, lambda: net.set_position(6, Point(5000, 0)))
         sim.run(until=30.0)
         assert switcher.current == "dtn"
-        assert sim.metrics.has_series("comms.connectivity")
+        assert sim.metrics.series("comms.connectivity").values

@@ -12,80 +12,8 @@ from repro.core.adaptation.controllers import (
 from repro.core.adaptation.resources import (
     AdaptiveRateController,
     CoordinatedRateControllers,
-    EdgeAllocator,
 )
 from repro.errors import AdaptationError
-from repro.sim import Simulator
-from repro.things.compute import ComputeElement, ComputeTask
-
-
-def make_elements(sim, flops_list):
-    return [
-        ComputeElement(sim, node_id=i + 1, flops=f)
-        for i, f in enumerate(flops_list)
-    ]
-
-
-class TestEdgeAllocator:
-    def test_requires_elements(self):
-        with pytest.raises(AdaptationError):
-            EdgeAllocator([])
-
-    def test_prefers_faster_idle_element(self):
-        sim = Simulator()
-        fast, slow = make_elements(sim, [1000.0, 10.0])
-        alloc = EdgeAllocator([fast, slow])
-        alloc.submit(1, ComputeTask(work_flops=100.0))
-        assert fast.queue_length == 1
-        assert slow.queue_length == 0
-
-    def test_balances_under_load(self):
-        sim = Simulator()
-        a, b = make_elements(sim, [100.0, 100.0])
-        alloc = EdgeAllocator([a, b])
-        for _ in range(10):
-            alloc.submit(1, ComputeTask(work_flops=100.0))
-        assert a.queue_length > 0 and b.queue_length > 0
-
-    def test_avoids_failed_elements(self):
-        sim = Simulator()
-        a, b = make_elements(sim, [100.0, 100.0])
-        alloc = EdgeAllocator([a, b])
-        alloc.fail_element(a.node_id)
-        for _ in range(4):
-            alloc.submit(1, ComputeTask(work_flops=10.0))
-        assert a.queue_length == 0
-        alloc.restore_element(a.node_id)
-        assert a in alloc.live_elements()
-
-    def test_all_failed_rejects(self):
-        sim = Simulator()
-        (a,) = make_elements(sim, [100.0])
-        alloc = EdgeAllocator([a])
-        alloc.fail_element(a.node_id)
-        assert not alloc.submit(1, ComputeTask(work_flops=10.0))
-        assert alloc.dispatch_rejections == 1
-
-    def test_quota_blocks_flooder_but_not_others(self):
-        sim = Simulator()
-        elements = make_elements(sim, [1000.0])
-        alloc = EdgeAllocator(elements, per_source_quota=3, quota_window_s=100.0)
-        flooder_accepted = sum(
-            alloc.submit(666, ComputeTask(work_flops=1.0)) for _ in range(20)
-        )
-        victim_accepted = alloc.submit(1, ComputeTask(work_flops=1.0))
-        assert flooder_accepted == 3
-        assert victim_accepted
-        assert alloc.quota_rejections == 17
-
-    def test_quota_refills_each_window(self):
-        sim = Simulator()
-        elements = make_elements(sim, [1000.0])
-        alloc = EdgeAllocator(elements, per_source_quota=2, quota_window_s=10.0)
-        for _ in range(5):
-            alloc.submit(1, ComputeTask(work_flops=1.0))
-        sim.run(until=15.0)  # window reset fires
-        assert alloc.submit(1, ComputeTask(work_flops=1.0))
 
 
 class TestRateControl:

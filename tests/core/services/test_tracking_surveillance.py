@@ -107,7 +107,7 @@ class TestSurveillance:
         service.start()
         sim.run(until=30.0)
         series = sim.metrics.series("surveillance.coverage")
-        assert len(series) >= 5
+        assert len(series.values) >= 5
 
     def test_recovery_time_detection(self, sim):
         scenario, sensors = self._world(sim)

@@ -22,7 +22,6 @@ from repro.net.routing import (
     AodvRouter,
     EpidemicRouter,
     FloodingRouter,
-    GossipRouter,
     GreedyGeoRouter,
     SprayAndWaitRouter,
 )
@@ -89,20 +88,6 @@ def scenario_flooding(seed: int = 11) -> str:
     # Broadcast traffic exercises the batched (fan-out) path.
     for i in range(4):
         sim.call_at(2.5 + i * 3.0, lambda s=ids[i], k=i: svc.send(s, None, payload=k))
-    _inject_faults(sim, net, ids)
-    sim.run(until=30.0)
-    return sim.trace.fingerprint()
-
-
-def scenario_gossip(seed: int = 12) -> str:
-    sim = Simulator(seed=seed)
-    sim.enable_packet_tracing()
-    net = _grid_network(sim)
-    ids = sorted(net.nodes)
-    router = GossipRouter(net, forward_probability=0.8)
-    router.attach_all(ids)
-    svc = MessageService(router)
-    _traffic(sim, svc, ids, n_messages=16, gap=1.1)
     _inject_faults(sim, net, ids)
     sim.run(until=30.0)
     return sim.trace.fingerprint()
@@ -177,7 +162,6 @@ def scenario_spray_wait_mobile(seed: int = 16) -> str:
 #: name -> zero-arg callable returning the run's full trace fingerprint.
 FINGERPRINT_SCENARIOS = {
     "flooding": scenario_flooding,
-    "gossip": scenario_gossip,
     "geo": scenario_geo,
     "aodv_reliable": scenario_aodv_reliable,
     "epidemic_mobile": scenario_epidemic_mobile,

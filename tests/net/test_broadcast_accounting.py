@@ -157,7 +157,6 @@ def scenario_world(name):
 
 SCENARIO_ROUTERS = {
     "flooding": "flooding",
-    "gossip": "gossip",
     "geo": "geo",
     "aodv_reliable": "aodv",
     "epidemic_mobile": "epidemic",
@@ -187,7 +186,7 @@ CHURN = {
     "net.tx_attempts": 367.0, "net.tx_success": 3859.0,
 }
 CHURN_RECEIVER_DOWN = 98
-#: No broadcast reception of these six worlds finds its receiver gone.
+#: No broadcast reception of these five worlds finds its receiver gone.
 SCENARIOS = {
     "aodv_reliable": {
         "net.tx": 696.0, "net.rx": 4177.0, "net.dropped": 3047.0,
@@ -212,12 +211,6 @@ SCENARIOS = {
         "route.geo.tx": 38.0, "route.geo.delivered": 18.0,
         "route.geo.control_tx": 0.0,
         "net.tx_attempts": 38.0, "net.tx_success": 18.0,
-    },
-    "gossip": {
-        "net.tx": 299.0, "net.rx": 2568.0, "net.dropped": 1753.0,
-        "route.gossip.tx": 299.0, "route.gossip.delivered": 2568.0,
-        "route.gossip.control_tx": 0.0,
-        "net.tx_attempts": 299.0, "net.tx_success": 2568.0,
     },
     "spray_wait_mobile": {
         "net.tx": 217.0, "net.rx": 109.0, "net.dropped": 108.0,
@@ -316,7 +309,7 @@ def test_receptions_are_counted_when_a_handler_raises():
 def faulted_traced_flood():
     """A 6 x 6 flood under every fault the fan-out consults, packet-traced.
 
-    The six golden scenarios never combine a partition with a gremlin on a
+    The five golden scenarios never combine a partition with a gremlin on a
     traced broadcast; here each surviving slot of a fan-out can be cut by a
     blocked link or a partition, dropped, duplicated, corrupted or delayed,
     and the tracer records each fate in neighbour order.

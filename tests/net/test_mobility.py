@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.channel import Channel
 from repro.net.mobility import (
-    GroupMobility,
     ManhattanGrid,
     MobilityManager,
     RandomWaypoint,
@@ -87,25 +86,6 @@ class TestManhattan:
             ManhattanGrid(Point(0, 0), REGION, block_size=0.0)
 
 
-class TestGroup:
-    def test_members_follow_leader(self, rng):
-        leader = RandomWaypoint(Point(500, 500), REGION, pause_range=(0, 0))
-        member = GroupMobility(leader, offset=Point(10, 0), jitter_m=1.0)
-        for _ in range(50):
-            leader.step(5.0, rng)
-            member.step(5.0, rng)
-            dist = member.position.distance_to(leader.position)
-            assert dist < 10 + 2 * 1.5  # offset + jitter slack
-
-    def test_region_clamp(self, rng):
-        leader = StaticMobility(Point(0, 0))
-        member = GroupMobility(
-            leader, offset=Point(-50, -50), jitter_m=0.0, region=REGION
-        )
-        member.step(1.0, rng)
-        assert REGION.contains(member.position)
-
-
 class TestSeededDeterminism:
     """Same seed -> identical trail; different seed -> different trail.
 
@@ -135,36 +115,6 @@ class TestSeededDeterminism:
         self._assert_reproducible(
             lambda: ManhattanGrid(Point(500, 500), REGION, block_size=100.0)
         )
-
-    def test_group(self):
-        def make():
-            leader = RandomWaypoint(Point(500, 500), REGION, pause_range=(0, 0))
-            return GroupMobility(leader, offset=Point(15, 0), jitter_m=2.0)
-
-        # A follower's trail folds in the leader's draws plus its own
-        # jitter, so seeding must pin the entire platoon's motion.
-        def trail(seed):
-            rng = np.random.default_rng(seed)
-            member = make()
-            out = []
-            for _ in range(60):
-                member.leader.step(2.0, rng)
-                p = member.step(2.0, rng)
-                out.append((p.x, p.y))
-            return out
-
-        assert trail(11) == trail(11)
-        assert trail(11) != trail(12)
-
-    def test_group_respects_region_bounds(self):
-        rng = np.random.default_rng(13)
-        leader = RandomWaypoint(Point(20, 20), REGION, pause_range=(0, 0))
-        member = GroupMobility(
-            leader, offset=Point(-80, -80), jitter_m=5.0, region=REGION
-        )
-        for _ in range(200):
-            leader.step(3.0, rng)
-            assert REGION.contains(member.step(3.0, rng))
 
 
 class TestManager:

@@ -79,7 +79,7 @@ class TestRetransmission:
         assert fate.state == "gave_up"
         assert fate.attempts == 3  # initial + 2 retries
         assert not fate.delivered
-        assert sim.trace.count("transport.gave_up") == 1
+        assert [r.category for r in sim.trace.records].count("transport.gave_up") == 1
 
     def test_backoff_grows_exponentially(self):
         sim, net = line_network(2)
@@ -130,14 +130,6 @@ class TestFateAccounting:
         assert svc.delivery_ratio() != svc.delivery_ratio()  # NaN
         assert svc.retransmit_rate() != svc.retransmit_rate()
         assert svc.transmissions_per_delivery() != svc.transmissions_per_delivery()
-
-    def test_goodput_counts_delivered_bits_once(self):
-        sim, net = line_network(3)
-        svc = reliable(net)
-        svc.send(1, 3, size_bits=1000)
-        svc.send(3, 1, size_bits=500)
-        sim.run(until=50.0)
-        assert svc.goodput_bps(50.0) == pytest.approx((1000 + 500) / 50.0)
 
     def test_retransmit_rate_bounded(self):
         sim, net = line_network(3)

@@ -13,7 +13,6 @@ from repro.net.routing import (
     AodvRouter,
     EpidemicRouter,
     FloodingRouter,
-    GossipRouter,
     GreedyGeoRouter,
     SprayAndWaitRouter,
 )
@@ -81,33 +80,6 @@ class TestFlooding:
         receipt = svc.send(1, 8, ttl=2)
         sim.run(until=30.0)
         assert not receipt.delivered
-
-
-class TestGossip:
-    def test_p1_equals_flooding_reach(self):
-        sim, net = line_network(5)
-        router = GossipRouter(net, forward_probability=1.0)
-        router.attach_all(range(1, 6))
-        receipt = run_unicast(router, sim, 1, 5)
-        assert receipt.delivered
-
-    def test_invalid_probability(self):
-        sim, net = line_network(2)
-        with pytest.raises(ConfigurationError):
-            GossipRouter(net, forward_probability=0.0)
-
-    def test_low_p_fewer_transmissions(self):
-        def tx_count(p, seed):
-            sim, net = line_network(12, seed=seed)
-            router = GossipRouter(net, forward_probability=p)
-            router.attach_all(range(1, 13))
-            svc = MessageService(router)
-            for _ in range(5):
-                svc.send(1, None)
-            sim.run(until=60.0)
-            return sim.metrics.counter("net.tx_attempts")
-
-        assert tx_count(0.3, 2) < tx_count(1.0, 2)
 
 
 class TestGreedyGeo:

@@ -4,8 +4,8 @@ Every router must agree on two accounting contracts, because experiment
 metrics (hop counts, path tomography) compare protocols against each other:
 
 * a self-addressed packet is delivered locally with ``hops == 0`` and
-  ``path == [src]`` — historically GossipRouter broadcast it instead and
-  the sender never saw its own message;
+  ``path == [src]`` — a router that broadcasts it instead leaves the
+  sender never seeing its own message;
 * a unicast across a quiet line network arrives with ``path`` listing every
   visited node in order (origin first, destination last) and ``hops ==
   len(path) - 1``.
@@ -19,7 +19,6 @@ from repro.net.routing import (
     AodvRouter,
     EpidemicRouter,
     FloodingRouter,
-    GossipRouter,
     GreedyGeoRouter,
     SprayAndWaitRouter,
 )
@@ -29,7 +28,6 @@ from repro.util.geometry import Point
 
 ROUTERS = {
     "flooding": lambda net: FloodingRouter(net),
-    "gossip": lambda net: GossipRouter(net, forward_probability=1.0),
     "geo": lambda net: GreedyGeoRouter(net),
     "aodv": lambda net: AodvRouter(net),
     "epidemic": lambda net: EpidemicRouter(net, contact_period_s=1.0),

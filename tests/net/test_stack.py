@@ -6,15 +6,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net import registry
 from repro.net.channel import Channel
-from repro.net.mac import ContentionMac, IdealMac, MacAccess
+from repro.net.mac import ContentionMac, MacAccess
 from repro.net.node import NetNode, Network
-from repro.net.packet import Packet
-from repro.net.registry import ComponentRegistry, StackSpec, compose
+from repro.net.registry import StackSpec, compose
 from repro.net.routing import (
     AodvRouter,
     EpidemicRouter,
     FloodingRouter,
-    GossipRouter,
     GreedyGeoRouter,
     SprayAndWaitRouter,
 )
@@ -50,15 +48,14 @@ class _CountingRng:
 class TestLayerProtocol:
     def test_mac_backends_satisfy_protocol(self):
         # What MacLayer.grant needs of a backend: access(busy, rng) -> MacAccess.
-        for mac, draws in ((ContentionMac(), True), (IdealMac(), False)):
-            rng = np.random.default_rng(3)
-            before = rng.bit_generator.state
-            access = mac.access(2, rng)
-            assert isinstance(access, MacAccess)
-            assert access.backoff_s >= 0.0 and 0.0 < access.collision_survival <= 1.0
-            assert (rng.bit_generator.state != before) is draws
-            with pytest.raises(AttributeError):
-                access.backoff_s = 1.0
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        access = ContentionMac().access(2, rng)
+        assert isinstance(access, MacAccess)
+        assert access.backoff_s >= 0.0 and 0.0 < access.collision_survival <= 1.0
+        assert rng.bit_generator.state != before
+        with pytest.raises(AttributeError):
+            access.backoff_s = 1.0
         # ContentionMac.access computes its pair in its own frame; the oracle
         # is the two public halves, called on a twin generator seeded alike.
         mac = ContentionMac()
@@ -70,16 +67,12 @@ class TestLayerProtocol:
             assert (backoff, survival) == (mac.access_delay(k, twin), mac.collision_survival(k))
             assert rng.bit_generator.state == twin.bit_generator.state
         assert counted.draws == 5
-        ideal = _CountingRng(np.random.default_rng(8))
-        IdealMac().access(5, ideal)
-        assert ideal.draws == 0
 
     def test_routers_satisfy_router_port(self):
         sim = Simulator(seed=1)
         net = _line_network(sim)
         for cls in (
             FloodingRouter,
-            GossipRouter,
             GreedyGeoRouter,
             AodvRouter,
             EpidemicRouter,
@@ -146,30 +139,20 @@ class TestNetworkStack:
 
 class TestRegistry:
     def test_default_components_registered(self):
-        assert registry.names("router") == [
-            "aodv",
-            "epidemic",
-            "flooding",
-            "geo",
-            "gossip",
-            "spray_wait",
-        ]
-        assert registry.names("mac") == ["csma", "ideal"]
-        assert registry.names("channel") == ["log_distance"]
-        assert registry.names("transport") == ["basic", "reliable"]
-        assert registry.names("mobility") == [
-            "group",
-            "manhattan",
-            "random_waypoint",
-            "static",
-        ]
+        registry.factory("router", "flooding")  # loads the built-in modules
+        assert {kind: sorted(table) for kind, table in registry._TABLES.items()} == {
+            "channel": ["log_distance"],
+            "mac": ["csma"],
+            "router": ["aodv", "epidemic", "flooding", "geo", "spray_wait"],
+            "transport": ["basic", "reliable"],
+        }
 
     def test_create_router_by_name(self):
         sim = Simulator(seed=4)
         net = _line_network(sim)
-        router = registry.create("router", "gossip", net, forward_probability=0.6)
-        assert isinstance(router, GossipRouter)
-        assert router.forward_probability == 0.6
+        router = registry.create("router", "aodv", net, max_discovery_retries=5)
+        assert isinstance(router, AodvRouter)
+        assert router.max_discovery_retries == 5
 
     def test_unknown_name_lists_alternatives(self):
         with pytest.raises(ConfigurationError, match="flooding"):
@@ -180,28 +163,16 @@ class TestRegistry:
             registry.create("antigravity", "x")
 
     def test_names_are_snake_case(self):
-        reg = ComponentRegistry()
         with pytest.raises(ConfigurationError):
-            reg.register("mac", "Fancy-MAC", IdealMac)
+            registry.register("mac", "Fancy-MAC", ContentionMac)
 
     def test_duplicate_name_rejected(self):
-        reg = ComponentRegistry()
-        reg.register("mac", "m", IdealMac)
-        reg.register("mac", "m", IdealMac)  # same factory: idempotent
+        registry.register("mac", "csma", ContentionMac)  # same factory: idempotent
         with pytest.raises(ConfigurationError):
-            reg.register("mac", "m", ContentionMac)
+            registry.register("mac", "csma", MacAccess)
 
 
 class TestStackSpec:
-    def test_round_trips_through_config(self):
-        spec = StackSpec(
-            router="aodv",
-            mac="ideal",
-            transport="reliable",
-            router_params={"max_discovery_retries": 2},
-        )
-        assert StackSpec.from_config(spec.as_config()) == spec
-
     def test_params_must_be_dicts(self):
         with pytest.raises(ConfigurationError):
             StackSpec(router="aodv", router_params=[1, 2])
@@ -209,14 +180,18 @@ class TestStackSpec:
     def test_compose_standalone(self):
         sim = Simulator(seed=5)
         spec = StackSpec(
-            router="flooding", mac="ideal", channel="log_distance", transport="basic"
+            router="flooding",
+            mac="csma",
+            channel="log_distance",
+            transport="basic",
+            mac_params={"collision_rho": 0.1},
         )
         composed = compose(sim, spec)
         net = composed.network
         for i in range(3):
             net.create_node(i + 1, Point(i * 50.0, 0.0))
-        composed.attach_all(sorted(net.nodes))
-        assert isinstance(net.mac, IdealMac)
+            composed.transport.attach(i + 1)
+        assert net.mac == ContentionMac(collision_rho=0.1)
         assert composed.router.name == "flooding"
         for i in sorted(net.nodes):
             assert net.node(i).router is composed.router
@@ -237,8 +212,9 @@ class TestStackSpec:
 
     def test_attach_all_after_compose_delivers(self):
         # The README flow: compose first, create nodes after, then attach
-        # through the composition — which must install transport handlers
-        # (attaching on the router alone would leave the transport deaf).
+        # through the transport — which installs its handlers and attaches
+        # the router (attaching on the router alone would leave the
+        # transport deaf).
         sim = Simulator(seed=7)
         spec = StackSpec(
             router="flooding", mac="csma", channel="log_distance", transport="basic"
@@ -247,31 +223,23 @@ class TestStackSpec:
         net = composed.network
         for i in range(4):
             net.create_node(i + 1, Point(i * 50.0, 0.0))
-        composed.attach_all(sorted(net.nodes))
+            composed.transport.attach(i + 1)
         receipt = composed.transport.send(1, 4, payload="hi")
         sim.run(until=20.0)
         assert receipt.delivered
 
     def test_swapping_mac_changes_behavior_not_topology(self):
-        def run(mac_name):
+        def run(mac_params):
             sim = Simulator(seed=7)
             sim.enable_packet_tracing()
             net = _line_network(sim)
             spec = StackSpec(router="flooding", transport="basic")
             composed = compose(sim, spec, network=net, attach=sorted(net.nodes))
             # Replace the MAC grant backend via the layer slot.
-            net.stack.mac.mac = registry.create("mac", mac_name)
+            net.stack.mac.mac = registry.create("mac", "csma", **mac_params)
             composed.transport.send(1, 4, payload="z")
             sim.run(until=15.0)
             return sim.trace.fingerprint()
 
-        assert run("csma") != run("ideal")  # ideal consumes no backoff draws
+        assert run({}) != run({"mean_backoff_slots": 1.0})  # shorter backoffs
 
-
-class TestPacketAirtime:
-    def test_transmission_delay_uses_packet_airtime(self):
-        sim = Simulator(seed=8)
-        net = _line_network(sim)
-        node = net.node(1)
-        pkt = Packet(src=1, dst=2, size_bits=4096)
-        assert net.transmission_delay_s(node, pkt) == pkt.airtime_s(node.bitrate_bps)

@@ -19,7 +19,6 @@ from tests.net.stack_scenarios import FINGERPRINT_SCENARIOS
 # Captured at the pre-refactor baseline; see module docstring.
 GOLDEN = {
     "flooding": "8e3310f67e3e95e2ec338dfcc7b110ce",
-    "gossip": "94ea35aeac9dc313106632563b59e082",
     "geo": "73edefe3121a38d64e0e1e5e86c27ab2",
     "aodv_reliable": "05dcccb869e8cb9d1517b5b510a1f855",
     "epidemic_mobile": "990a19776dd352aa76c6cab502646b2e",

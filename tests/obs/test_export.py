@@ -1,4 +1,4 @@
-"""OpenMetrics rendering/parsing and the live snapshot/SLO layer."""
+"""The live snapshot/SLO layer."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ from repro.obs.export import (
     check_slos,
     flatten_snapshot,
     live_snapshot,
-    parse_openmetrics,
     parse_slo,
     render_live,
-    render_openmetrics,
     state_from_records,
 )
 
@@ -26,52 +24,7 @@ def state():
         "service.breaker.greedy.state": {"kind": "gauge", "value": 0.0},
         "service.breaker.shortest.state": {"kind": "gauge", "value": 2.0},
         "shard.lag_events": {"kind": "gauge", "value": 17.0},
-        "service.latency_s": {
-            "kind": "histogram",
-            "buckets": [0.001, 0.01, 0.1],
-            "counts": [6, 3, 0, 1],
-            "count": 10,
-            "total": 0.35,
-            "min": 0.0004,
-            "max": 0.4,
-        },
     }
-
-
-def test_openmetrics_round_trip_is_exact(state):
-    text = render_openmetrics(state)
-    assert text.endswith("# EOF\n")
-    parsed = parse_openmetrics(text)
-    # The canonical round-trip contract: re-rendering the parse is
-    # byte-identical (names are sanitized, so compare renderings).
-    assert render_openmetrics(parsed) == text
-
-
-def test_openmetrics_counter_and_histogram_shapes(state):
-    text = render_openmetrics(state)
-    assert "# TYPE repro_net_tx counter" in text
-    assert "repro_net_tx_total 321.0" in text
-    # Buckets are cumulative and close with +Inf == count.
-    assert 'repro_service_latency_s_bucket{le="0.001"} 6' in text
-    assert 'repro_service_latency_s_bucket{le="0.01"} 9' in text
-    assert 'repro_service_latency_s_bucket{le="+Inf"} 10' in text
-    assert "repro_service_latency_s_count 10" in text
-    parsed = parse_openmetrics(text)
-    assert parsed["service_latency_s"]["counts"] == [6.0, 3.0, 0.0, 1.0]
-    assert parsed["net_tx"]["value"] == 321.0
-
-
-def test_openmetrics_summary_histogram_degrades_without_buckets():
-    state = {"lat": {"kind": "histogram", "count": 4, "mean": 0.25}}
-    text = render_openmetrics(state)
-    assert "_bucket" not in text
-    assert "repro_lat_count 4" in text
-    assert "repro_lat_sum 1.0" in text  # mean * count fallback
-
-
-def test_parse_openmetrics_rejects_undeclared_samples():
-    with pytest.raises(ValueError, match="TYPE"):
-        parse_openmetrics("repro_mystery_total 3\n# EOF\n")
 
 
 def test_live_snapshot_surfaces_every_layer(state):
@@ -89,9 +42,6 @@ def test_live_snapshot_surfaces_every_layer(state):
     assert snap["routers"]["geo"]["delivery_ratio"] is None
     assert snap["breakers"] == {"greedy": "closed", "shortest": "open"}
     assert snap["shard"]["lag_events"] == 17.0
-    # p95 of the bucketed latency histogram: 10th sample sits past the
-    # last bound, so the estimate falls back to the observed max.
-    assert snap["service"]["latency_p95_s"] == 0.4
     text = render_live(snap)
     assert "events/sec=9000.0" in text
     assert "aodv: delivery_ratio=0.750" in text

@@ -25,7 +25,7 @@ class TestInstruments:
     def test_gauge(self):
         g = Gauge("g")
         g.set(4.0)
-        g.add(-1.0)
+        g.set(3.0)
         assert g.value == 3.0
 
     def test_histogram_summary(self):
@@ -58,7 +58,7 @@ class TestInstruments:
         reg = MetricsRegistry()
         assert reg.counter("x") is reg.counter("x")
         assert reg.histogram("h") is reg.histogram("h")
-        assert reg.names() == ["h", "x"]
+        assert sorted(reg.state()) == ["h", "x"]
 
     def test_as_records_shape(self):
         reg = MetricsRegistry()
@@ -132,7 +132,7 @@ class TestFaultInstrumentation:
         assert reg.counter("faults.injections").value >= 1
         assert reg.counter("faults.recoveries").value >= 1
         per_name = [
-            n for n in reg.names()
+            n for n in reg.state()
             if n.startswith("faults.") and n.endswith(".injections")
             and n != "faults.injections"
         ]

@@ -65,31 +65,6 @@ class TestKernelProfiler:
             profiler.record(f"l{i}", 0.001 * (i + 1))
         assert len(profiler.hot_paths(10)) == 10
 
-    def test_collapsed_stack_format(self):
-        profiler = KernelProfiler()
-        profiler.record("fire", 0.002)
-        (line,) = profiler.collapsed_lines()
-        stack, weight = line.rsplit(" ", 1)
-        assert stack == "sim;fire"
-        assert int(weight) == 2000  # microseconds
-
-    def test_write_collapsed(self, tmp_path):
-        profiler = KernelProfiler()
-        profiler.record("a", 0.001)
-        profiler.record("b", 0.003)
-        out = tmp_path / "profile.folded"
-        profiler.write_collapsed(str(out))
-        lines = out.read_text().splitlines()
-        assert lines == sorted(lines)  # deterministic label order
-        assert all(" " in line for line in lines)
-
-    def test_reset(self):
-        profiler = KernelProfiler()
-        profiler.record("x", 0.1)
-        profiler.reset()
-        assert profiler.total_calls == 0
-        assert profiler.total_s == 0.0
-
 
 class TestRunCounters:
     def test_events_processed_and_wall_elapsed(self):

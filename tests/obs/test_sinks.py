@@ -138,14 +138,6 @@ class TestTraceLogSinks:
         assert len(warnings) == 1
         assert sim.trace.dropped == 4
 
-    def test_remove_sink(self):
-        sim = Simulator()
-        sink = sim.trace.add_sink(ListSink())
-        sim.trace.remove_sink(sink)
-        sim.trace.emit("evt")
-        assert len(sink.got) == 0
-        assert sim.trace.sinks == ()
-
     def test_ndjson_export_end_to_end(self, tmp_path):
         path = tmp_path / "run.ndjson"
         sim = Simulator(seed=1)

@@ -153,7 +153,7 @@ class TestEventCoverage:
         faults.gremlin(drop_p=0.6, duration_s=20.0)
         fate = service.send(1, 6)
         sim.run(until=60.0)
-        retx = sim.trace.filter("pkt.retx")
+        retx = [r for r in sim.trace.records if r.category == "pkt.retx"]
         if fate.attempts > 1:
             transport_retx = [r for r in retx if r.get("layer") == "transport"]
             assert len(transport_retx) == fate.attempts - 1
@@ -166,7 +166,7 @@ class TestEventCoverage:
         service = MessageService(router)
         receipt = service.send(1, 4)
         sim.run(until=60.0)
-        custody = sim.trace.filter("pkt.custody")
+        custody = [r for r in sim.trace.records if r.category == "pkt.custody"]
         assert custody, "custody transfers must be traced"
         assert receipt.delivered
         # The origin's admit records the full spray budget.

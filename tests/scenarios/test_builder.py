@@ -135,19 +135,3 @@ class TestWorkloads:
         before = dict(field.truth)
         field.refresh(fraction=0.0)
         assert field.truth == before
-
-    def test_poisson_traffic_sends(self, small_scenario):
-        from repro.net.routing import FloodingRouter
-        from repro.net.transport import MessageService
-        from repro.scenarios.workloads import PoissonTraffic
-
-        sc = small_scenario
-        ids = sc.blue_node_ids()
-        router = FloodingRouter(sc.network)
-        router.attach_all(ids)
-        svc = MessageService(router)
-        traffic = PoissonTraffic(sc.sim, svc, ids, rate_hz=2.0)
-        traffic.start()
-        sc.sim.run(until=30.0)
-        assert traffic.sent > 20
-        traffic.stop()

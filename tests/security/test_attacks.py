@@ -55,7 +55,7 @@ class TestJamming:
         attack = JammingAttack(scenario)
         attack.launch()
         attack.launch()
-        assert scenario.sim.trace.count("attack.launch") == 1
+        assert [r.category for r in scenario.sim.trace.records].count("attack.launch") == 1
 
 
 class TestCapture:

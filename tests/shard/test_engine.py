@@ -59,7 +59,7 @@ class TestValidation:
             ShardedSimulator(spec, ShardPlan(n_shards=2), mode="inline")
 
     def test_rejects_unsafe_router(self):
-        spec = ShardScenarioSpec(seed=1, router="gossip")
+        spec = ShardScenarioSpec(seed=1, router="geo")
         with pytest.raises(ShardConfigError, match="shard-safe"):
             ShardedSimulator(spec, ShardPlan(n_shards=2), mode="inline")
 

@@ -15,7 +15,7 @@ import pytest
 from repro.net import registry
 from repro.shard import SHARD_SAFE_ROUTERS, ShardConfigError, ShardScenarioSpec
 
-EXCLUDED = ("gossip", "geo", "epidemic", "spray_wait")
+EXCLUDED = ("geo", "epidemic", "spray_wait")
 
 
 def assert_rejected(router: str) -> None:
@@ -25,14 +25,8 @@ def assert_rejected(router: str) -> None:
 
 
 def test_every_registered_router_is_safe_or_named_here():
-    assert sorted(set(registry.names("router")) - set(SHARD_SAFE_ROUTERS)) == sorted(EXCLUDED)
-
-
-def test_gossip_is_rejected():
-    """``GossipRouter.on_receive`` flips its forward coin on the router-wide
-    ``sim.rng.get("gossip")`` stream, so a draw depends on every reception
-    any shard made before it."""
-    assert_rejected("gossip")
+    registry.factory("router", "flooding")  # loads the built-in routers
+    assert sorted(set(registry._TABLES["router"]) - set(SHARD_SAFE_ROUTERS)) == sorted(EXCLUDED)
 
 
 def test_geo_is_rejected():

@@ -68,13 +68,6 @@ class TestTimeSeries:
     def test_time_average_empty_nan(self):
         assert math.isnan(TimeSeries("x").time_average())
 
-    def test_last(self):
-        ts = TimeSeries("x")
-        assert ts.last() is None
-        ts.add(0, 3)
-        assert ts.last() == 3
-
-
 class TestMetricRecorder:
     def test_sample_timestamps_with_sim_clock(self):
         sim = Simulator()
@@ -91,23 +84,14 @@ class TestMetricRecorder:
         assert sim.metrics.counter("hits") == 3
         assert sim.metrics.counter("misses") == 0
 
-    def test_snapshot_includes_both(self):
-        sim = Simulator()
-        sim.metrics.sample("s", 1.0)
-        sim.metrics.incr("c")
-        snap = sim.metrics.snapshot()
-        assert "s" in snap
-        assert "counter:c" in snap
-
-
 class TestTraceLog:
     def test_emit_and_filter(self):
         sim = Simulator()
         sim.call_in(1.0, lambda: sim.trace.emit("evt", kind="a", node=1))
         sim.call_in(2.0, lambda: sim.trace.emit("evt", kind="b", node=2))
         sim.run()
-        assert sim.trace.count("evt") == 2
-        only_a = sim.trace.filter("evt", kind="a")
+        assert [r.category for r in sim.trace.records] == ["evt", "evt"]
+        only_a = [r for r in sim.trace.records if r.get("kind") == "a"]
         assert len(only_a) == 1
         assert only_a[0].get("node") == 1
 

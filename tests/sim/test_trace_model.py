@@ -1,9 +1,9 @@
 """TraceLog against a plain-list reference model.
 
 The state machine drives every public knob of :class:`repro.sim.trace.TraceLog`
-in random order — keyword and schema emits, ``enabled`` flips, the
+in random order — keyword emits and schema stages, ``enabled`` flips, the
 ``max_records`` cap, explicit compaction, sink flushes, auxiliary records,
-and sinks attached and removed mid-stream — and holds the log to a
+and sinks attached mid-stream — and holds the log to a
 reference that is nothing but Python lists:
 
 * the retained records, in stream order;
@@ -13,8 +13,8 @@ reference that is nothing but Python lists:
   every ``write_record``, in order.
 
 A sink may lag its expected stream (records reach sinks in batches) but
-must always hold a prefix of it, and after ``flush_sinks``, after its own
-removal and at teardown it must hold all of it.  Packed sizes come from
+must always hold a prefix of it, and after ``flush_sinks`` and at
+teardown it must hold all of it.  Packed sizes come from
 the ring format written out here (16-byte head, 5 bytes per field, 8 per
 float or i64, 4 per interned string or side-table object), not from
 :class:`~repro.obs.telemetry.BinaryTraceRing`.
@@ -26,7 +26,6 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
-    precondition,
     rule,
 )
 
@@ -83,7 +82,6 @@ class TraceLogMachine(RuleBasedStateMachine):
         self.max_records = self.trace.max_records
         self.warned_capped = False
         self.expected = {}  # attached sink -> its expected stream
-        self.removed = []  # (sink, its complete stream)
         self.aux = 0
 
     # ------------------------------------------------------------ reference
@@ -128,10 +126,10 @@ class TraceLogMachine(RuleBasedStateMachine):
             self._staged(category, tuple(sorted(fields.items())))
 
     @rule(a=values, b=values, c=values, repeat=st.integers(1, 4))
-    def emit_schema(self, a, b, c, repeat):
+    def stage_schema(self, a, b, c, repeat):
         for _ in range(repeat):
             self.sim.now += 0.5
-            self.trace.emit_schema(SCHEMA, (a, b, c))
+            self.trace.stage((self.sim.now, SCHEMA.sid, a, b, c))
             self._staged(SCHEMA.category, (("a", a), ("b", b), ("c", c)))
 
     @rule(on=st.booleans())
@@ -174,15 +172,6 @@ class TraceLogMachine(RuleBasedStateMachine):
         self.trace.add_sink(sink)
         self.expected[sink] = []
 
-    @precondition(lambda self: self.expected)
-    @rule(data=st.data())
-    def remove_sink(self, data):
-        sink = data.draw(st.sampled_from(list(self.expected)), label="sink")
-        self.trace.remove_sink(sink)
-        stream = self.expected.pop(sink)
-        assert sink.got == stream
-        self.removed.append((sink, stream))
-
     @rule()
     def read_records(self):
         got = [(r.time, r.category, r.fields) for r in self.trace.records]
@@ -199,8 +188,6 @@ class TraceLogMachine(RuleBasedStateMachine):
     def sinks_hold_a_prefix(self):
         for sink, stream in self.expected.items():
             assert sink.got == stream[: len(sink.got)]
-        for sink, stream in self.removed:
-            assert sink.got == stream
 
     def teardown(self):
         self.trace.flush_sinks()

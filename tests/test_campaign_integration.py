@@ -140,8 +140,8 @@ class TestCampaign:
     def test_metrics_and_traces_recorded(self, campaign):
         sim = campaign["sim"]
         assert sim.metrics.counter("net.tx_attempts") > 100
-        assert sim.trace.count("attack.launch") >= 2
-        assert sim.metrics.has_series("discovery.recall")
+        assert [r.category for r in sim.trace.records].count("attack.launch") >= 2
+        assert sim.metrics.series("discovery.recall").values
 
     def test_no_dangling_allocations(self, campaign):
         arbiter = campaign["arbiter"]

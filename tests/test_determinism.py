@@ -8,7 +8,7 @@ from distinct named streams never perturb each other.
 import numpy as np
 
 from repro import ScenarioBuilder, Simulator
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, fault_windows
 from repro.net.channel import Channel
 from repro.net.node import Network
 from repro.net.routing import AodvRouter
@@ -78,7 +78,8 @@ def run_chaos_stack(seed: int):
         "fates": tuple(sorted(service.fate_counts().items())),
         "mttr": injector.mttr(),
         "windows": tuple(
-            (name, tuple(spans)) for name, spans in sorted(injector.fault_windows().items())
+            (name, tuple(spans))
+            for name, spans in sorted(fault_windows(sim.trace, until=sim.now).items())
         ),
     }
 

@@ -1,4 +1,4 @@
-"""Tests for assets, inventory, actuators, compute, humans, energy."""
+"""Tests for assets, inventory, actuators, humans, energy."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.sim import Simulator
 from repro.things.actuators import ActuationRequest, Actuator, SafetyInterlock
 from repro.things.asset import Affiliation, AssetInventory
 from repro.things.capabilities import ActuationType, SensingModality, make_profile
-from repro.things.compute import ComputeElement, ComputeTask
 from repro.things.energy import Battery
 from repro.things.humans import HumanSource
 from repro.util.geometry import Point
@@ -146,45 +145,6 @@ class TestBattery:
         b = Battery(10.0, idle_w=1.0)
         b.drain_idle(4.0)
         assert b.remaining_j == pytest.approx(6.0)
-
-
-class TestCompute:
-    def test_fifo_completion_order(self):
-        sim = Simulator()
-        ce = ComputeElement(sim, 1, flops=100.0)
-        done = []
-        for i in range(3):
-            ce.submit(ComputeTask(work_flops=100.0, on_done=lambda t, i=i: done.append(i)))
-        sim.run(until=10.0)
-        assert done == [0, 1, 2]
-
-    def test_task_latency_includes_queueing(self):
-        sim = Simulator()
-        ce = ComputeElement(sim, 1, flops=100.0)
-        tasks = [ComputeTask(work_flops=100.0) for _ in range(2)]
-        for t in tasks:
-            ce.submit(t)
-        sim.run(until=10.0)
-        assert tasks[0].latency_s == pytest.approx(1.0)
-        assert tasks[1].latency_s == pytest.approx(2.0)
-
-    def test_queue_saturation_rejects(self):
-        sim = Simulator()
-        ce = ComputeElement(sim, 1, flops=1.0, queue_capacity=2)
-        accepted = [ce.submit(ComputeTask(work_flops=100.0)) for _ in range(5)]
-        assert accepted.count(True) == 3  # 1 running + 2 queued
-        assert ce.rejected == 2
-
-    def test_utilization(self):
-        sim = Simulator()
-        ce = ComputeElement(sim, 1, flops=100.0)
-        ce.submit(ComputeTask(work_flops=500.0))
-        sim.run(until=10.0)
-        assert ce.utilization(horizon_s=10.0) == pytest.approx(0.5)
-
-    def test_invalid_flops(self):
-        with pytest.raises(ConfigurationError):
-            ComputeElement(Simulator(), 1, flops=0.0)
 
 
 class TestHumanSource:

@@ -1,12 +1,10 @@
 """Tests for planar geometry primitives."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.geometry import Point, Region, bearing, centroid, distance
+from repro.util.geometry import Point, Region, centroid, distance
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -16,10 +14,6 @@ finite = st.floats(
 class TestPoint:
     def test_distance(self):
         assert distance(Point(0, 0), Point(3, 4)) == pytest.approx(5.0)
-
-    def test_translate(self):
-        p = Point(1, 2).translate(3, -1)
-        assert (p.x, p.y) == (4, 1)
 
     def test_toward_partial(self):
         p = Point(0, 0).toward(Point(10, 0), 4)
@@ -47,12 +41,6 @@ class TestPoint:
 
 
 class TestBearingCentroid:
-    def test_bearing_east(self):
-        assert bearing(Point(0, 0), Point(1, 0)) == pytest.approx(0.0)
-
-    def test_bearing_north(self):
-        assert bearing(Point(0, 0), Point(0, 1)) == pytest.approx(math.pi / 2)
-
     def test_centroid(self):
         c = centroid([Point(0, 0), Point(2, 0), Point(0, 2), Point(2, 2)])
         assert c == Point(1, 1)

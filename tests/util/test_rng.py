@@ -55,24 +55,6 @@ class TestRngStreams:
         v2 = s2.get("second").random(4)
         assert np.allclose(v1, v2)
 
-    def test_spawn_namespaces(self):
-        root = RngStreams(seed=5)
-        child = root.spawn("sub")
-        # Child streams differ from the parent's same-named stream.
-        assert not np.allclose(child.get("x").random(4), RngStreams(5).get("x").random(4))
-        # But are reproducible.
-        again = RngStreams(seed=5).spawn("sub")
-        assert np.allclose(
-            child.reset() or child.get("x").random(4), again.get("x").random(4)
-        )
-
-    def test_reset_restarts_streams(self):
-        streams = RngStreams(seed=1)
-        first = streams.get("x").random(4)
-        streams.reset()
-        second = streams.get("x").random(4)
-        assert np.allclose(first, second)
-
 
 class TestGeneratorDraws:
     """PCG64 draw counting via the LCG distance walk (no hot-path hooks)."""

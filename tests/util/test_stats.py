@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from repro.util.stats import (
     RunningStats,
     mean_confidence_interval,
-    percentile,
     summarize,
 )
 
@@ -39,23 +38,6 @@ class TestRunningStats:
         assert rs.min == min(values)
         assert rs.max == max(values)
 
-    @given(samples, samples)
-    def test_merge_equals_concat(self, a, b):
-        ra, rb, rc = RunningStats(), RunningStats(), RunningStats()
-        ra.extend(a)
-        rb.extend(b)
-        rc.extend(a + b)
-        merged = ra.merge(rb)
-        assert merged.count == rc.count
-        assert merged.mean == pytest.approx(rc.mean, rel=1e-9, abs=1e-9)
-        assert merged.variance == pytest.approx(rc.variance, rel=1e-6, abs=1e-6)
-
-    def test_merge_with_empty(self):
-        ra, rb = RunningStats(), RunningStats()
-        ra.extend([1, 2, 3])
-        merged = ra.merge(rb)
-        assert merged.count == 3
-        assert merged.mean == pytest.approx(2.0)
 
 
 class TestConfidenceInterval:
@@ -83,12 +65,6 @@ class TestConfidenceInterval:
 
 
 class TestSummaries:
-    def test_percentile_empty_nan(self):
-        assert math.isnan(percentile([], 50))
-
-    def test_percentile_median(self):
-        assert percentile([1, 2, 3, 4, 5], 50) == 3
-
     def test_summarize_keys(self):
         s = summarize([1.0, 2.0, 3.0])
         assert set(s) == {"mean", "std", "min", "p50", "p95", "max"}

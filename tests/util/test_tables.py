@@ -14,7 +14,7 @@ class TestResultTable:
         t = ResultTable("t", ["n", "v"])
         t.add_row(n=1, v=0.5)
         t.add_row(n=2, v=0.75)
-        assert t.column("n") == [1, 2]
+        assert [row["n"] for row in t.rows] == [1, 2]
         assert len(t) == 2
 
     def test_unknown_column_rejected(self):
@@ -34,11 +34,6 @@ class TestResultTable:
         assert "my experiment" in text
         assert "3.142" in text
 
-    def test_csv(self):
-        t = ResultTable("t", ["a", "b"])
-        t.add_row(a=1, b=2)
-        assert t.to_csv().splitlines() == ["a,b", "1,2"]
-
     def test_float_formatting_extremes(self):
         t = ResultTable("t", ["x"])
         t.add_row(x=1.23e-9)
@@ -46,8 +41,3 @@ class TestResultTable:
         text = t.render()
         assert "1.230e-09" in text
         assert "nan" in text
-
-    def test_column_unknown_raises(self):
-        t = ResultTable("t", ["a"])
-        with pytest.raises(KeyError):
-            t.column("z")
