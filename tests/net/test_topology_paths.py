@@ -1,6 +1,8 @@
-"""TopologySnapshot.paths_to: one min-ETX tree per destination, memoised."""
+"""TopologySnapshot.paths_to: one min-ETX tree per destination, memoised;
+and its connectivity queries against networkx on worlds built from scratch."""
 
 import hashlib
+import math
 import sys
 import threading
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net import topology as topology_module
+from repro.net.channel import Channel
 from repro.net.node import Network
 from repro.net.topology import TopologySnapshot, build_topology
 from repro.sim import Simulator
@@ -162,3 +165,58 @@ def test_threads_racing_on_one_snapshot_get_equal_trees():
     assert all(tree == expected[dst] for dst, tree in results)
     assert len(snap._path_trees) <= topology_module._PATH_TREES_KEPT
     assert all(table == dict(snap.graph.degree()) for table in degrees)
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_nodes=st.integers(1, 40),
+    range_m=st.floats(40.0, 400.0),
+    down_fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+)
+@settings(max_examples=80, deadline=None)
+def test_connectivity_queries_match_networkx(seed, n_nodes, range_m, down_fraction):
+    """``components``, ``is_connected`` and ``giant_component_fraction``
+    against ``networkx.connected_components`` of a graph built pair by pair.
+
+    A uniform world on a 1 km square, shadowing off, every radio at the
+    power whose comm range is ``range_m``, and a drawn share of nodes
+    down.  The reference links every pair of up nodes that are neighbours
+    (within the comm range widened by the network's neighbour margin) and
+    decode each other with probability at least 0.1 — ``build_topology``'s
+    documented rule, with no spatial grid, memo or batch in between.
+    """
+    rng = np.random.default_rng(seed)
+    channel = Channel(shadowing_sigma_db=0.0, seed=seed)
+    power = (
+        channel.noise_floor_dbm
+        + channel.sinr_threshold_db
+        + channel.reference_loss_db
+        + 10.0 * channel.path_loss_exponent * math.log10(range_m / channel.reference_distance_m)
+    )
+    network = Network(Simulator(seed=seed), channel)
+    for node_id in range(n_nodes):
+        network.create_node(node_id, Point(*rng.uniform(0.0, 1000.0, 2)), tx_power_dbm=power)
+    down = {int(i) for i in rng.permutation(n_nodes)[: round(down_fraction * n_nodes)]}
+    for node_id in down:
+        network.fail_node(node_id)
+    snap = build_topology(network)
+
+    up = [node_id for node_id in range(n_nodes) if node_id not in down]
+    limit = channel.comm_range_m(power, margin_db=-network.neighbor_margin_db)
+    reference = nx.Graph()
+    reference.add_nodes_from(up)
+    for i, a in enumerate(up):
+        for b in up[i + 1:]:
+            pa, pb = network.nodes[a].position, network.nodes[b].position
+            p = min(
+                channel.delivery_probability(power, pa, pb, a, b),
+                channel.delivery_probability(power, pb, pa, b, a),
+            )
+            if pa.distance_to(pb) <= limit and p >= 0.1:
+                reference.add_edge(a, b)
+    expected = sorted(sorted(c) for c in nx.connected_components(reference))
+
+    assert sorted(sorted(c) for c in snap.components()) == expected
+    assert snap.is_connected() == (len(expected) == 1)
+    giant = max(map(len, expected)) / len(up) if up else 0.0
+    assert snap.giant_component_fraction() == giant
