@@ -206,7 +206,7 @@ def test_connectivity_queries_match_networkx(seed, n_nodes, range_m, down_fracti
     reference = nx.Graph()
     reference.add_nodes_from(up)
     for i, a in enumerate(up):
-        for b in up[i + 1:]:
+        for b in up[i + 1 :]:
             pa, pb = network.nodes[a].position, network.nodes[b].position
             p = min(
                 channel.delivery_probability(power, pa, pb, a, b),
