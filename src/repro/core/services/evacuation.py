@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.adaptation.perception import ModalityManager
@@ -132,6 +131,8 @@ class EvacuationMission:
     # ------------------------------------------------------------ world setup
 
     def _street_graph(self) -> nx.Graph:
+        import networkx as nx
+
         g = nx.grid_2d_graph(self.grid.blocks + 1, self.grid.blocks + 1)
         return g
 
@@ -319,6 +320,8 @@ class EvacuationMission:
         every exit, the buffer shrinks one hop at a time before the final
         resort of walking the shortest route regardless of hazards.
         """
+        import networkx as nx
+
         for radius in range(self.config.caution_radius, -1, -1):
             g = self.graph.copy()
             blocked = self._buffered_hazards(radius) - self.exits - {group.node}

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.errors import CompositionError
 from repro.net.topology import TopologySnapshot
 from repro.things.asset import Asset
@@ -53,6 +51,8 @@ class ServiceGraph:
     """A DAG of stages with data-flow edges."""
 
     def __init__(self):
+        import networkx as nx
+
         self._graph = nx.DiGraph()
 
     def add_stage(self, stage: Stage) -> Stage:
@@ -65,6 +65,8 @@ class ServiceGraph:
         for name in (upstream, downstream):
             if name not in self._graph:
                 raise CompositionError(f"unknown stage {name!r}")
+        import networkx as nx
+
         self._graph.add_edge(upstream, downstream)
         if not nx.is_directed_acyclic_graph(self._graph):
             self._graph.remove_edge(upstream, downstream)
@@ -82,6 +84,8 @@ class ServiceGraph:
         return [self._graph.nodes[n]["stage"] for n in self._graph.nodes]
 
     def topological_order(self) -> List[Stage]:
+        import networkx as nx
+
         return [
             self._graph.nodes[n]["stage"]
             for n in nx.topological_sort(self._graph)

@@ -64,6 +64,9 @@ _PL_CACHE_MAX = 1 << 16
 
 #: Batch size at which the numpy verdict compare beats the scalar loop.
 _NP_VERDICT_MIN = 8
+#: Links `prime_shadowing` seeds per batch: big enough to amortise the numpy
+#: seed mixing, small enough that its seeds and state words stay a few MiB.
+_SHADOW_BATCH = 2048
 
 
 def _dbm_to_mw(dbm: float) -> float:
@@ -185,19 +188,30 @@ class Channel:
         return value
 
     def prime_shadowing(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Fill the shadowing memo for every pair it lacks, in one batch.
+        """Fill the shadowing memo for every pair it lacks, in batches.
 
         Each link keeps its ``derive_seed`` stream and ``normal(0.0, sigma)``
         draw, so :meth:`shadowing_db` returns the same bits either way; saved
         is a generator per link (:func:`~repro.util.rng.pcg64_seed_states`).
+        Links are seeded ``_SHADOW_BATCH`` at a time, in first-seen order.
         """
+        if self.shadowing_sigma_db <= 0:
+            return
+        cache = self._shadow_cache
+        batch: Dict[Tuple[int, int], None] = {}
+        for a, b in pairs:
+            key = (a, b) if a <= b else (b, a)
+            if key not in cache:
+                batch[key] = None
+                if len(batch) == _SHADOW_BATCH:
+                    self._seed_shadowing(list(batch))
+                    batch.clear()
+        if batch:
+            self._seed_shadowing(list(batch))
+
+    def _seed_shadowing(self, keys: List[Tuple[int, int]]) -> None:
+        """Memoize the shadowing draw of each link in ``keys``."""
         sigma, cache, rng = self.shadowing_sigma_db, self._shadow_cache, self._shadow_rng
-        if sigma <= 0:
-            return
-        canonical = dict.fromkeys((a, b) if a <= b else (b, a) for a, b in pairs)
-        keys = [key for key in canonical if key not in cache]
-        if not keys:
-            return
         seeds = [derive_seed(self.seed, "shadow", str(a), str(b)) for a, b in keys]
         stream = {"state": 0, "inc": 1}
         seat = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}

@@ -25,7 +25,6 @@ from itertools import count
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.net.node import Network
@@ -131,9 +130,13 @@ class TopologySnapshot:
     def is_connected(self) -> bool:
         if self.graph.number_of_nodes() == 0:
             return False
+        import networkx as nx
+
         return nx.is_connected(self.graph)
 
     def components(self) -> List[Set[int]]:
+        import networkx as nx
+
         return [set(c) for c in nx.connected_components(self.graph)]
 
     def giant_component_fraction(self) -> float:
@@ -146,6 +149,8 @@ class TopologySnapshot:
         self, src: int, dst: int, weight: str = "etx"
     ) -> Optional[List[int]]:
         """Min-ETX path, or None when src/dst are disconnected."""
+        import networkx as nx
+
         try:
             return nx.shortest_path(self.graph, src, dst, weight=weight)
         except (nx.NetworkXNoPath, nx.NodeNotFound):
@@ -226,6 +231,8 @@ def build_topology(
     builds owes it one rule: drop it when
     ``(network.topology_version, network.channel.jam_signature())`` changes.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     nodes = network.nodes.values() if include_down else network.up_nodes()
     for node in nodes:

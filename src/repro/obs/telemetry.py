@@ -34,7 +34,9 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from array import array
+from operator import itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.tables import json_safe
 
@@ -138,7 +140,7 @@ class _Cursor:
 
     __slots__ = ("buf", "pos")
 
-    def __init__(self, buf: bytes, pos: int = 0):
+    def __init__(self, buf: bytes | bytearray, pos: int = 0):
         self.buf = buf
         self.pos = pos
 
@@ -165,6 +167,20 @@ _VALUE_SIZE = {
     _T_OBJ: 4,
 }
 
+#: Value types a whole-record struct packs: type -> (tag, struct code).  An
+#: int outside i64 makes the pack raise :class:`struct.error`; bools (two
+#: tags for one type) and every other type go through ``append``.
+_PACKABLE = {
+    type(None): (_T_NONE, ""),
+    float: (_T_FLOAT, "d"),
+    int: (_T_INT, "q"),
+    str: (_T_STR, "I"),
+}
+
+
+#: ``BinaryTraceRing._packers`` value for a signature not seen yet.
+_NEW = object()
+
 
 class BinaryTraceRing:
     """Struct-packed append-only store for trace records.
@@ -172,30 +188,54 @@ class BinaryTraceRing:
     The form :class:`~repro.sim.trace.TraceLog` compacts its staged tail
     into; :meth:`iter_tuples` is the one walker that decodes it, whether
     the bytes came from ``append``, a shard's payload or a ``.ring`` file.
+
+    The packed buffer exists once: :meth:`to_payload` hands out the buffer
+    itself and :meth:`from_payload` adopts the one it is given.  A ring
+    whose buffer a payload shares copies it before its next write, so a
+    payload never changes after it is taken.
     """
 
-    __slots__ = ("strings", "_buf", "_offsets", "_objects")
+    __slots__ = ("strings", "_buf", "_shared", "_offsets", "_objects", "_packers")
 
     def __init__(self) -> None:
         self.strings = StringTable()
-        self._buf = bytearray()
+        self._buf: bytes | bytearray = bytearray()
+        # Whether a payload shares `_buf`: the next write copies it first.
+        self._shared = False
         # Start offset of every record, in order.
-        self._offsets: List[int] = []
+        self._offsets = array("q")
         # Side table for values no fixed-width tag covers (big ints,
         # tuples, arbitrary objects); packed records index into it.
         self._objects: List[Any] = []
+        # Whole-record packer per schema entry signature (see `extend`);
+        # None for a signature only `append` packs.
+        self._packers: Dict[Tuple[Any, ...], Any] = {}
 
     # ------------------------------------------------------------------ write
+
+    def _writable(self) -> bytearray:
+        """The buffer, copied first if a payload shares it."""
+        if self._shared:
+            self._buf = bytearray(self._buf)
+            self._shared = False
+        return self._buf  # type: ignore[return-value]
 
     def append(
         self, time: float, category: str, items: Iterable[Tuple[str, Any]]
     ) -> None:
         """Pack one record; ``items`` must be sorted by key already."""
-        buf = self._buf
+        record = self._record(time, category, items)
+        buf = self._writable()
+        self._offsets.append(len(buf))
+        buf += record
+
+    def _record(
+        self, time: float, category: str, items: Iterable[Tuple[str, Any]]
+    ) -> bytearray:
+        """One record's packed bytes, field by field.  Interns its strings
+        (fields in order, then the category) and side-tables its objects."""
+        buf = bytearray(_HEAD.size)  # patched below once n_fields is known
         intern = self.strings.intern
-        start = len(buf)
-        head_at = start
-        buf += b"\x00" * _HEAD.size  # patched below once n_fields is known
         n_fields = 0
         for key, value in items:
             n_fields += 1
@@ -226,8 +266,100 @@ class BinaryTraceRing:
                 buf += _FIELD.pack(kid, _T_OBJ)
                 buf += _U32.pack(len(self._objects))
                 self._objects.append(value)
-        _HEAD.pack_into(buf, head_at, time, intern(category), n_fields)
-        self._offsets.append(start)
+        _HEAD.pack_into(buf, 0, time, intern(category), n_fields)
+        return buf
+
+    def extend(self, entries: Sequence[Tuple[Any, ...]]) -> None:
+        """Pack staged entries, in the two shapes
+        :meth:`~repro.sim.trace.TraceLog.stage` takes, byte for byte as
+        :meth:`append` would.
+
+        The buffer grows once, by the most the entries can take (every
+        value 8 bytes wide), and the part left unused is cut at the end, so
+        packing never copies the buffer to grow it.  A schema entry is
+        packed in place by one struct per ``(schema id, value types)``
+        signature.  The first entry of a signature is packed field by field,
+        which interns its keys and category in ``append``'s order; so is an
+        entry carrying a string not interned yet, a dict entry, a bool or
+        other object, and an int wider than i64.
+        """
+        n_fields = sum(len(e) - 2 if type(e[1]) is int else len(e[2]) for e in entries)
+        buf = self._writable()
+        pos = len(buf)
+        buf += bytes(_HEAD.size * len(entries) + (_FIELD.size + 8) * n_fields)
+        offsets = self._offsets
+        packers = self._packers
+        registry = RecordSchema.registry
+        sid_of = self.strings._ids.__getitem__
+        try:
+            for entry in entries:
+                key = entry[1]
+                if type(key) is int:
+                    sig = (key, *map(type, entry))
+                    packer = packers.get(sig, _NEW)
+                    if packer is not None and packer is not _NEW:
+                        pack_into, size, fields, consts, strs = packer
+                        try:
+                            if strs is not None:
+                                consts += tuple(map(sid_of, strs(entry)))
+                            pack_into(buf, pos, *fields(entry + consts))
+                        except (KeyError, struct.error):
+                            pass  # a new string, or an int wider than i64
+                        else:
+                            offsets.append(pos)
+                            pos += size
+                            continue
+                    schema = registry[key]
+                    record = self._record(
+                        entry[0], schema.category, zip(schema.keys, entry[2:])
+                    )
+                    if packer is _NEW:
+                        packers[sig] = self._packer(schema, sig[3:])
+                else:
+                    record = self._record(entry[0], key, sorted(entry[2].items()))
+                end = pos + len(record)
+                buf[pos:end] = record
+                offsets.append(pos)
+                pos = end
+        finally:
+            del buf[pos:]
+
+    def _packer(self, schema: RecordSchema, types: Tuple[type, ...]) -> Any:
+        """``(pack_into, size, fields, consts, strs)`` for one signature whose
+        keys and category are interned already, or None if a value type has
+        no fixed tag.
+
+        ``fields(entry + consts + string ids)`` puts the struct's arguments
+        in order; ``strs(entry)`` is the tuple of string values, or ``strs``
+        is None when the signature has none.
+        """
+        if not all(t in _PACKABLE for t in types):
+            return None
+        sid_of = self.strings._ids.__getitem__
+        width = len(types) + 2  # (time, sid, *values)
+        n_consts = 2 + 2 * len(types)
+        fmt = "<dII"
+        consts: List[int] = [sid_of(schema.category), len(types)]
+        order = [0, width, width + 1]
+        at_strs: List[int] = []
+        for i, (key, t) in enumerate(zip(schema.keys, types)):
+            tag, code = _PACKABLE[t]
+            fmt += "IB" + code
+            order += [width + len(consts), width + len(consts) + 1]
+            consts += [sid_of(key), tag]
+            if t is str:
+                order.append(width + n_consts + len(at_strs))
+                at_strs.append(2 + i)
+            elif code:
+                order.append(2 + i)
+        if not at_strs:
+            strs = None
+        elif len(at_strs) == 1:  # a one-index itemgetter returns no tuple
+            strs = itemgetter(slice(at_strs[0], at_strs[0] + 1))
+        else:
+            strs = itemgetter(*at_strs)
+        packer = struct.Struct(fmt)
+        return packer.pack_into, packer.size, itemgetter(*order), tuple(consts), strs
 
     # ------------------------------------------------------------------- read
 
@@ -241,10 +373,14 @@ class BinaryTraceRing:
     def iter_tuples(
         self, start: int = 0
     ) -> Iterator[Tuple[float, str, Tuple[Tuple[str, Any], ...]]]:
-        """Yield ``(time, category, fields)`` decoded from record ``start`` on."""
+        """Yield ``(time, category, fields)`` decoded from record ``start`` on.
+
+        Reads the buffer in place, up to where it ended at the first
+        ``next``: records appended while the walk is paused are not yielded.
+        """
         if start >= len(self._offsets):
             return
-        buf = bytes(self._buf)
+        buf = self._buf
         lookup = self.strings.lookup
         objects = self._objects
         pos = self._offsets[start]
@@ -283,11 +419,14 @@ class BinaryTraceRing:
         """A picklable form for shipping across a process boundary.
 
         Orders of magnitude smaller than a list of per-record dicts: one
-        bytes blob plus the interning table, not N dicts of N tuples.
+        packed blob plus the interning table, not N dicts of N tuples.
+        ``packed`` is the ring's own bytes-like buffer, not a copy; the
+        ring copies it before writing again, so the payload stays as taken.
         """
+        self._shared = True
         return {
             "strings": self.strings.as_list(),
-            "packed": bytes(self._buf),
+            "packed": self._buf,
             "n": len(self._offsets),
             "objects": list(self._objects),
         }
@@ -296,19 +435,23 @@ class BinaryTraceRing:
     def from_payload(cls, payload: Dict[str, Any]) -> "BinaryTraceRing":
         """Rebuild a ring from :meth:`to_payload` output.
 
-        Raises :class:`ValueError` on a value tag this reader does not know
-        or when ``n`` records do not fill the buffer exactly, and
+        The ring adopts ``packed`` (bytes or a bytearray) without copying
+        it, and copies it before its own first write.  Raises
+        :class:`ValueError` on a value tag this reader does not know or
+        when ``n`` records do not fill the buffer exactly, and
         :class:`struct.error` or :class:`IndexError` when it ends inside a
         record.
         """
         ring = cls()
         ring.strings = StringTable(payload["strings"])
-        ring._buf = bytearray(payload["packed"])
+        ring._buf = payload["packed"]
+        ring._shared = True
         ring._objects = list(payload["objects"])
         # Rebuild offsets by walking the buffer with a cursor.
-        cursor = _Cursor(bytes(ring._buf))
+        cursor = _Cursor(ring._buf)
+        offsets = ring._offsets
         for _ in range(payload["n"]):
-            ring._offsets.append(cursor.pos)
+            offsets.append(cursor.pos)
             cursor.skip_record()
         if cursor.pos != len(ring._buf):
             raise ValueError(

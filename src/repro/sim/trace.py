@@ -229,15 +229,7 @@ class TraceLog:
         """
         self._drain()
         if self._tail:
-            ring = self._ring
-            # `_items`, inlined: this packs every staged record once.
-            for entry in self._tail:
-                key = entry[1]
-                if type(key) is int:
-                    schema = RecordSchema.registry[key]
-                    ring.append(entry[0], schema.category, zip(schema.keys, entry[2:]))
-                else:
-                    ring.append(entry[0], key, sorted(entry[2].items()))
+            self._ring.extend(self._tail)
             self._tail.clear()
         # Re-arm the in-stage compaction watermark relative to the new count.
         self._compact_at = self._n + COMPACT_WATERMARK

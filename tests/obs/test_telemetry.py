@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs import report
 from repro.obs.telemetry import (
@@ -65,10 +68,12 @@ def test_payload_round_trip_survives_pickle_shapes():
     for i in range(50):
         ring.append(i * 0.25, f"cat.{i % 3}", (("n", i), ("tag", f"s{i % 5}")))
     payload = ring.to_payload()
-    # The whole trace ships as one bytes blob + interning table.
-    assert isinstance(payload["packed"], bytes)
+    # The whole trace ships as one bytes-like blob + interning table.
+    assert isinstance(payload["packed"], (bytes, bytearray))
     clone = BinaryTraceRing.from_payload(payload)
     assert list(clone.iter_tuples()) == list(ring.iter_tuples())
+    shipped = BinaryTraceRing.from_payload(pickle.loads(pickle.dumps(payload)))
+    assert list(shipped.iter_tuples()) == list(ring.iter_tuples())
 
 
 def test_iter_tuples_from_offset():
@@ -216,3 +221,99 @@ def test_every_torn_prefix_raises_and_the_cli_exits_2(tmp_path, capsys):
             for argv in (["report", torn], ["trace", torn], ["diff", torn, good]):
                 assert report.main(argv) == 2, (cut, argv)
     assert "is not a whole ring dump" in capsys.readouterr().err
+
+
+# ------------------------------------------------- whole-record packing
+
+_PACK_A = RecordSchema("t.pack.a", ("a", "b", "c"))
+_PACK_B = RecordSchema("t.pack.b", ("k", "v"))
+
+_values = st.one_of(
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=2**63, max_value=2**70),  # wider than i64
+    st.integers(min_value=-(2**70), max_value=-(2**63) - 1),
+    st.sampled_from(["x", "y", "a", "t.pack.b"]),  # some collide with keys
+    st.text(min_size=0, max_size=4),  # strings first seen mid-stream
+    st.booleans(),
+    st.tuples(st.integers(0, 3)),  # an object for the side table
+)
+
+
+@st.composite
+def _entries(draw):
+    """One staged entry, in either shape ``TraceLog.stage`` takes."""
+    time = draw(st.floats(0.0, 1e6))
+    kind = draw(st.sampled_from(["a", "b", "dict"]))
+    if kind == "dict":
+        keys = draw(st.lists(st.sampled_from(["a", "k", "m", "z"]), unique=True))
+        return (time, draw(st.sampled_from(["t.dict", "t.pack.a"])),
+                {key: draw(_values) for key in keys})
+    schema = _PACK_A if kind == "a" else _PACK_B
+    return (time, schema.sid, *(draw(_values) for _ in schema.keys))
+
+
+def _per_field(entries):
+    """The reference: every entry through ``append``, field by field."""
+    ring = BinaryTraceRing()
+    for entry in entries:
+        key = entry[1]
+        if type(key) is int:
+            schema = RecordSchema.registry[key]
+            ring.append(entry[0], schema.category, zip(schema.keys, entry[2:]))
+        else:
+            ring.append(entry[0], key, sorted(entry[2].items()))
+    return ring
+
+
+def _packed_state(ring):
+    return (bytes(ring._buf), ring.strings.as_list(), list(ring._offsets),
+            [repr(obj) for obj in ring._objects])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_entries(), max_size=40), st.integers(0, 40))
+@example(  # two signatures of one schema, and a string first seen late
+    [(0.0, _PACK_A.sid, 1, "x", None), (1.0, _PACK_A.sid, 2, "x", None),
+     (2.0, _PACK_A.sid, 3, 0.5, None), (3.0, _PACK_A.sid, 4, "new", None),
+     (4.0, _PACK_A.sid, 2**64, "x", None), (5.0, _PACK_A.sid, True, "x", False)],
+    3,
+)
+def test_extend_packs_like_append_byte_for_byte(entries, split):
+    ring = BinaryTraceRing()
+    ring.extend(entries[:split])  # two compactions: the packers carry over
+    ring.extend(entries[split:])
+    reference = _per_field(entries)
+    assert _packed_state(ring) == _packed_state(reference)
+    assert repr(list(ring.iter_tuples())) == repr(list(reference.iter_tuples()))
+
+
+def test_a_payload_stays_as_taken_while_the_trace_grows():
+    sim = Simulator(seed=5)
+    for i in range(40):
+        sim.now = i * 0.5
+        sim.trace.stage((sim.now, _PACK_B.sid, i, f"v{i % 3}"))
+        sim.trace.emit("t.grow", i=i, big=2**65 + i)
+    payload = sim.trace.packed_payload()
+    taken = (bytes(payload["packed"]), list(payload["strings"]), payload["n"],
+             list(payload["objects"]))
+    first = list(BinaryTraceRing.from_payload(payload).iter_tuples())
+    for i in range(40, 90):  # more records, with strings the payload lacks
+        sim.now = i * 0.5
+        sim.trace.stage((sim.now, _PACK_B.sid, i, f"late{i}"))
+    sim.trace.compact()
+    assert (bytes(payload["packed"]), payload["strings"], payload["n"],
+            payload["objects"]) == taken
+    assert list(BinaryTraceRing.from_payload(payload).iter_tuples()) == first
+    shipped = pickle.loads(pickle.dumps(payload))
+    assert list(BinaryTraceRing.from_payload(shipped).iter_tuples()) == first
+    assert len(sim.trace) == 130 and first == [
+        (r.time, r.category, r.fields) for r in sim.trace.records[:80]
+    ]
+    # A ring rebuilt from the payload adopts its buffer; writing to it
+    # copies first, so the payload still does not move.
+    clone = BinaryTraceRing.from_payload(payload)
+    clone.append(99.0, "t.more", (("k", 1),))
+    clone.extend([(99.5, _PACK_B.sid, 1, "v1")])
+    assert bytes(payload["packed"]) == taken[0] and len(clone) == 82

@@ -11,6 +11,7 @@ and per package the functions (with their own lines) that only
     python tests/tools/reach.py                    # every entry point
     python tests/tools/reach.py --list             # names and commands
     python tests/tools/reach.py --only example: --out /tmp/reach.json
+    python tests/tools/reach.py --ratchet base.json   # check, run nothing
 
 Stdlib only.  The hook installs ``sys.setprofile`` and
 ``threading.setprofile`` and appends each newly seen ``src/repro`` code
@@ -24,6 +25,12 @@ lambdas, comprehensions and class or module bodies are not functions
 here.  A function's *own lines* are its ``def`` span (decorators
 included) minus the spans of the functions nested in it, so a package's
 line counts never count a line twice.
+
+``--ratchet BASE`` compares the map (``--out``) with an older one: a
+package whose test-only plus unreached own lines rose fails, unless
+``CHANGES.md`` names each function that is newly test-only or unreached
+there (by qualname), or, when none is new and a listed one grew, names
+one of the package's listed functions.
 """
 
 from __future__ import annotations
@@ -220,6 +227,45 @@ def _walk(node: ast.AST, rel: str, prefix: str, found: Dict) -> int:
     return spanned
 
 
+# ---------------------------------------------------------------- ratchet
+
+
+def _idle(entry: Dict) -> Tuple[int, set]:
+    """A package's test-only plus unreached own lines, and those functions."""
+    kinds = (entry["test_only"], entry["unreached"])
+    return sum(k["lines"] for k in kinds), {f for k in kinds for f in k["functions"]}
+
+
+def _named(function: str, text: str) -> bool:
+    """Whether ``text`` names ``path::qualname`` by its qualname."""
+    qualname = function.split("::", 1)[1].rstrip("'")
+    return re.search(r"(?<![\w.])" + re.escape(qualname) + r"(?!\w)", text) is not None
+
+
+def ratchet(base: Dict, current: Dict, changes: str) -> List[str]:
+    """One line per package whose test-only plus unreached lines rose
+    without ``changes`` naming why (see the module docstring)."""
+    empty = {"test_only": {"functions": [], "lines": 0},
+             "unreached": {"functions": [], "lines": 0}}
+    failures = []
+    for package, entry in sorted(current["packages"].items()):
+        old_lines, old_functions = _idle(base["packages"].get(package, empty))
+        lines, functions = _idle(entry)
+        if lines <= old_lines:
+            continue
+        new = sorted(functions - old_functions)
+        if new:
+            unnamed = [f for f in new if not _named(f, changes)]
+        else:
+            unnamed = [] if any(_named(f, changes) for f in functions) else sorted(functions)
+        if unnamed:
+            failures.append(
+                f"{package}: test-only + unreached own lines {old_lines} -> {lines}; "
+                f"CHANGES.md names none of {', '.join(unnamed)}"
+            )
+    return failures
+
+
 # ---------------------------------------------------------------- run side
 
 
@@ -317,7 +363,20 @@ def main(argv: Sequence[str] = None) -> int:
                         help="run only entry points whose name starts with PREFIX "
                              "(repeatable)")
     parser.add_argument("--list", action="store_true", help="print the entry points")
+    parser.add_argument("--ratchet", metavar="BASE",
+                        help="check the map at --out against the older map BASE, run nothing")
     args = parser.parse_args(argv)
+    if args.ratchet:
+        maps = []
+        for path in (args.ratchet, args.out):
+            with open(path, encoding="utf-8") as fh:
+                maps.append(json.load(fh))
+        with open(os.path.join(ROOT, "CHANGES.md"), encoding="utf-8") as fh:
+            failures = ratchet(maps[0], maps[1], fh.read())
+        for line in failures:
+            print(line)
+        print(f"ratchet: {len(failures)} package(s) rose without a named function")
+        return 1 if failures else 0
     points = entry_points()
     if args.only:
         points = {n: s for n, s in points.items() if n.startswith(tuple(args.only))}
