@@ -30,13 +30,15 @@ every jammer-dependent result carries the :meth:`jam_signature` of the
 moment it was computed — attack scenarios flip ``Jammer.active`` in place,
 which must never serve stale interference from a cache.
 
-The delivery API is two methods.  :meth:`delivery_probability_batch` walks
-the receivers of one transmission once, reading the path-loss and shadowing
-memos in place and computing SINR and the logistic in the same pass; it is
-the only implementation of that chain (:meth:`delivery_probability` is its
-batch of one, and ``tests/net/frozen_oracles.py`` holds the reference).
-:meth:`delivery_verdicts` turns those probabilities and one uniform per
-receiver into decode verdicts.  Transcendentals (``log10``/``exp``)
+The delivery API is three methods.  :meth:`delivery_probability_batch`
+walks the receivers of one transmission once, reading the path-loss and
+shadowing memos in place and computing SINR and the logistic in the same
+pass (:meth:`delivery_probability` is its batch of one).
+:meth:`delivery_probability_pairs` is the same chain for both directions of
+many links at once, a whole-world pass's shape (``build_topology``); both
+are held to the reference in ``tests/net/frozen_oracles.py`` as
+``float.hex``.  :meth:`delivery_verdicts` turns probabilities and one
+uniform per receiver into decode verdicts.  Transcendentals (``log10``/``exp``)
 deliberately stay on scalar ``math.*``: numpy's SIMD loops are *not*
 bit-identical to libm on all hardware, and the golden fingerprints pin exact
 trace bytes.  numpy is used only where it is IEEE-exact — elementwise
@@ -54,7 +56,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.util.geometry import Point, distance
-from repro.util.rng import derive_seed, pcg64_seed_states
+from repro.util.rng import derive_seed, derive_seeds, pcg64_seed_states
 
 __all__ = ["Channel", "Jammer"]
 
@@ -212,7 +214,7 @@ class Channel:
     def _seed_shadowing(self, keys: List[Tuple[int, int]]) -> None:
         """Memoize the shadowing draw of each link in ``keys``."""
         sigma, cache, rng = self.shadowing_sigma_db, self._shadow_cache, self._shadow_rng
-        seeds = [derive_seed(self.seed, "shadow", str(a), str(b)) for a, b in keys]
+        seeds = derive_seeds(self.seed, ("shadow",), [f"{a}/{b}" for a, b in keys])
         stream = {"state": 0, "inc": 1}
         seat = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
         for key, (state, inc) in zip(keys, pcg64_seed_states(seeds)):
@@ -310,6 +312,56 @@ class Channel:
             z = min(max(z, -40.0), 40.0)
             append(1.0 / (1.0 + exp(-z)))
         return out
+
+    def delivery_probability_pairs(
+        self,
+        ids: Tuple[Sequence[int], Sequence[int]],
+        positions: Tuple[Sequence[Point], Sequence[Point]],
+        tx_power_dbm: Tuple[Sequence[float], Sequence[float]],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Both directions' delivery probability for each pair of nodes.
+
+        Pair ``k`` joins ``ids[0][k]`` at ``positions[0][k]``, sending at
+        ``tx_power_dbm[0][k]``, and ``ids[1][k]`` likewise.  Returns the
+        probability that the first end's transmission decodes at the
+        second, and the reverse, each equal in every bit to
+        :meth:`delivery_probability_batch`'s.  Distance, path loss and
+        shadowing are computed once per pair: the ends' coordinate
+        differences only change sign, which ``hypot`` ignores.  The rest of
+        the chain runs in numpy, whose ``+ - * /``, ``min`` and ``max`` are
+        IEEE-exact, in the batch's order; ``exp`` and the jammed
+        denominator, which is the receiver's, stay on scalar ``math``.
+        """
+        hypot = math.hypot
+        (a_ids, b_ids), (a_pos, b_pos) = ids, positions
+        d = [hypot(p.x - q.x, p.y - q.y) for p, q in zip(a_pos, b_pos)]
+        loss = np.fromiter(map(self.path_loss_db, d), dtype=float, count=len(d))
+        power = [np.asarray(tx, dtype=float) - loss for tx in tx_power_dbm]
+        if self.shadowing_sigma_db > 0:
+            # A negative id names no link: + 0.0 leaves its power as it was.
+            get = self._shadow_cache.get
+            shadow = [
+                0.0 if a < 0 or b < 0 else get((a, b) if a <= b else (b, a))
+                for a, b in zip(a_ids, b_ids)
+            ]
+            for k in [k for k, value in enumerate(shadow) if value is None]:
+                shadow[k] = self.shadowing_db(a_ids[k], b_ids[k])
+            power = [x + np.array(shadow) for x in power]
+        if self.jammers:
+            noise_mw, interference = self._noise_mw, self.interference_mw
+            denom = [
+                np.array([_mw_to_dbm(noise_mw + interference(q) + 0.0) for q in rx])
+                for rx in (b_pos, a_pos)
+            ]
+        else:
+            denom = [_mw_to_dbm(self._noise_mw + 0.0)] * 2
+        softness = max(self.sinr_softness_db, 1e-6)
+        out = []
+        for x, den in zip(power, denom):
+            z = np.minimum(np.maximum((x - den - self.sinr_threshold_db) / softness, -40.0), 40.0)
+            e = np.fromiter(map(math.exp, (-z).tolist()), dtype=float, count=z.size)
+            out.append(1.0 / (1.0 + e))
+        return out[0], out[1]
 
     def delivery_verdicts(
         self,

@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.net.node import Network
+from repro.net.node import NetNode, Network
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -220,9 +220,16 @@ def build_topology(
 ) -> TopologySnapshot:
     """Snapshot the network's connectivity graph.
 
-    An edge is added between each neighbor pair whose (fading-free) delivery
-    probability exceeds ``min_delivery_probability``; edge attributes are
-    ``p`` (delivery probability, min of both directions) and ``etx`` (1/p).
+    The graph's nodes are the up nodes (every node with ``include_down``),
+    in ``network.nodes`` order.  A pair of them is a candidate when the
+    higher id lies within the lower id's margin-extended range,
+    ``comm_range_m(tx_power_dbm, margin_db=-network.neighbor_margin_db)``,
+    the rule :meth:`Network.neighbors` applies; the higher id's range is
+    not consulted.  A candidate becomes an edge when its (fading-free)
+    delivery probability is at least ``min_delivery_probability``; edge
+    attributes are ``p`` (delivery probability, min of both directions)
+    and ``etx`` (1/p).  So a pair that decodes with ``p`` over the
+    threshold but lies outside the lower id's range gets no edge.
 
     ``link_p`` is a neighbour-pair table, ``{node id: {higher neighbour id:
     p}}``, that the build reads before asking the channel and fills with
@@ -230,50 +237,117 @@ def build_topology(
     jamming but not on which nodes are up, so whoever keeps a table across
     builds owes it one rule: drop it when
     ``(network.topology_version, network.channel.jam_signature())`` changes.
+
+    The build is a few whole-world passes: candidate pairs from one grid
+    screen in numpy, the shadowing of every pair the table lacks seeded in
+    batches, both directions of those pairs from one channel call, then
+    the graph in bulk, edges in node order and then ascending id.
     """
     import networkx as nx
 
+    nodes = list(network.nodes.values()) if include_down else network.up_nodes()
     graph = nx.Graph()
-    nodes = network.nodes.values() if include_down else network.up_nodes()
-    for node in nodes:
-        graph.add_node(node.id, pos=(node.position.x, node.position.y))
+    graph.add_nodes_from((node.id, {"pos": (node.position.x, node.position.y)}) for node in nodes)
     if link_p is None:
         link_p = {}
-    # Geometry: every node's higher-id neighbours; a pair the table lacks goes under both ends.
-    rows = []
-    receivers: Dict[int, List[int]] = {}
-    in_graph = set(graph)  # `in graph` without a Python frame per candidate
     for node in nodes:
-        node_id = node.id
-        row = link_p.setdefault(node_id, {})
-        near = network.neighbors(node_id, include_down=include_down)
-        higher = [other_id for other_id in near if other_id > node_id and other_id in in_graph]
-        rows.append((row, node_id, higher))
-        for other_id in higher:
-            if other_id not in row:
-                receivers.setdefault(node_id, []).append(other_id)
-                receivers.setdefault(other_id, []).append(node_id)
-    # Shadowing of all those pairs at once, then one channel batch per
-    # transmitter: both directions of a pair read the same memoized terms.
-    channel, by_id = network.channel, network.nodes
-    channel.prime_shadowing((a, b) for a, bs in receivers.items() for b in bs if a < b)
-    directed: Dict[int, Dict[int, float]] = {}
-    for tx_id, rx_ids in receivers.items():
-        tx = by_id[tx_id]
-        probs = channel.delivery_probability_batch(
-            tx.tx_power_dbm, tx.position, [by_id[i].position for i in rx_ids], rx_ids, tx_id
+        link_p.setdefault(node.id, {})
+    id_list = [node.id for node in nodes]
+    lower, higher = _candidate_pairs(network, nodes, np.array(id_list, dtype=np.int64))
+    # The nodes' own id objects, not copies: the table and the graph keep them.
+    a_ids, b_ids = (list(map(id_list.__getitem__, index.tolist())) for index in (lower, higher))
+    probs = [link_p[a].get(b) for a, b in zip(a_ids, b_ids)]
+    missing = [k for k, p in enumerate(probs) if p is None]
+    if missing:
+        a_new, b_new = [a_ids[k] for k in missing], [b_ids[k] for k in missing]
+        channel = network.channel
+        channel.prime_shadowing(
+            [(a_new[k], b_new[k]) for k in _first_seen_order(lower[missing], higher[missing])]
         )
-        directed[tx_id] = dict(zip(rx_ids, probs))
-    for a, forward in directed.items():
-        for b, p in forward.items():
-            if a < b:
-                link_p[a][b] = min(p, directed[b][a])
-    for row, node_id, higher in rows:
-        for other_id in higher:
-            p = row[other_id]
-            if p >= min_delivery_probability:
-                graph.add_edge(node_id, other_id, p=p, etx=1.0 / p)
+        ends = [[nodes[i] for i in index[missing].tolist()] for index in (lower, higher)]
+        forward, backward = channel.delivery_probability_pairs(
+            (a_new, b_new),
+            tuple([n.position for n in end] for end in ends),
+            tuple([n.tx_power_dbm for n in end] for end in ends),
+        )
+        for k, a, b, p in zip(missing, a_new, b_new, np.minimum(forward, backward).tolist()):
+            link_p[a][b] = probs[k] = p
+    graph.add_edges_from(
+        (a, b, {"p": p, "etx": 1.0 / p})
+        for a, b, p in zip(a_ids, b_ids, probs)
+        if p >= min_delivery_probability
+    )
     return TopologySnapshot(graph=graph, time=network.sim.now)
+
+
+#: Cells per widest range in ``_candidate_pairs``' grid: a node scans the
+#: ``2k + 1`` by ``2k + 1`` cells its own range needs, not the widest's.
+_CELLS_PER_RANGE = 4
+#: Nodes screened per numpy step: tens of thousands of candidates, a few
+#: MiB of arrays at most.
+_SCREEN_NODES = 256
+
+
+def _candidate_pairs(
+    network: Network, nodes: List[NetNode], ids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(i, j)`` index arrays into ``nodes``, whose ids are ``ids``: each
+    node ``i`` with every ``j`` of higher id that :meth:`Network.neighbors`
+    of ``i`` lists, in node order and then ascending id.
+
+    Cells are a quarter of the widest range and a hair more, so node
+    ``i``'s neighbours lie within ``k = ceil(limit * (1 + 1e-9) / cell)``
+    cells of its own.  Squared distances screen those blocks in numpy; a
+    pair within a billionth of its limit is decided again by the scan's
+    own ``math.hypot(dx, dy) <= limit``.
+    """
+    if len(nodes) < 2:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    margin_db = -network.neighbor_margin_db
+    ranges = {
+        power: network.channel.comm_range_m(power, margin_db=margin_db)
+        for power in {node.tx_power_dbm for node in nodes}
+    }
+    limit = np.array([ranges[node.tx_power_dbm] for node in nodes])
+    cell = max(float(limit.max()), 1.0) * (1.0 + 1e-9) / _CELLS_PER_RANGE
+    blocks = np.ceil(limit * (1.0 + 1e-9) / cell).astype(np.int64)
+    xs, ys, cx, cy = _cells(network, ids.tolist(), cell)
+    gx, gy, width, height, table = _cell_table(cx, cy)
+    rows, cands = [], []
+    for k in np.flatnonzero(np.bincount(blocks)).tolist():
+        scanned = np.flatnonzero(blocks == k)
+        for start in range(0, scanned.size, _SCREEN_NODES):
+            s = scanned[start:start + _SCREEN_NODES]
+            row, cand = _block_members(s, k, gx, gy, width, height, table)
+            row = s[row]
+            up = ids[cand] > ids[row]
+            row, cand = row[up], cand[up]
+            dx, dy = xs[row] - xs[cand], ys[row] - ys[cand]
+            d2, lim2 = dx * dx + dy * dy, limit[row] * limit[row]
+            near = d2 <= lim2
+            for e in np.flatnonzero(abs(d2 - lim2) <= 1e-9 * lim2).tolist():
+                near[e] = math.hypot(float(dx[e]), float(dy[e])) <= float(limit[row[e]])
+            rows.append(row[near])
+            cands.append(cand[near])
+    row, cand = np.concatenate(rows), np.concatenate(cands)
+    rank = np.empty_like(ids)
+    rank[np.argsort(ids)] = np.arange(ids.size)
+    order = np.argsort(row * ids.size + rank[cand])
+    return row[order], cand[order]
+
+
+def _first_seen_order(lower: np.ndarray, higher: np.ndarray) -> List[int]:
+    """Positions of the pairs ``(lower[k], higher[k])``, grouped by lower end,
+    groups in the order each lower end first appears in ``lower[0],
+    higher[0], lower[1], ...`` and pairs in their own order within a group.
+
+    A per-node build primed shadowing in this order, through a dict of
+    receivers keyed on first sight, and the memo keeps its insertion order.
+    """
+    seen = np.column_stack([lower, higher]).ravel()
+    first = np.full(int(seen.max()) + 1, seen.size)
+    np.minimum.at(first, seen, np.arange(seen.size))
+    return np.argsort(first[lower], kind="stable").tolist()
 
 
 # ---------------------------------------------------------------- partition
@@ -356,6 +430,21 @@ def _members(lo: np.ndarray, hi: np.ndarray, table: _Table) -> Tuple[np.ndarray,
     n = end - first
     which = np.repeat(np.arange(n.size), n)
     return which, order[np.arange(which.size) + np.repeat(first - (np.cumsum(n) - n), n)]
+
+
+def _block_members(
+    s: np.ndarray, k: int, gx: np.ndarray, gy: np.ndarray, width: int, height: int, table: _Table
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, node)``: for each ``s[row]``, every other node in the ``2k + 1``
+    by ``2k + 1`` cells around its own, by row, then by cell and ascending."""
+    y = gy[s, None] + np.arange(-k, k + 1)
+    inside = (y >= 0) & (y < height)
+    lo = np.where(inside, y * width + np.maximum(gx[s, None] - k, 0), 0)
+    hi = np.where(inside, y * width + np.minimum(gx[s, None] + k, width - 1) + 1, 0)
+    segment, cand = _members(lo.ravel(), hi.ravel(), table)
+    row = segment // (2 * k + 1)
+    other = cand != s[row]
+    return row[other], cand[other]
 
 
 def partition_network(

@@ -30,7 +30,6 @@ propagation component) and the world is static.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import math
 import os
@@ -48,9 +47,9 @@ from repro.net.registry import StackSpec, compose
 from repro.net.stack import SPEED_OF_LIGHT_M_S, FastPathDispatcher
 from repro.net.topology import (
     GridPartition,
+    _block_members,
     _cell_table,
     _cells,
-    _members,
     min_cross_shard_distance_m,
     partition_network,
 )
@@ -60,7 +59,7 @@ from repro.shard.dispatch import Handoff, ShardHops, ShardTraceLog
 from repro.shard.spec import ShardPlan, ShardScenarioSpec
 from repro.sim.kernel import Simulator
 from repro.util.geometry import Point
-from repro.util.rng import derive_seed
+from repro.util.rng import derive_seed, derive_seeds
 
 __all__ = ["ShardRuntime", "REPLICATED_METRIC_PREFIXES", "AODV_CONTROL_BITS"]
 
@@ -266,15 +265,8 @@ class ShardRuntime:
     # ------------------------------------------------------------- workload
 
     def _sender_seeds(self, name: str, senders: Sequence[int]) -> List[int]:
-        """``derive_seed(spec.seed, name, str(s))`` for each sender: the
-        shared head is hashed once and its hasher copied per sender."""
-        head = hashlib.sha256(f"{int(self.spec.seed)}/{name}/".encode())
-        seeds = []
-        for sender in senders:
-            hasher = head.copy()
-            hasher.update(str(sender).encode())
-            seeds.append(int.from_bytes(hasher.digest()[:8], "big"))
-        return seeds
+        """``derive_seed(spec.seed, name, str(s))`` for each sender."""
+        return derive_seeds(self.spec.seed, (name,), map(str, senders))
 
     def _nearest_partners(self, rows: List[int], ids: List[int]) -> List[int]:
         """The nearest other node to each sender ``ids[row]``, ties to the lowest id.
@@ -295,22 +287,11 @@ class ShardRuntime:
         gx, gy, width, height, table = _cell_table(cx, cy)
         near = 1e-12
 
-        def block_pairs(s: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-            """(sender row, other node) over the senders' blocks, by row."""
-            y = gy[s, None] + np.arange(-k, k + 1)
-            inside = (y >= 0) & (y < height)
-            lo = np.where(inside, y * width + np.maximum(gx[s, None] - k, 0), 0)
-            hi = np.where(inside, y * width + np.minimum(gx[s, None] + k, width - 1) + 1, 0)
-            segment, cand = _members(lo.ravel(), hi.ravel(), table)
-            row = segment // (2 * k + 1)
-            other = cand != s[row]
-            return row[other], cand[other]
-
         partner = np.empty(len(rows), dtype=np.int64)
         senders, pending, k = np.asarray(rows, dtype=np.int64), np.arange(len(rows)), 1
         while pending.size:
             s = senders[pending]
-            row, cand = block_pairs(s, k)
+            row, cand = _block_members(s, k, gx, gy, width, height, table)
             ring = np.maximum(abs(gx[cand] - gx[s[row]]), abs(gy[cand] - gy[s[row]]))
             d = (xs[s[row]] - xs[cand]) ** 2 + (ys[s[row]] - ys[cand]) ** 2
             first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])[: row.size]

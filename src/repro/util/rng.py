@@ -9,11 +9,18 @@ independent, so adding a new consumer does not perturb existing ones.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["derive_seed", "RngStreams", "generator_draws", "generator_digest", "pcg64_seed_states"]
+__all__ = [
+    "derive_seed",
+    "derive_seeds",
+    "RngStreams",
+    "generator_draws",
+    "generator_digest",
+    "pcg64_seed_states",
+]
 
 #: The PCG64 LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``); the state
 #: advances ``s' = s * MULT + inc (mod 2**128)`` once per 64-bit output.
@@ -142,6 +149,22 @@ def derive_seed(root_seed: int, *names: str) -> int:
         hasher.update(b"/")
         hasher.update(name.encode("utf-8"))
     return int.from_bytes(hasher.digest()[:8], "big")
+
+
+def derive_seeds(root_seed: int, names: Sequence[str], leaves: Iterable[str]) -> List[int]:
+    """``derive_seed(root_seed, *names, leaf)`` for each of ``leaves``.
+
+    The shared head is hashed once and its hasher copied per leaf, which
+    halves the cost of a seed.  A leaf may hold ``/``: the leaf ``"3/7"``
+    derives what the two names ``"3", "7"`` would.
+    """
+    head = hashlib.sha256("/".join([str(int(root_seed)), *names, ""]).encode("utf-8"))
+    seeds = []
+    for leaf in leaves:
+        hasher = head.copy()
+        hasher.update(leaf.encode("utf-8"))
+        seeds.append(int.from_bytes(hasher.digest()[:8], "big"))
+    return seeds
 
 
 class RngStreams:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.net import channel as channel_mod
 from repro.net.channel import Channel, Jammer
 from repro.util.geometry import Point
-from repro.util.rng import derive_seed, pcg64_seed_states
+from repro.util.rng import derive_seed, derive_seeds, pcg64_seed_states
 from tests.net import frozen_oracles
 from tests.net.frozen_oracles import frozen_delivery_probability, frozen_shadowing_db
 
@@ -79,6 +79,10 @@ def test_batch_shadowing_with_short_derived_seeds(monkeypatch):
     link derives one (the hash is 64 bits wide), so the derivation is cut."""
     for module in ("repro.net.channel", "tests.net.frozen_oracles"):
         monkeypatch.setattr(f"{module}.derive_seed", lambda *names: derive_seed(*names) >> 40)
+    # The batch derives its seeds from one hashed head per batch.
+    monkeypatch.setattr(
+        "repro.net.channel.derive_seeds", lambda *args: [s >> 40 for s in derive_seeds(*args)]
+    )
     assert frozen_oracles.derive_seed(3, "shadow", "1", "2") < 2**24
     channel = Channel(seed=3)
     pairs = [(a, a + 3) for a in range(300)]
@@ -229,6 +233,52 @@ def test_batch_is_the_scalar_chain_bit_for_bit(
             ]
             assert [p.hex() for p in scalar] == frozen
         assert len(batch_channel._pl_cache) <= pl_cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    params=st.fixed_dictionaries(
+        {
+            "reference_distance_m": st.sampled_from([1.0, 20.0, 80.0]),
+            "shadowing_sigma_db": st.sampled_from([0.0, 4.0]),
+            "sinr_softness_db": st.sampled_from([0.0, 1.5]),
+            "seed": st.integers(0, 2**32),
+        }
+    ),
+    pairs=st.lists(
+        st.tuples(st.integers(-1, 12), point, st.sampled_from([0, 10.0, 17.5, 27.0]),
+                  st.integers(-1, 12), point, st.sampled_from([0, 10.0, 17.5, 27.0])),
+        max_size=24,
+    ),
+    jammer=st.sampled_from(["none", "active", "inactive"]),
+    pl_cap=st.sampled_from([1, 5, 1 << 16]),
+)
+def test_pairs_are_both_directions_of_the_scalar_chain(params, pairs, jammer, pl_cap):
+    """``delivery_probability_pairs`` computes distance, path loss and
+    shadowing once per pair and the rest in numpy; each direction must
+    still be the frozen scalar chain with that direction's transmitter,
+    bit for bit, with or without a jammer, for a negative id (no
+    shadowing) and across path-loss memo resets.  Mutants this was shown
+    to catch: the transmitter's jammed denominator for the receiver's, the
+    first end's power for both directions, and shadowing a -1 id."""
+    channel = Channel(**params)
+    if jammer != "none":
+        channel.add_jammer(Jammer(Point(30.0, -20.0), power_dbm=5.0, active=jammer == "active"))
+    columns = [list(column) for column in zip(*pairs)] or [[] for _ in range(6)]
+    a_ids, a_pos, a_pow, b_ids, b_pos, b_pow = columns
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channel_mod, "_PL_CACHE_MAX", pl_cap)
+        forward, backward = channel.delivery_probability_pairs(
+            (a_ids, b_ids), (a_pos, b_pos), (a_pow, b_pow)
+        )
+    assert [p.hex() for p in forward.tolist()] == [
+        frozen_delivery_probability(channel, *args).hex()
+        for args in zip(a_pow, a_pos, b_pos, a_ids, b_ids)
+    ]
+    assert [p.hex() for p in backward.tolist()] == [
+        frozen_delivery_probability(channel, *args).hex()
+        for args in zip(b_pow, b_pos, a_pos, b_ids, a_ids)
+    ]
 
 
 def test_jammed_denominator_sums_in_the_scalar_order():

@@ -28,9 +28,10 @@ def test_cold_publish_constructs_o1_generators_and_a_churned_republish_asks_noth
     )
     network, channel = scenario.network, scenario.network.channel
 
-    asked = {"shadowing_db": 0, "prime_shadowing": 0, "scalar": 0, "batch": 0}
+    asked = {"shadowing_db": 0, "prime_shadowing": 0, "scalar": 0, "batch": 0, "pairs": 0}
     real_shadowing, real_prime = channel.shadowing_db, channel.prime_shadowing
     real_scalar, real_batch = channel.delivery_probability, channel.delivery_probability_batch
+    real_pairs = channel.delivery_probability_pairs
 
     def shadowing_db(a, b):
         asked["shadowing_db"] += 1
@@ -49,10 +50,15 @@ def test_cold_publish_constructs_o1_generators_and_a_churned_republish_asks_noth
         asked["batch"] += len(rx_ids)
         return real_batch(tx_power_dbm, tx_pos, rx_pos, rx_ids, *args, **kwargs)
 
+    def pairs(ids, *args):
+        asked["pairs"] += len(ids[0])  # each pair's two directions in one call
+        return real_pairs(ids, *args)
+
     monkeypatch.setattr(channel, "shadowing_db", shadowing_db)
     monkeypatch.setattr(channel, "prime_shadowing", prime_shadowing)
     monkeypatch.setattr(channel, "delivery_probability", scalar)
     monkeypatch.setattr(channel, "delivery_probability_batch", batch)
+    monkeypatch.setattr(channel, "delivery_probability_pairs", pairs)
 
     generators_built.clear()  # the scenario's own streams
     hub = SnapshotHub(scenario.inventory, min_refresh_s=3600.0)
@@ -60,14 +66,16 @@ def test_cold_publish_constructs_o1_generators_and_a_churned_republish_asks_noth
     links = asked["prime_shadowing"]
     assert links >= 2 * N_ASSETS and cold.edge_count >= N_ASSETS
     assert len(generators_built) <= 1, generators_built
-    # Every candidate link once per direction, every shadowing read a memo
-    # hit.  The batch reads the memo in place and enters shadowing_db only on
-    # a miss, so a hit costs no call: none at all means no link missed.
+    # Every candidate link once, both directions at a time, every shadowing
+    # read a memo hit.  The pair call reads the memo in place and enters
+    # shadowing_db only on a miss, so a hit costs no call: none at all means
+    # no link missed.
     assert asked == {
         "shadowing_db": 0,
         "prime_shadowing": links,
         "scalar": 0,
-        "batch": 2 * links,
+        "batch": 0,
+        "pairs": links,
     }
     assert len(channel._shadow_cache) == links
 
@@ -82,4 +90,4 @@ def test_cold_publish_constructs_o1_generators_and_a_churned_republish_asks_noth
     assert warm.node_count == cold.node_count - len(victims)
     assert 0 < warm.edge_count < cold.edge_count
     assert generators_built == []
-    assert asked == {"shadowing_db": 0, "prime_shadowing": 0, "scalar": 0, "batch": 0}
+    assert asked == {"shadowing_db": 0, "prime_shadowing": 0, "scalar": 0, "batch": 0, "pairs": 0}

@@ -2,22 +2,31 @@
 
     python tests/tools/compare.py <parent-rev> [<change-rev>] --workload NAME
         [--workload NAME ...] [--pairs N] [--seconds S] [--seed N] [--tiny]
-        [--out FILE]
+        [--setup N] [--out FILE]
 
 Checks both revisions (``<change-rev>`` defaults to ``HEAD``) out as
 temporary ``git worktree``s and runs ``benchmarks/ledger/run.py --trace 0``
 from each, every run a fresh process.  Runs come in pairs, one per side;
 the side that runs first alternates from pair to pair, and pair ``k`` runs
 seed ``--seed + k`` on both sides.  UTC time and ``os.getloadavg()`` are
-stamped around every run.
+stamped around every run.  A pair in which the 1-minute load average moved
+by more than ``LOAD_MOVE`` (0.5 runnable tasks) between the start and the
+end of either half is rejected: it is counted and kept in the JSON, but no
+metric reads it.
 
-Every ``exact.*`` line must be equal within a pair.  The JSON claim table
-(``--out``, default ``compare-<workload>.json`` for one workload, else
-``compare.json``) holds, per workload and end-to-end metric of
-``BENCHMARK.json``: each side's values, median and quartiles, the
-change/parent ratio's median and range over pairs, wins out of pairs, and
-a verdict from :func:`classify`.  ``BENCHMARK.json`` is read from the
-change's worktree and never written.
+Every ``exact.*`` line must be equal within a pair, rejected or not.  The
+JSON claim table (``--out``, default ``compare-<workload>.json`` for one
+workload, else ``compare.json``) holds, per workload and end-to-end metric
+of ``BENCHMARK.json``: each side's values, median and quartiles over the
+accepted pairs, the change/parent ratio's median and range, wins out of
+pairs, and a verdict from :func:`classify`.  ``BENCHMARK.json`` is read
+from the change's worktree and never written.
+
+``--setup N`` re-measures set-up in process: one fresh process per side
+imports that worktree's ledger and reports the fastest of ``N`` calls to
+``Workload.build`` (each after a ``gc.collect()``), or, for a workload
+with no ``build``, the fastest ``setup_s`` of ``N`` rounds.  ``--pairs 0
+--setup N`` measures set-up alone.
 
 Exit status: 0 when every run was correct and every pair's exact lines
 were equal, 1 otherwise, 2 on a bad revision or a run that did not finish.
@@ -40,12 +49,37 @@ import tempfile
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-SCHEMA = "compare/1"
+SCHEMA = "compare/2"
 #: A cell whose parent runs spread wider than this share of their median
 #: (interquartile distance) is UNRESOLVED: no claim either way.
 UNRESOLVED_SPREAD = 0.25
 #: Share of pairs the change must win for a BETTER verdict.
 WIN_SHARE = 0.9
+#: Largest move of the 1-minute load average (runnable tasks) between the
+#: stamps around one half of a pair before the pair is rejected.
+LOAD_MOVE = 0.5
+#: Run from a worktree's root by ``--setup``: ``name seed n tiny`` in argv,
+#: one JSON object out.
+SETUP_PROBE = """
+import gc, json, sys, time
+sys.path[:0] = ["src", "."]
+from benchmarks.ledger.workloads import WORKLOADS
+name, seed, n, tiny = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4] == "1"
+workload = next(w for w in WORKLOADS if w.name == name)
+inputs = workload.inputs(seed, tiny)
+build = getattr(workload, "build", None)
+times = []
+for _ in range(n):
+    if build is None:
+        times.append(workload.round(inputs).setup_s)
+        continue
+    gc.collect()
+    t0 = time.perf_counter()
+    build(inputs)
+    times.append(time.perf_counter() - t0)
+how = "round" if build is None else "build"
+print(json.dumps({"how": how, "min_s": min(times), "times": times}))
+"""
 
 
 class CompareError(Exception):
@@ -97,6 +131,13 @@ def stamp() -> Dict[str, Any]:
     }
 
 
+def clean_env() -> Dict[str, str]:
+    """This process's environment for a side's run: each side imports its own
+    tree, so nothing from this process's paths or ``REPRO_*`` settings."""
+    return {k: v for k, v in os.environ.items()
+            if k != "PYTHONPATH" and not k.startswith("REPRO_")}
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float, tiny: bool) -> Dict[str, Any]:
     """One contract run of ``workload`` from ``tree``: its end-to-end values,
     its exact lines as ``[name, value]`` pairs and its time and load stamps."""
@@ -105,11 +146,8 @@ def run_once(tree: str, workload: str, seed: int, seconds: float, tiny: bool) ->
         "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
         "--trace", "0",
     ] + (["--tiny"] if tiny else [])
-    # Each side imports its own tree: nothing from this process's paths.
-    env = {k: v for k, v in os.environ.items()
-           if k != "PYTHONPATH" and not k.startswith("REPRO_")}
     before = stamp()
-    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=tree, env=clean_env(), capture_output=True, text=True)
     after = stamp()
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -125,6 +163,23 @@ def run_once(tree: str, workload: str, seed: int, seconds: float, tiny: bool) ->
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "exact": sorted(line.split()[1:3] for line in lines if " exact." in line),
     }
+
+
+def measure_setup(tree: str, workload: str, seed: int, n: int, tiny: bool) -> Dict[str, Any]:
+    """``--setup``: the fastest of ``n`` set-ups of ``workload``, in one fresh
+    process that imports ``tree``'s ledger."""
+    argv = [sys.executable, "-c", SETUP_PROBE, workload, str(seed), str(n), "1" if tiny else "0"]
+    done = subprocess.run(argv, cwd=tree, env=clean_env(), capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        tail = "\n".join(done.stderr.strip().splitlines()[-5:])
+        raise CompareError(f"{workload} set-up in {tree}: exit {done.returncode}\n{tail}")
+    return json.loads(lines[-1])
+
+
+def load_move(run: Dict[str, Any]) -> float:
+    """How far the 1-minute load average moved across one run."""
+    return abs(run["end"]["load1"] - run["start"]["load1"])
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float]:
@@ -180,6 +235,38 @@ def classify(
     }
 
 
+def summarize(pairs: Sequence[Dict[str, Any]], bench: Dict[str, Any]) -> Dict[str, Any]:
+    """One workload's cell from its pairs: exactness and correctness over
+    every pair, each end-to-end metric over the pairs whose load held.
+
+    A pair is rejected when :func:`load_move` of either half exceeds
+    ``LOAD_MOVE``; with no pair left a metric is UNRESOLVED.
+    """
+    kept = [p for p in pairs
+            if max(load_move(p["parent"]), load_move(p["change"])) <= LOAD_MOVE]
+    metrics = {}
+    for m in bench["end_to_end"]:
+        name = m["name"]
+        cell: Dict[str, Any] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"]}
+        if kept:
+            parent = [p["parent"]["metrics"][name] for p in kept]
+            change = [p["change"]["metrics"][name] for p in kept]
+            cell.update(parent=side_summary(parent), change=side_summary(change),
+                        **classify(parent, change, m["better"], m["bound"]))
+        else:
+            cell.update(parent=None, change=None, wins=0, losses=0, pairs=0,
+                        ratio={"median": None, "min": None, "max": None},
+                        verdict="UNRESOLVED")
+        metrics[name] = cell
+    return {
+        "exact_equal": all(p["exact_equal"] for p in pairs),
+        "correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
+        "rejected": len(pairs) - len(kept),
+        "metrics": metrics,
+        "pairs": list(pairs),
+    }
+
+
 def compare_workload(
     trees: Dict[str, str], workload: str, seeds: Sequence[int], seconds: float,
     tiny: bool, bench: Dict[str, Any], log: Any,
@@ -194,33 +281,23 @@ def compare_workload(
         pairs.append(pair)
         print(f"{workload} pair {k + 1}/{len(seeds)} seed {seed} first={order[0]} "
               f"exact_equal={pair['exact_equal']} "
+              f"load_move={max(load_move(pair['parent']), load_move(pair['change'])):.2f} "
               + " ".join(f"{m}={pair['parent']['metrics'][m]:.4g}->"
                          f"{pair['change']['metrics'][m]:.4g}"
                          for m in pair["parent"]["metrics"]),
               file=log, flush=True)
-    metrics = {}
-    for m in bench["end_to_end"]:
-        name = m["name"]
-        parent = [p["parent"]["metrics"][name] for p in pairs]
-        change = [p["change"]["metrics"][name] for p in pairs]
-        metrics[name] = {
-            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-            "parent": side_summary(parent), "change": side_summary(change),
-            **classify(parent, change, m["better"], m["bound"]),
-        }
-    return {
-        "exact_equal": all(p["exact_equal"] for p in pairs),
-        "correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
-        "metrics": metrics,
-        "pairs": pairs,
-    }
+    return summarize(pairs, bench)
 
 
 def print_table(table: Dict[str, Any], out: Any) -> None:
     for workload, cell in table["workloads"].items():
-        print(f"{workload}: exact_equal={cell['exact_equal']} correct={cell['correct']}",
-              file=out)
-        for name, m in cell["metrics"].items():
+        if "metrics" in cell:
+            print(f"{workload}: exact_equal={cell['exact_equal']} correct={cell['correct']} "
+                  f"rejected={cell['rejected']}/{len(cell['pairs'])}", file=out)
+        for name, m in cell.get("metrics", {}).items():
+            if m["parent"] is None:
+                print(f"  {name:12s} no pair accepted  {m['verdict']}", file=out)
+                continue
             ratio = m["ratio"]
             span = (f"ratio {ratio['median']:.3f} [{ratio['min']:.3f}, {ratio['max']:.3f}]"
                     if ratio["median"] is not None else "ratio n/a")
@@ -232,6 +309,12 @@ def print_table(table: Dict[str, Any], out: Any) -> None:
                 f"{span}  wins {m['wins']}/{m['pairs']}  {m['verdict']}",
                 file=out,
             )
+        setup = cell.get("setup")
+        if setup:
+            p, c = setup["parent"]["min_s"], setup["change"]["min_s"]
+            print(f"{workload}: in-process set-up, fastest of {setup['n']} "
+                  f"{setup['parent']['how']} calls: parent {p:.6g} s  change {c:.6g} s  "
+                  f"ratio {c / p:.3f}", file=out)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -243,10 +326,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=12, help="pair k runs seed SEED + k")
     parser.add_argument("--tiny", action="store_true", help="the ledger's self-test scale")
+    parser.add_argument("--setup", type=int, default=0, metavar="N",
+                        help="also time N set-ups in one fresh process per side")
     parser.add_argument("--out")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.setup < 0 or args.pairs < (0 if args.setup else 1):
+        parser.error("--pairs must be at least 1, or 0 with --setup N")
     out = args.out or (
         f"compare-{args.workload[0]}.json" if len(args.workload) == 1 else "compare.json"
     )
@@ -260,7 +345,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "schema": SCHEMA,
         **sides,
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "tiny": args.tiny,
-                     "seeds": seeds},
+                     "seeds": seeds, "load_move_max": LOAD_MOVE, "setup": args.setup},
         "host": {"python": platform.python_version(), "nproc": os.cpu_count()},
         "workloads": {},
     }
@@ -270,9 +355,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 bench = json.load(fh)
             trees = {"parent": p_tree, "change": c_tree}
             for workload in args.workload:
-                table["workloads"][workload] = compare_workload(
-                    trees, workload, seeds, args.seconds, args.tiny, bench, sys.stderr
-                )
+                cell: Dict[str, Any] = {}
+                if seeds:
+                    cell = compare_workload(
+                        trees, workload, seeds, args.seconds, args.tiny, bench, sys.stderr
+                    )
+                if args.setup:
+                    cell["setup"] = {"n": args.setup, "seed": args.seed, **{
+                        side: measure_setup(trees[side], workload, args.seed, args.setup,
+                                            args.tiny)
+                        for side in ("parent", "change")
+                    }}
+                table["workloads"][workload] = cell
     except CompareError as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 2
@@ -282,7 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print_table(table, sys.stdout)
     print(f"wrote {out}")
     cells = table["workloads"].values()
-    return 0 if all(c["exact_equal"] and c["correct"] for c in cells) else 1
+    return 0 if all(c.get("exact_equal", True) and c.get("correct", True) for c in cells) else 1
 
 
 if __name__ == "__main__":

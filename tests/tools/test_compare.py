@@ -54,6 +54,35 @@ def test_wins_below_nine_tenths_or_a_gain_inside_the_spread_claim_nothing():
     assert same["ratio"] == {"median": 1.0, "min": 1.0, "max": 1.0}
 
 
+def _run(value, load1, load2):
+    return {"start": {"utc": "t0", "load1": load1}, "end": {"utc": "t1", "load1": load2},
+            "correct": True, "metrics": {"setup_s": value}}
+
+
+def test_a_pair_whose_load_moved_is_rejected_and_counted():
+    bench = {"end_to_end": [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    quiet, moved = compare.LOAD_MOVE / 2, compare.LOAD_MOVE * 2
+    pairs = [
+        {"parent": _run(100.0 + k, 0.3, 0.3 + quiet), "change": _run(80.0 + k, 0.3, 0.3),
+         "exact_equal": True}
+        for k in range(5)
+    ]
+    # One half of the fourth pair ran while the load rose: its change value
+    # would turn the cell, and it is left out of every statistic.
+    pairs[3]["change"] = _run(500.0, 0.3, 0.3 + moved)
+    cell = compare.summarize(pairs, bench)
+    assert cell["rejected"] == 1 and len(cell["pairs"]) == 5
+    m = cell["metrics"]["setup_s"]
+    assert m["pairs"] == 4 and 500.0 not in m["change"]["values"]
+    assert m["wins"] == 4 and m["verdict"] == "BETTER"
+    # A load that fell as far is a move too; with every pair out, no claim.
+    for pair in pairs:
+        pair["parent"] = _run(100.0, 0.3 + moved, 0.3)
+    cell = compare.summarize(pairs, bench)
+    assert cell["rejected"] == 5 and cell["exact_equal"] and cell["correct"]
+    assert cell["metrics"]["setup_s"]["verdict"] == "UNRESOLVED"
+
+
 def test_head_against_head_reports_every_exact_line_equal(tmp_path):
     try:
         compare.git("rev-parse", "--verify", "HEAD:src")
@@ -63,13 +92,14 @@ def test_head_against_head_reports_every_exact_line_equal(tmp_path):
     out = tmp_path / "claim.json"
     status = compare.main([
         "HEAD", "HEAD", "--workload", "geo_unicast_1k", "--pairs", "2",
-        "--seconds", "0", "--tiny", "--out", str(out),
+        "--seconds", "0", "--tiny", "--setup", "2", "--out", str(out),
     ])
     assert status == 0
     table = json.loads(out.read_text())
     assert table["schema"] == compare.SCHEMA
     assert table["parent"]["sha"] == table["change"]["sha"]
     assert table["settings"]["seeds"] == [12, 13]
+    assert table["settings"]["load_move_max"] == compare.LOAD_MOVE
     cell = table["workloads"]["geo_unicast_1k"]
     assert cell["exact_equal"] and cell["correct"]
     assert [p["first"] for p in cell["pairs"]] == ["parent", "change"]
@@ -78,6 +108,12 @@ def test_head_against_head_reports_every_exact_line_equal(tmp_path):
         for side in ("parent", "change"):
             assert pair[side]["start"]["utc"] <= pair[side]["end"]["utc"]
     assert set(cell["metrics"]) == {"setup_s", "work_per_s", "peak_rss_mb"}
+    assert 0 <= cell["rejected"] <= 2
+    # --setup: the fastest of two GeoUnicast.build calls, one process a side.
+    for side in ("parent", "change"):
+        setup = cell["setup"][side]
+        assert setup["how"] == "build" and len(setup["times"]) == 2
+        assert 0 < setup["min_s"] == min(setup["times"])
     # The worktrees are gone again.
     assert compare.git("worktree", "list", "--porcelain") == before
 
