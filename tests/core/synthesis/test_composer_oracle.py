@@ -13,7 +13,9 @@ every step is re-implemented below and must agree field for field.
 
 import dataclasses
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,9 +414,10 @@ def ledger_world(seed):
     return SnapshotHub(scenario.inventory, min_refresh_s=3600.0), goals, churn
 
 
-#: ``exact.answers`` of ``run.py --workload service_churn_1k`` at each seed:
-#: the ledger's digest of {(goal, epoch): (sink, sensors)}, recomputed below.
-LEDGER_ANSWERS = {12: "fb8088964744bcb5"}
+#: ``exact.answers`` of ``run.py --workload service_churn_1k`` at the pinned
+#: seed: the ledger's digest of {(goal, epoch): (sink, sensors)}, recomputed below.
+_PINS = json.loads((Path(__file__).resolve().parents[2] / "tools" / "pins.json").read_text())
+LEDGER_ANSWERS = {_PINS["seed"]: _PINS["cells"]["service_churn_1k"]["exact"]["exact.answers"]}
 
 
 @pytest.mark.parametrize("seed", sorted(LEDGER_ANSWERS))

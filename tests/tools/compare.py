@@ -1,8 +1,9 @@
-"""Parent-vs-change claim table for the perf ledger.
+"""Parent-vs-change claim table for the perf ledger, and its pinned runs.
 
     python tests/tools/compare.py <parent-rev> [<change-rev>] --workload NAME
         [--workload NAME ...] [--pairs N] [--seconds S] [--seed N] [--tiny]
         [--setup N] [--out FILE]
+    python tests/tools/compare.py check
 
 Checks both revisions (``<change-rev>`` defaults to ``HEAD``) out as
 temporary ``git worktree``s and runs ``benchmarks/ledger/run.py --trace 0``
@@ -19,18 +20,23 @@ JSON claim table (``--out``, default ``compare-<workload>.json`` for one
 workload, else ``compare.json``) holds, per workload and end-to-end metric
 of ``BENCHMARK.json``: each side's values, median and quartiles over the
 accepted pairs, the change/parent ratio's median and range, wins out of
-pairs, and a verdict from :func:`classify`.  ``BENCHMARK.json`` is read
-from the change's worktree and never written.
+pairs, and a verdict from :func:`classify`; per workload, each side's
+failed and attempted operations.  ``BENCHMARK.json`` is read from the
+change's worktree and never written.
 
 ``--setup N`` re-measures set-up in process: one fresh process per side
 imports that worktree's ledger and reports the fastest of ``N`` calls to
 ``Workload.build`` (each after a ``gc.collect()``), or, for a workload
-with no ``build``, the fastest ``setup_s`` of ``N`` rounds.  ``--pairs 0
---setup N`` measures set-up alone.
+with no ``build``, the fastest ``setup_s`` of ``N`` rounds, stamped like a
+run.  ``--pairs 0 --setup N`` measures set-up alone.
 
-Exit status: 0 when every run was correct and every pair's exact lines
-were equal, 1 otherwise, 2 on a bad revision or a run that did not finish.
-Stdlib only.
+Exit status: 0 when every run was correct with no failed operation and
+every pair's exact lines were equal, 1 otherwise, 2 on a bad revision or a
+run that did not finish.
+
+``check`` runs the working tree's ledger as ``tests/tools/pins.json`` says
+(see :func:`check`), prints one line per run and exits 0 when every run
+holds its pins, 1 otherwise.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -49,10 +55,9 @@ import tempfile
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-SCHEMA = "compare/2"
-#: A cell whose parent runs spread wider than this share of their median
-#: (interquartile distance) is UNRESOLVED: no claim either way.
-UNRESOLVED_SPREAD = 0.25
+SCHEMA = "compare/3"
+#: The ledger's pinned runs and exact statistics per cell, read by ``check``.
+PINS = os.path.join(ROOT, "tests", "tools", "pins.json")
 #: Share of pairs the change must win for a BETTER verdict.
 WIN_SHARE = 0.9
 #: Largest move of the 1-minute load average (runnable tasks) between the
@@ -133,30 +138,46 @@ def stamp() -> Dict[str, Any]:
 
 def clean_env() -> Dict[str, str]:
     """This process's environment for a side's run: each side imports its own
-    tree, so nothing from this process's paths or ``REPRO_*`` settings."""
+    tree, so nothing from this process's paths, hash seed or ``REPRO_*``
+    settings."""
     return {k: v for k, v in os.environ.items()
-            if k != "PYTHONPATH" and not k.startswith("REPRO_")}
+            if k not in ("PYTHONPATH", "PYTHONHASHSEED") and not k.startswith("REPRO_")}
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float, tiny: bool) -> Dict[str, Any]:
-    """One contract run of ``workload`` from ``tree``: its end-to-end values,
-    its exact lines as ``[name, value]`` pairs and its time and load stamps."""
-    argv = [
-        sys.executable, os.path.join("benchmarks", "ledger", "run.py"),
-        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-        "--trace", "0",
-    ] + (["--tiny"] if tiny else [])
+def run_stamped(
+    argv: Sequence[str], tree: str, what: str, env: Dict[str, str]
+) -> Tuple[List[str], Dict[str, Any]]:
+    """``argv`` run from ``tree``: its stdout lines, and the time and load
+    stamps around it."""
     before = stamp()
-    done = subprocess.run(argv, cwd=tree, env=clean_env(), capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     after = stamp()
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         tail = "\n".join(done.stderr.strip().splitlines()[-5:])
-        raise CompareError(f"{workload} seed {seed} in {tree}: exit {done.returncode}\n{tail}")
+        raise CompareError(f"{what} in {tree}: exit {done.returncode}\n{tail}")
+    return lines, {"start": before, "end": after}
+
+
+def run_once(
+    tree: str, workload: str, seed: int, seconds: float, tiny: bool,
+    trace: bool = False, hash_seed: Optional[int] = None,
+) -> Dict[str, Any]:
+    """One contract run of ``workload`` from ``tree``, traced or not, with
+    ``PYTHONHASHSEED`` set to ``hash_seed`` or unset: its values, its exact
+    lines as ``[name, value]`` pairs and its time and load stamps."""
+    argv = [
+        sys.executable, os.path.join("benchmarks", "ledger", "run.py"),
+        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+        "--trace", "1" if trace else "0",
+    ] + (["--tiny"] if tiny else [])
+    env = clean_env()
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    lines, stamps = run_stamped(argv, tree, f"{workload} seed {seed}", env)
     result = json.loads(lines[-1])
     return {
-        "start": before,
-        "end": after,
+        **stamps,
         "correct": result["correct"],
         "failed": result["failed"],
         "attempted": result["attempted"],
@@ -167,14 +188,10 @@ def run_once(tree: str, workload: str, seed: int, seconds: float, tiny: bool) ->
 
 def measure_setup(tree: str, workload: str, seed: int, n: int, tiny: bool) -> Dict[str, Any]:
     """``--setup``: the fastest of ``n`` set-ups of ``workload``, in one fresh
-    process that imports ``tree``'s ledger."""
+    process that imports ``tree``'s ledger, with the stamps around it."""
     argv = [sys.executable, "-c", SETUP_PROBE, workload, str(seed), str(n), "1" if tiny else "0"]
-    done = subprocess.run(argv, cwd=tree, env=clean_env(), capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        tail = "\n".join(done.stderr.strip().splitlines()[-5:])
-        raise CompareError(f"{workload} set-up in {tree}: exit {done.returncode}\n{tail}")
-    return json.loads(lines[-1])
+    lines, stamps = run_stamped(argv, tree, f"{workload} set-up", clean_env())
+    return {**json.loads(lines[-1]), **stamps}
 
 
 def load_move(run: Dict[str, Any]) -> float:
@@ -199,13 +216,15 @@ def classify(
 ) -> Dict[str, Any]:
     """One metric's pairs: ratio statistics, wins and the verdict.
 
-    ``parent[k]`` and ``change[k]`` are pair ``k``'s values.  The verdict is
+    ``parent[k]`` and ``change[k]`` are pair ``k``'s values, and ``bound``
+    is the metric's bound, a share of the parent median.  The verdict is
     ``UNRESOLVED`` when the parent's interquartile distance exceeds
-    ``UNRESOLVED_SPREAD`` of its median; else ``BETTER`` when the change
-    wins at least ``WIN_SHARE`` of the pairs (ties win nothing) and its
-    median is better by more than that interquartile distance; else
-    ``WORSE`` when its median is worse than the parent's by more than
-    ``bound`` (a share of the parent median); else ``WITHIN_BOUND``.
+    ``bound`` of its median, unless every change run is better than every
+    parent run; else ``BETTER`` when the change wins at least ``WIN_SHARE``
+    of the pairs (ties win nothing) and its median is better by more than
+    that interquartile distance; else ``WORSE`` when its median is worse
+    than the parent's by more than ``bound`` of the parent median; else
+    ``WITHIN_BOUND``.
     """
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
@@ -214,7 +233,8 @@ def classify(
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, q3 = quartiles(parent)
     spread = q3 - q1
-    if spread > UNRESOLVED_SPREAD * abs(p_med):
+    apart = min(sign * p for p in parent) > max(sign * c for c in change)
+    if spread > bound * abs(p_med) and not apart:
         verdict = "UNRESOLVED"
     elif wins >= WIN_SHARE * len(parent) and sign * (p_med - c_med) > spread:
         verdict = "BETTER"
@@ -236,8 +256,10 @@ def classify(
 
 
 def summarize(pairs: Sequence[Dict[str, Any]], bench: Dict[str, Any]) -> Dict[str, Any]:
-    """One workload's cell from its pairs: exactness and correctness over
-    every pair, each end-to-end metric over the pairs whose load held.
+    """One workload's cell from its pairs: exactness, correctness and each
+    side's failed and attempted operations over every pair, each end-to-end
+    metric over the pairs whose load held.  A run with a failed operation
+    is not correct, whatever its own ``correct`` says.
 
     A pair is rejected when :func:`load_move` of either half exceeds
     ``LOAD_MOVE``; with no pair left a metric is UNRESOLVED.
@@ -258,9 +280,12 @@ def summarize(pairs: Sequence[Dict[str, Any]], bench: Dict[str, Any]) -> Dict[st
                         ratio={"median": None, "min": None, "max": None},
                         verdict="UNRESOLVED")
         metrics[name] = cell
+    sides = ("parent", "change")
     return {
         "exact_equal": all(p["exact_equal"] for p in pairs),
-        "correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
+        "correct": all(p[s]["correct"] and not p[s]["failed"] for p in pairs for s in sides),
+        "failed": {s: sum(p[s]["failed"] for p in pairs) for s in sides},
+        "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in sides},
         "rejected": len(pairs) - len(kept),
         "metrics": metrics,
         "pairs": list(pairs),
@@ -292,8 +317,10 @@ def compare_workload(
 def print_table(table: Dict[str, Any], out: Any) -> None:
     for workload, cell in table["workloads"].items():
         if "metrics" in cell:
+            ops = "  ".join(f"{s} failed {cell['failed'][s]}/{cell['attempted'][s]}"
+                            for s in ("parent", "change"))
             print(f"{workload}: exact_equal={cell['exact_equal']} correct={cell['correct']} "
-                  f"rejected={cell['rejected']}/{len(cell['pairs'])}", file=out)
+                  f"rejected={cell['rejected']}/{len(cell['pairs'])}  {ops}", file=out)
         for name, m in cell.get("metrics", {}).items():
             if m["parent"] is None:
                 print(f"  {name:12s} no pair accepted  {m['verdict']}", file=out)
@@ -317,7 +344,61 @@ def print_table(table: Dict[str, Any], out: Any) -> None:
                   f"ratio {c / p:.3f}", file=out)
 
 
+def misses(run: Dict[str, Any], pins: Dict[str, Any]) -> List[str]:
+    """What one run gets wrong against its pins; empty when it holds them.
+
+    A pinned key is an ``exact.*`` line's printed text or a metric of the
+    result object.  A key the run does not print is wrong; one that is not
+    pinned is not read."""
+    printed = {**run["metrics"], **dict(run["exact"])}
+    wrong = []
+    if not run["correct"] or run["failed"]:
+        wrong.append(f"correct={run['correct']} failed={run['failed']}")
+    for key, want in pins.items():
+        if key not in printed:
+            wrong.append(f"{key} not printed, pinned {want!r}")
+        elif printed[key] != want:
+            wrong.append(f"{key} = {printed[key]!r}, pinned {want!r}")
+    return wrong
+
+
+def check(pins: Dict[str, Any], tiny: bool = False, out: Any = sys.stdout) -> int:
+    """Every run ``pins`` asks of this tree's ledger, one line each; the
+    number of runs that failed.
+
+    Each cell runs untraced under each of ``pins["hash_seeds"]`` (``None``
+    leaves ``PYTHONHASHSEED`` unset) and, when it has a ``traced`` entry,
+    once traced with the hash seed unset, all at ``pins["seed"]`` for
+    ``pins["seconds"]``.  A run holds when it is correct, fails no
+    operation and prints its cell's ``exact`` pins, plus its ``traced``
+    pins on the traced run.  A run that does not finish fails."""
+    failed = 0
+    for cell, spec in pins["cells"].items():
+        runs = [(False, h) for h in pins["hash_seeds"]]
+        if "traced" in spec:
+            runs.append((True, None))
+        for trace, hash_seed in runs:
+            want = {**spec["exact"], **(spec["traced"] if trace else {})}
+            label = (f"{cell} trace={int(trace)} "
+                     f"PYTHONHASHSEED={'unset' if hash_seed is None else hash_seed}")
+            try:
+                run = run_once(ROOT, cell, pins["seed"], pins["seconds"], tiny, trace, hash_seed)
+            except CompareError as exc:
+                wrong, ops = [str(exc)], "did not finish"
+            else:
+                wrong = misses(run, want)
+                ops = f"failed {run['failed']}/{run['attempted']}"
+            failed += bool(wrong)
+            print(f"{'FAIL' if wrong else 'ok  '} {label}  {ops}  {len(want)} pins"
+                  + "".join(f"; {w}" for w in wrong), file=out, flush=True)
+    return failed
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv == ["check"]:
+        with open(PINS, encoding="utf-8") as fh:
+            return 1 if check(json.load(fh)) else 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change", nargs="?", default="HEAD")
