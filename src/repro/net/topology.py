@@ -231,32 +231,55 @@ def build_topology(
     and ``etx`` (1/p).  So a pair that decodes with ``p`` over the
     threshold but lies outside the lower id's range gets no edge.
 
-    ``link_p`` is a neighbour-pair table, ``{node id: {higher neighbour id:
-    p}}``, that the build reads before asking the channel and fills with
-    what it had to compute.  A pair's ``p`` depends on positions, powers and
+    ``link_p`` is the table of one screen: ``{node id: {higher candidate id:
+    p}}`` with a row for every node screened, rows in node order and each
+    row in ascending id.  A pair's ``p`` depends on positions, powers and
     jamming but not on which nodes are up, so whoever keeps a table across
-    builds owes it one rule: drop it when
+    builds owes it one rule: empty it when
     ``(network.topology_version, network.channel.jam_signature())`` changes.
+    While that holds, a build whose nodes all have a row screens nothing
+    and asks the channel nothing: it keeps the table's pairs whose ends are
+    both built, in table order, the order a screen of those nodes would
+    give.  Any other build screens, reads the ``p`` of pairs the table
+    holds, and replaces the table with its own screen.
 
-    The build is a few whole-world passes: candidate pairs from one grid
+    A screen is a few whole-world passes: candidate pairs from one grid
     screen in numpy, the shadowing of every pair the table lacks seeded in
-    batches, both directions of those pairs from one channel call, then
-    the graph in bulk, edges in node order and then ascending id.
+    batches, both directions of those pairs from one channel call.  The
+    graph is then built in one pass over the table, edges in node order and
+    then ascending id.
     """
     import networkx as nx
 
     nodes = list(network.nodes.values()) if include_down else network.up_nodes()
-    graph = nx.Graph()
-    graph.add_nodes_from((node.id, {"pos": (node.position.x, node.position.y)}) for node in nodes)
     if link_p is None:
         link_p = {}
-    for node in nodes:
-        link_p.setdefault(node.id, {})
+    if not all(node.id in link_p for node in nodes):
+        _screen(network, nodes, link_p)
+    graph = nx.Graph()
+    # What add_nodes_from and add_edges_from would store, in their order,
+    # written into the new graph's own dicts: the calls' per-item checks
+    # cost more than the writes.  Both build oracles build through the
+    # calls and compare every order and attribute with this.
+    graph._node.update((node.id, {"pos": (node.position.x, node.position.y)}) for node in nodes)
+    adj = graph._adj
+    adj.update((node.id, {}) for node in nodes)
+    for a, row in adj.items():
+        for b, p in link_p[a].items():
+            if p >= min_delivery_probability and b in adj:
+                row[b] = adj[b][a] = {"p": p, "etx": 1.0 / p}
+    return TopologySnapshot(graph=graph, time=network.sim.now)
+
+
+def _screen(network: Network, nodes: List[NetNode], link_p: Dict[int, Dict[int, float]]) -> None:
+    """Replace ``link_p`` with the table of a screen of ``nodes``, taking
+    the ``p`` of every pair it already holds and asking the channel for the
+    rest."""
     id_list = [node.id for node in nodes]
     lower, higher = _candidate_pairs(network, nodes, np.array(id_list, dtype=np.int64))
     # The nodes' own id objects, not copies: the table and the graph keep them.
     a_ids, b_ids = (list(map(id_list.__getitem__, index.tolist())) for index in (lower, higher))
-    probs = [link_p[a].get(b) for a, b in zip(a_ids, b_ids)]
+    probs = [link_p[a].get(b) if a in link_p else None for a, b in zip(a_ids, b_ids)]
     missing = [k for k, p in enumerate(probs) if p is None]
     if missing:
         a_new, b_new = [a_ids[k] for k in missing], [b_ids[k] for k in missing]
@@ -270,14 +293,12 @@ def build_topology(
             tuple([n.position for n in end] for end in ends),
             tuple([n.tx_power_dbm for n in end] for end in ends),
         )
-        for k, a, b, p in zip(missing, a_new, b_new, np.minimum(forward, backward).tolist()):
-            link_p[a][b] = probs[k] = p
-    graph.add_edges_from(
-        (a, b, {"p": p, "etx": 1.0 / p})
-        for a, b, p in zip(a_ids, b_ids, probs)
-        if p >= min_delivery_probability
-    )
-    return TopologySnapshot(graph=graph, time=network.sim.now)
+        for k, p in zip(missing, np.minimum(forward, backward).tolist()):
+            probs[k] = p
+    link_p.clear()
+    link_p.update((node_id, {}) for node_id in id_list)
+    for a, b, p in zip(a_ids, b_ids, probs):
+        link_p[a][b] = p
 
 
 #: Cells per widest range in ``_candidate_pairs``' grid: a node scans the

@@ -17,10 +17,21 @@ The hub subscribes to node-lifecycle transitions, so fault churn marks it
 dirty, and it notices moved nodes and jamming changes by comparing
 ``(network.topology_version, channel.jam_signature())`` with the value the
 current epoch was built under; ``current()`` republishes lazily,
-rate-limited by ``min_refresh_s``.  The same pair of values guards the
-hub's table of neighbour-pair delivery probabilities: while it holds, an
-epoch re-derives only which links have both ends up, so publishing after
-churn costs the nodes that are up, not a channel evaluation per link.
+rate-limited by ``min_refresh_s``.
+
+A republish pays for what changed.  The hub keeps one table, the candidate
+neighbour pairs its last screen found with their delivery probabilities
+(see :func:`~repro.net.topology.build_topology`), under that same pair of
+values; a new value empties it.  While every up node was screened, an epoch
+keeps the table's pairs whose ends are both up and screens nothing;
+bringing up a node the table lacks screens once more, reading the pairs it
+holds, and replaces it.  An asset's record from the last epoch is reused
+while every field it copies compares equal to the live asset, so a
+capture, a drained battery or a moved node freezes that asset alone, with
+or without anyone marking the hub dirty.
+``tests/service/test_publish_cost.py`` counts both (no screen and no
+record on a churned republish) and ``tests/service/test_publish_oracle.py``
+holds every epoch to a from-scratch build.
 """
 
 from __future__ import annotations
@@ -90,6 +101,33 @@ def _freeze_asset(asset) -> SnapshotAsset:
     )
 
 
+def _refreeze(record: Optional[SnapshotAsset], asset) -> SnapshotAsset:
+    """``record`` when it still copies every field of ``asset`` as it is now,
+    else ``asset`` frozen afresh.  Decided by comparing values, so a change
+    nobody announced cannot leave a stale record in a new epoch."""
+    if record is not None:
+        battery, held = asset.battery, record.battery
+        # Tuples compare item by item, identity first: a field that is
+        # still the same object costs no ``__eq__``.
+        if (
+            record.node_id,
+            record.position,
+            record.profile,
+            record.affiliation,
+            record.captured,
+            None if held is None else held.fraction_remaining,
+        ) == (
+            asset.node_id,
+            asset.position,
+            asset.profile,
+            asset.affiliation,
+            asset.captured,
+            None if battery is None else float(battery.fraction_remaining),
+        ):
+            return record
+    return _freeze_asset(asset)
+
+
 @dataclass(frozen=True)
 class InventorySnapshot:
     """One immutable epoch: frozen assets plus the matching topology."""
@@ -138,7 +176,7 @@ class SnapshotHub:
         self._current: Optional[InventorySnapshot] = None
         self._dirty = True
         self._last_build = -float("inf")
-        # Neighbour-pair delivery probabilities carried from epoch to epoch
+        # The last screen's neighbour pairs and their delivery probabilities
         # (see build_topology), and the world state they were measured in.
         self._link_p: Dict[int, Dict[int, float]] = {}
         self._link_token: Optional[Tuple] = None
@@ -160,17 +198,21 @@ class SnapshotHub:
     def publish(self) -> InventorySnapshot:
         """Build and install a new epoch from the live world, right now.
 
-        Up/down flips since the last epoch cost a pass over the up nodes with
-        every surviving link's probability read from the table; anything that
-        changes :meth:`_world_token` drops the table and is measured afresh.
+        Up/down flips among screened nodes cost a pass over the table's
+        pairs and no screen; a node up that the table lacks costs a screen
+        with every known pair's probability read from the table; anything
+        that changes :meth:`_world_token` drops the table and is measured
+        afresh.  Assets whose fields all still equal the last epoch's record
+        keep that record.
         """
         token = self._world_token()
         if token != self._link_token:
             self._link_p = {}
             self._link_token = token
         self._epoch += 1
+        previous = {} if self._current is None else {a.id: a for a in self._current.assets}
         assets = tuple(
-            _freeze_asset(a) for a in self.inventory.all() if a.alive
+            _refreeze(previous.get(a.id), a) for a in self.inventory.all() if a.alive
         )
         snapshot = InventorySnapshot(
             epoch=self._epoch,

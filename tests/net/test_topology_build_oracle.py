@@ -5,9 +5,11 @@ in batches and evaluates both directions of a pair at once.  The per-node
 build below is the code it replaced, kept verbatim as the oracle: one
 ``Network.neighbors`` scan per node and one channel batch per transmitter.
 Both builds run on twin worlds, and everything the build leaves behind
-must be equal: the table's values as ``float.hex`` in insertion order, the
-graph's node, edge and adjacency order with every attribute, and the
-shadowing memo's items in insertion order.
+must be equal: the graph's node, edge and adjacency order with every
+attribute, and the shadowing memo's items in insertion order.  The
+per-node build fills its table; the whole-world build keeps the table of
+its last screen, which must hold the per-node build's values as
+``float.hex`` for exactly the pairs that screen found, in screen order.
 
 Seeded mutations of ``src/repro/net/topology.py`` that this property was
 shown to catch: screening with the higher id's range instead of the lower
@@ -19,7 +21,7 @@ import math
 from typing import Dict, List, Optional
 
 import networkx as nx
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.net.channel import Channel, Jammer
@@ -165,11 +167,10 @@ def make_world(spec) -> Network:
     return net
 
 
-def state(net: Network, topo: TopologySnapshot, table) -> tuple:
+def state(net: Network, topo: TopologySnapshot) -> tuple:
     graph = topo.graph
     return (
         topo.time,
-        [(a, [(b, p.hex()) for b, p in row.items()]) for a, row in table.items()],
         list(graph.nodes(data=True)),
         [(a, b, list(d), d["p"].hex(), d["etx"].hex()) for a, b, d in graph.edges(data=True)],
         [(u, list(nbrs)) for u, nbrs in graph.adjacency()],
@@ -177,35 +178,59 @@ def state(net: Network, topo: TopologySnapshot, table) -> tuple:
     )
 
 
+def table_items(table) -> list:
+    return [(a, [(b, p.hex()) for b, p in row.items()]) for a, row in table.items()]
+
+
+def screen_table(net: Network, topo: TopologySnapshot, filled) -> list:
+    """The table a screen of ``topo``'s nodes leaves, with the per-node
+    build's values: a row per node in node order, holding each higher id
+    that ``Network.neighbors`` of the node lists among those nodes,
+    ascending."""
+    graph = topo.graph
+    return table_items({
+        a: {b: filled[a][b] for b in sorted(net.neighbors(a, include_down=True))
+            if b > a and b in graph}
+        for a in graph
+    })
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     worlds(),
     st.booleans(),
     st.sampled_from([0.0, 0.1, 0.5, 0.999]),
-    st.one_of(st.none(), st.integers(0, 2**16)),
+    st.one_of(st.none(), st.lists(st.integers(0, 40), max_size=6)),
 )
 def test_the_whole_world_build_equals_the_per_node_build(spec, include_down, min_p, prefill):
-    """The same table, graph and shadowing memo, bit for bit and in order.
+    """The same graph and shadowing memo, bit for bit and in order, and the
+    table of the last screen.
 
-    ``prefill`` seeds a table the way ``SnapshotHub`` carries one across
-    epochs: filled by an earlier build of the same world (every node up
-    there), then thinned, so the build under test reads some pairs from it
-    and computes the rest.
+    ``prefill`` makes the table ``SnapshotHub`` carries across epochs: left
+    by an earlier build of the same world with the nodes ``prefill`` names
+    down.  When every node of the build under test was screened there, the
+    whole-world build keeps that table and screens nothing; otherwise it
+    screens, reads the pairs the table holds and computes the rest, as the
+    per-node build does with its filled table.
     """
     tables = [{}, {}]
+    new_kept = None
     if prefill is not None:
-        earlier: Dict[int, Dict[int, float]] = {}
-        per_node_build(make_world({**spec, "down": []}), include_down=True, link_p=earlier)
-        keep = [(a, b, p) for a, row in earlier.items() for b, p in row.items()]
-        for table in tables:
-            for k, (a, b, p) in enumerate(keep):
-                if (k * 7919 + prefill) % 3:
-                    table.setdefault(a, {})[b] = p
+        earlier = {**spec, "down": prefill}
+        earlier_net = make_world(earlier)
+        earlier_topo = build_topology(earlier_net, link_p=tables[1])
+        per_node_build(make_world(earlier), link_p=tables[0])
+        assert table_items(tables[1]) == screen_table(earlier_net, earlier_topo, tables[0])
+        new_kept = table_items(tables[1])
     old_net, new_net = make_world(spec), make_world(spec)
     kwargs = dict(include_down=include_down, min_delivery_probability=min_p)
     old = per_node_build(old_net, link_p=tables[0], **kwargs)
     new = build_topology(new_net, link_p=tables[1], **kwargs)
-    assert state(new_net, new, tables[1]) == state(old_net, old, tables[0])
+    assert state(new_net, new) == state(old_net, old)
+    screened = new_kept is None or not set(new.graph) <= {a for a, _ in new_kept}
+    event("screened" if screened else "kept the earlier screen")
+    kept = screen_table(new_net, new, tables[0]) if screened else new_kept
+    assert table_items(tables[1]) == kept
 
 
 def test_boundary_points_reach_the_disagreeing_last_bit():

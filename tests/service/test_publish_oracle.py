@@ -1,17 +1,24 @@
-"""SnapshotHub.publish against a from-scratch topology build, frozen here.
+"""SnapshotHub.publish against a from-scratch build, frozen here.
 
-The hub carries neighbour-pair delivery probabilities from epoch to epoch
-and drops them when ``(topology_version, jam_signature())`` changes.
-``reference_build_topology`` is ``build_topology`` as it stood before the
-table, the cell-row neighbour scan and the batched channel passes existed:
-all-pairs geometry, and both directions of every neighbour pair computed on
-every call from a generator constructed for that link (``frozen_oracles``:
-it shares neither ``network.neighbors`` nor any channel memo with the code
-it checks).  The state machine drives every mutator that can change a link
-or its ends in random order and, after every publish, requires the hub's
-graph to equal the reference's — node order, adjacency order, edge order
-and every attribute.
+The hub carries the screened neighbour pairs and their delivery
+probabilities from epoch to epoch and drops them when
+``(topology_version, jam_signature())`` changes, and it reuses an asset's
+record from the last epoch while every field the record copies is
+unchanged.  ``reference_build_topology`` is ``build_topology`` as it stood
+before the table, the cell-row neighbour scan and the batched channel
+passes existed: all-pairs geometry, and both directions of every neighbour
+pair computed on every call from a generator constructed for that link
+(``frozen_oracles``: it shares neither ``network.neighbors`` nor any
+channel memo with the code it checks).  The state machine drives every
+mutator that can change a link, its ends or an asset in random order and,
+after every publish, requires the hub's graph to equal the reference's —
+node order, adjacency order, edge order and every attribute — and its
+assets to equal a fresh freeze of every live asset, in inventory order.
+Every epoch published earlier must still hold the values it was published
+with.
 """
+
+import copy
 
 import networkx as nx
 from hypothesis import settings
@@ -22,14 +29,17 @@ from repro.net.channel import Jammer
 from repro.net.node import Network
 from repro.net.topology import build_topology
 from repro.service import SnapshotHub
+from repro.service.snapshot import _freeze_asset
 from repro.sim import Simulator
 from repro.things.asset import AssetInventory
+from repro.things.capabilities import make_profile
 from repro.util.geometry import Point
 from tests.net.frozen_oracles import frozen_delivery_probability, frozen_neighbors
 
 coords = st.floats(0.0, 400.0, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
 jammer_powers = st.sampled_from([-10.0, 10.0, 30.0])
+device_classes = st.sampled_from(["ground_sensor", "ugv", "drone", "smartphone"])
 
 
 def reference_build_topology(network, *, min_delivery_probability=0.1):
@@ -68,8 +78,10 @@ class PublishMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.network = Network(Simulator(seed=5))
-        self.hub = SnapshotHub(AssetInventory(self.network), min_refresh_s=0.0)
+        self.inventory = AssetInventory(self.network)
+        self.hub = SnapshotHub(self.inventory, min_refresh_s=0.0)
         self.next_id = 0
+        self.held = []  # (epoch, a copy of its assets at publish)
         # A connected-ish start, so the first publishes already carry edges.
         for x in (0.0, 60.0, 120.0, 180.0):
             self._create(Point(x, 40.0))
@@ -80,6 +92,14 @@ class PublishMachine(RuleBasedStateMachine):
 
     def _some_node(self, data):
         return data.draw(st.sampled_from(sorted(self.network.nodes)), label="node")
+
+    def _drainable(self):
+        """Assets with charge left whose node is still in the network (a
+        battery that depletes fails its node)."""
+        return [
+            a for a in self.inventory.all()
+            if a.battery is not None and not a.battery.depleted and a.node_id in self.network.nodes
+        ]
 
     def _some_jammer(self, data):
         jammers = self.network.channel.jammers
@@ -143,10 +163,33 @@ class PublishMachine(RuleBasedStateMachine):
                 self.network.restore_node(node_id)
         self.publish()
 
+    @rule(position=points, device_class=device_classes, with_battery=st.booleans())
+    def create_asset(self, position, device_class, with_battery):
+        self.inventory.create(
+            make_profile(device_class), position, with_battery=with_battery, node_id=self.next_id
+        )
+        self.next_id += 1
+
+    @precondition(lambda self: len(self.inventory))
+    @rule(data=st.data(), captured=st.booleans())
+    def capture_or_release_asset(self, data, captured):
+        data.draw(st.sampled_from(self.inventory.all()), label="asset").captured = captured
+
+    @precondition(lambda self: self._drainable())
+    @rule(data=st.data(), share=st.sampled_from([0.01, 0.4, 2.0]))
+    def drain_battery(self, data, share):
+        # A share above what is left depletes the battery, which fails its node.
+        battery = data.draw(st.sampled_from(self._drainable()), label="asset").battery
+        battery.drain_radio(share * battery.capacity_j / battery.tx_j_per_bit, 0.0)
+
     @rule()
     def publish(self):
-        published = self.hub.publish().topology.graph
-        assert layout(published) == layout(reference_build_topology(self.network))
+        snapshot = self.hub.publish()
+        assert layout(snapshot.topology.graph) == layout(reference_build_topology(self.network))
+        assert snapshot.assets == tuple(_freeze_asset(a) for a in self.inventory.all() if a.alive)
+        self.held.append((snapshot, copy.deepcopy(snapshot.assets)))
+        for epoch, assets in self.held:
+            assert epoch.assets == assets
 
 
 PublishMachine.TestCase.settings = settings(
