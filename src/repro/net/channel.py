@@ -19,8 +19,8 @@ two expensive per-link terms memoizable:
   a whole-world pass calls :meth:`Channel.prime_shadowing` first, which does
   the seeding of all its links at once and seats one reused generator on
   each link's stream for the same draw, bit for bit.  ``build_topology`` is
-  one such pass; the broadcast path's first row refill of each topology era
-  is the other.
+  one such pass; the PHY's pair-cache fill at the first row refill of each
+  topology or jamming era is the other.
 * :meth:`Channel.path_loss_db` caches per distinct distance (static worlds
   repeat the same distances forever; the cache is size-capped so mobile
   worlds cannot grow it without bound).
@@ -329,13 +329,21 @@ class Channel:
         shadowing are computed once per pair: the ends' coordinate
         differences only change sign, which ``hypot`` ignores.  The rest of
         the chain runs in numpy, whose ``+ - * /``, ``min`` and ``max`` are
-        IEEE-exact, in the batch's order; ``exp`` and the jammed
-        denominator, which is the receiver's, stay on scalar ``math``.
+        IEEE-exact, in the batch's order; ``hypot``, ``log10``, ``exp`` and
+        the jammed denominator, which is the receiver's and is computed once
+        per receiver point, stay on scalar ``math``.  Path loss is
+        :meth:`path_loss_db`'s expression without its memo, so a whole-world
+        pass leaves the memo as it found it.
         """
         hypot = math.hypot
         (a_ids, b_ids), (a_pos, b_pos) = ids, positions
-        d = [hypot(p.x - q.x, p.y - q.y) for p, q in zip(a_pos, b_pos)]
-        loss = np.fromiter(map(self.path_loss_db, d), dtype=float, count=len(d))
+        d = np.array([hypot(p.x - q.x, p.y - q.y) for p, q in zip(a_pos, b_pos)], dtype=float)
+        # path_loss_db's expression, memo aside: a moving world's distances
+        # are new every era.
+        ratio = np.maximum(d, self.reference_distance_m) / self.reference_distance_m
+        loss = self.reference_loss_db + 10.0 * self.path_loss_exponent * np.fromiter(
+            map(math.log10, ratio.tolist()), dtype=float, count=d.size
+        )
         power = [np.asarray(tx, dtype=float) - loss for tx in tx_power_dbm]
         if self.shadowing_sigma_db > 0:
             # A negative id names no link: + 0.0 leaves its power as it was.
@@ -348,11 +356,10 @@ class Channel:
                 shadow[k] = self.shadowing_db(a_ids[k], b_ids[k])
             power = [x + np.array(shadow) for x in power]
         if self.jammers:
+            # Once per receiver point, not per pair: a node ends many pairs.
             noise_mw, interference = self._noise_mw, self.interference_mw
-            denom = [
-                np.array([_mw_to_dbm(noise_mw + interference(q) + 0.0) for q in rx])
-                for rx in (b_pos, a_pos)
-            ]
+            at = {q: _mw_to_dbm(noise_mw + interference(q) + 0.0) for q in {*a_pos, *b_pos}}
+            denom = [np.array([at[q] for q in rx]) for rx in (b_pos, a_pos)]
         else:
             denom = [_mw_to_dbm(self._noise_mw + 0.0)] * 2
         softness = max(self.sinr_softness_db, 1e-6)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import NetworkError
 from repro.net.channel import Channel
 from repro.net.mac import ContentionMac
@@ -80,8 +82,8 @@ class NetNode:
 class Network:
     """Container for nodes + the layered stack; owns the spatial index.
 
-    Neighbor queries use a uniform grid sized to the maximum communication
-    range, so they cost O(occupants of 9 cells) instead of O(N).  The
+    Neighbor lists come from one whole-world screen per topology change
+    (:func:`_candidate_pairs`, a cell grid in numpy), not a scan per node.  The
     transmit path lives in the stack's dispatcher; fault state lives in the
     stack's :class:`~repro.net.stack.FaultLayer` (both reachable through
     :attr:`stack`, with the historical methods kept as delegations).
@@ -101,10 +103,6 @@ class Network:
         self.neighbor_margin_db = neighbor_margin_db
         self.nodes: Dict[int, NetNode] = {}
         self._rng = sim.rng.get("net")
-        # cell -> rows of (node id, x, y), so a scan reads no node object.
-        self._grid: Dict[Tuple[int, int], List[Tuple[int, float, float]]] = {}
-        self._cell_size = 0.0
-        self._grid_dirty = True
         #: Bumped on every membership/position change; position-dependent
         #: caches (the PHY pair-probability cache) key their validity on it
         #: instead of hashing Point coordinates per lookup.
@@ -114,14 +112,16 @@ class Network:
         #: liveness-filtered neighbor view) key on this *and* on
         #: :attr:`topology_version`.
         self.liveness_version = 0
-        # node_id -> sorted neighbor ids.  Broadcast asks for a node's
-        # neighborhood twice per transmission (MAC load + the fan-out list),
-        # so the answers are cached.  The geometric lists (everything in
-        # range, up or down) depend on positions only and live until the
-        # next grid rebuild; the up-only lists are filtered from them and
-        # are all a liveness flip has to drop.
+        # node_id -> sorted neighbor ids.  The geometric lists (everything
+        # in range, up or down) depend on positions only: one screen fills
+        # every node's, with the era's pairs, per topology_version.  The
+        # up-only lists are filtered from them on demand and are all a
+        # liveness flip has to drop.
         self._geo_neighbors: Dict[int, List[int]] = {}
         self._up_neighbors: Dict[int, List[int]] = {}
+        # The era's pairs until the PHY's fill takes them (_neighbor_pairs).
+        self._geo_pairs: Optional[Tuple[List[NetNode], List[NetNode]]] = None
+        self._geo_version = -1
         # Listeners observing node liveness transitions (routers invalidate
         # stale state, services re-plan around losses).
         self._node_state_listeners: List[NodeStateListener] = []
@@ -138,7 +138,6 @@ class Network:
         if node.id in self.nodes:
             raise NetworkError(f"duplicate node id {node.id}")
         self.nodes[node.id] = node
-        self._grid_dirty = True
         self.topology_version += 1
         return node
 
@@ -147,7 +146,6 @@ class Network:
 
     def remove_node(self, node_id: int) -> None:
         self.nodes.pop(node_id, None)
-        self._grid_dirty = True
         self.topology_version += 1
 
     def node(self, node_id: int) -> NetNode:
@@ -158,7 +156,6 @@ class Network:
 
     def set_position(self, node_id: int, position: Point) -> None:
         self.node(node_id).position = position
-        self._grid_dirty = True
         self.topology_version += 1
 
     def fail_node(self, node_id: int) -> None:
@@ -238,7 +235,7 @@ class Network:
     def remove_gremlin(self, gremlin: Any) -> None:
         self.stack.faults.remove_gremlin(gremlin)
 
-    # ------------------------------------------------------------ spatial grid
+    # ------------------------------------------------------- spatial screen
 
     def _max_range(self) -> float:
         if not self.nodes:
@@ -246,58 +243,64 @@ class Network:
         max_power = max(n.tx_power_dbm for n in self.nodes.values())
         return self.channel.comm_range_m(max_power, margin_db=-self.neighbor_margin_db)
 
-    def _rebuild_grid(self) -> None:
-        # A hair over the widest range, or a pair exactly at its limit can sit two rows apart.
-        self._cell_size = max(self._max_range(), 1.0) * (1.0 + 1e-9)
-        self._grid = {}
-        for node in self.nodes.values():
-            p = node.position
-            self._grid.setdefault(self._cell_of(p), []).append((node.id, p.x, p.y))
-        self._grid_dirty = False
-        self._geo_neighbors.clear()
+    def _screen_world(self) -> None:
+        """Every node's geometric list and the era's pairs, from one screen."""
+        nodes = list(self.nodes.values())
+        id_list = [node.id for node in nodes]
+        ids = np.array(id_list, dtype=np.int64)
+        row, cand = _candidate_pairs(self, nodes, ids, directed=True)
+        # Object arrays index out the nodes' own id and node objects, so no
+        # int is made per entry.
+        listed = np.array(id_list, dtype=object)[cand]
+        ends = np.searchsorted(row, np.arange(1, len(nodes) + 1)).tolist()
+        self._geo_neighbors = {
+            node_id: listed[start:end].tolist()
+            for node_id, start, end in zip(id_list, [0] + ends[:-1], ends)
+        }
         self._up_neighbors.clear()
+        by_index = np.empty(len(nodes), dtype=object)
+        by_index[:] = nodes
+        self._geo_pairs = tuple(by_index[end].tolist() for end in _undirected(row, cand, ids))
+        self._geo_version = self.topology_version
 
-    def _cell_of(self, p: Point) -> Tuple[int, int]:
-        return (int(math.floor(p.x / self._cell_size)), int(math.floor(p.y / self._cell_size)))
+    def _neighbor_pairs(self) -> Tuple[List[NetNode], List[NetNode]]:
+        """``(lower, higher)``: the ends of every pair either of whose
+        geometric lists holds the other, once each, lower id first.
+
+        One list per end, from the screen that serves :meth:`neighbors`; a
+        pair only the stronger end reaches is here too.  The network lets
+        go of the lists it hands out, so a second call in one
+        ``topology_version`` (a jammer edit refills the PHY's cache)
+        screens again.
+        """
+        if self._geo_version != self.topology_version or self._geo_pairs is None:
+            self._screen_world()
+        pairs, self._geo_pairs = self._geo_pairs, None
+        return pairs
 
     def invalidate_topology(self) -> None:
-        """Mark the spatial index stale (bulk position updates call this)."""
-        self._grid_dirty = True
+        """Mark positions stale (bulk position updates call this)."""
         self.topology_version += 1
 
     def neighbors(self, node_id: int, *, include_down: bool = False) -> List[int]:
         """Ids of nodes within (margin-extended) communication range.
 
-        The returned list is cached until the next topology change
-        (``include_down=True``: pure geometry) or the next topology or
-        liveness change (the default up-only view) — treat it as read-only.
+        A node's range is ``comm_range_m(tx_power_dbm,
+        margin_db=-neighbor_margin_db)``.  The first call of a
+        ``topology_version`` screens the whole world at once and fills every
+        node's geometric list (``include_down=True``); the up-only view is
+        filtered from it per node and kept until the next liveness change.
+        Treat the returned list as read-only.
         """
-        if self._grid_dirty:
-            self._rebuild_grid()
+        if self._geo_version != self.topology_version:
+            self._screen_world()
         if not include_down:
             cached = self._up_neighbors.get(node_id)
             if cached is not None:
                 return cached
         found = self._geo_neighbors.get(node_id)
         if found is None:
-            node = self.node(node_id)
-            limit = self.channel.comm_range_m(
-                node.tx_power_dbm, margin_db=-self.neighbor_margin_db
-            )
-            x, y = node.position.x, node.position.y
-            cx, cy = self._cell_of(node.position)
-            hypot = math.hypot
-            found = []
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    # distance(node.position, other.position) <= limit, inline.
-                    found += [
-                        other_id
-                        for other_id, ox, oy in self._grid.get((cx + dx, cy + dy), ())
-                        if hypot(x - ox, y - oy) <= limit and other_id != node_id
-                    ]
-            found.sort()
-            self._geo_neighbors[node_id] = found
+            raise NetworkError(f"unknown node {node_id}")
         if include_down:
             return found
         nodes = self.nodes
@@ -347,3 +350,152 @@ class Network:
 
     def __repr__(self) -> str:
         return f"Network(nodes={len(self.nodes)}, jammers={len(self.channel.jammers)})"
+
+
+# ------------------------------------------------------------------- screen
+#
+# The neighbour rule over a whole world at once, in numpy: Network.neighbors
+# (every node's list), build_topology (candidate pairs) and the shard
+# runtime's nearest partners all read the same cells.
+
+#: Cells per widest range in ``_candidate_pairs``' grid: a node scans the
+#: ``2k + 1`` by ``2k + 1`` cells its own range needs, not the widest's.
+_CELLS_PER_RANGE = 4
+#: Nodes screened per numpy step: tens of thousands of candidates, a few
+#: MiB of arrays at most.
+_SCREEN_NODES = 256
+
+
+def _screen_cell_m(widest_m: float) -> float:
+    """The edge of ``_candidate_pairs``' cells when the widest range is
+    ``widest_m``: a quarter of it and a hair more."""
+    return max(widest_m, 1.0) * (1.0 + 1e-9) / _CELLS_PER_RANGE
+
+
+def _candidate_pairs(
+    network: Network, nodes: List[NetNode], ids: np.ndarray, *, directed: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(i, j)`` index arrays into ``nodes``, whose ids are ``ids``: each
+    node ``i`` with every other ``j`` within ``i``'s margin-extended range,
+    in node order and then ascending id.  Unless ``directed``, only the
+    ``j`` of higher id than ``i``: the lower id's range decides a pair.
+
+    Node ``i``'s neighbours lie within ``k = ceil(limit * (1 + 1e-9) /
+    cell)`` cells of its own.  Squared distances screen those blocks in
+    numpy; a pair within a billionth of its limit is decided again by
+    ``math.hypot(dx, dy) <= limit``, the rule's own expression.
+    """
+    if len(nodes) < 2:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    margin_db = -network.neighbor_margin_db
+    ranges = {
+        power: network.channel.comm_range_m(power, margin_db=margin_db)
+        for power in {node.tx_power_dbm for node in nodes}
+    }
+    limit = np.array([ranges[node.tx_power_dbm] for node in nodes])
+    cell = _screen_cell_m(float(limit.max()))
+    blocks = np.ceil(limit * (1.0 + 1e-9) / cell).astype(np.int64)
+    xs, ys, cx, cy = _cells(network, ids.tolist(), cell)
+    gx, gy, width, height, table = _cell_table(cx, cy)
+    rows, cands = [], []
+    for k in np.flatnonzero(np.bincount(blocks)).tolist():
+        scanned = np.flatnonzero(blocks == k)
+        for start in range(0, scanned.size, _SCREEN_NODES):
+            s = scanned[start:start + _SCREEN_NODES]
+            row, cand = _block_members(s, k, gx, gy, width, height, table)
+            row = s[row]
+            if not directed:
+                up = ids[cand] > ids[row]
+                row, cand = row[up], cand[up]
+            dx, dy = xs[row] - xs[cand], ys[row] - ys[cand]
+            d2, lim2 = dx * dx + dy * dy, limit[row] * limit[row]
+            near = d2 <= lim2
+            for e in np.flatnonzero(abs(d2 - lim2) <= 1e-9 * lim2).tolist():
+                near[e] = math.hypot(float(dx[e]), float(dy[e])) <= float(limit[row[e]])
+            rows.append(row[near])
+            cands.append(cand[near])
+    row, cand = np.concatenate(rows), np.concatenate(cands)
+    # The keys are distinct, so any sort gives this order.  Stable is the
+    # kind _cell_table sorts with: a second sort's code is another ~0.3 MiB
+    # of resident pages in a process that never sorted before.
+    order = np.argsort(row * ids.size + _ranks(ids)[cand], kind="stable")
+    return row[order], cand[order]
+
+
+def _ranks(ids: np.ndarray) -> np.ndarray:
+    """Each id's place in ascending id order."""
+    rank = np.empty_like(ids)
+    rank[np.argsort(ids, kind="stable")] = np.arange(ids.size)
+    return rank
+
+
+def _undirected(row: np.ndarray, cand: np.ndarray, ids: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The pairs of a directed screen once each, as index arrays ``(lower,
+    higher)`` by id, in the screen's order of the end that lists them.
+
+    The screen's order makes ``row * n + rank[cand]`` ascending, so
+    ``searchsorted`` finds whether a pair's reverse is listed too; of a
+    pair both ends list, the entry from the lower id stays.
+    """
+    rank = _ranks(ids)
+    n = ids.size
+    keys, back = row * n + rank[cand], cand * n + rank[row]
+    at = np.minimum(np.searchsorted(keys, back), keys.size - 1)
+    up = rank[row] < rank[cand]
+    keep = up | (keys[at] != back)
+    return np.where(up, row, cand)[keep], np.where(up, cand, row)[keep]
+
+
+_Table = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _cells(network: Network, ids: List[int], cell_size: float) -> Tuple[np.ndarray, ...]:
+    """``ids``' coordinates and grid cells ``floor(coordinate / cell_size)``, in numpy."""
+    positions = [network.nodes[i].position for i in ids]
+    xs = np.array([p.x for p in positions], dtype=float)
+    ys = np.array([p.y for p in positions], dtype=float)
+    cx, cy = (np.floor(v / cell_size).astype(np.int64) for v in (xs, ys))
+    return xs, ys, cx, cy
+
+
+def _cell_table(cx: np.ndarray, cy: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int, int, _Table]:
+    """The occupancy table of a non-empty set of grid cells.
+
+    Returns each node's column and row on a ``width`` by ``height`` grid
+    whose lowest occupied column and row are 0, the grid's size, and the
+    table :func:`_members` reads: the occupied cells ``row * width +
+    column`` ascending, where each one's nodes start in the node order (and
+    where the last one's end), and that order, node indices sorted by cell.
+    Only occupied cells take space, however sparse the grid.
+    """
+    gx, gy = cx - cx.min(), cy - cy.min()
+    width, height = int(gx.max()) + 1, int(gy.max()) + 1
+    flat = gy * width + gx
+    order = np.argsort(flat, kind="stable")
+    first = np.flatnonzero(np.diff(flat[order], prepend=-1))
+    return gx, gy, width, height, (flat[order[first]], np.r_[first, flat.size], order)
+
+
+def _members(lo: np.ndarray, hi: np.ndarray, table: _Table) -> Tuple[np.ndarray, np.ndarray]:
+    """``(i, node)`` for each node in the cells ``lo[i] <= cell < hi[i]``,
+    by cell and then ascending."""
+    cells, bounds, order = table
+    first, end = bounds[np.searchsorted(cells, lo)], bounds[np.searchsorted(cells, hi)]
+    n = end - first
+    which = np.repeat(np.arange(n.size), n)
+    return which, order[np.arange(which.size) + np.repeat(first - (np.cumsum(n) - n), n)]
+
+
+def _block_members(
+    s: np.ndarray, k: int, gx: np.ndarray, gy: np.ndarray, width: int, height: int, table: _Table
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, node)``: for each ``s[row]``, every other node in the ``2k + 1``
+    by ``2k + 1`` cells around its own, by row, then by cell and ascending."""
+    y = gy[s, None] + np.arange(-k, k + 1)
+    inside = (y >= 0) & (y < height)
+    lo = np.where(inside, y * width + np.maximum(gx[s, None] - k, 0), 0)
+    hi = np.where(inside, y * width + np.minimum(gx[s, None] + k, width - 1) + 1, 0)
+    segment, cand = _members(lo.ravel(), hi.ravel(), table)
+    row = segment // (2 * k + 1)
+    other = cand != s[row]
+    return row[other], cand[other]

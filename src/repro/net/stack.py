@@ -273,7 +273,9 @@ class PhyLayer(LayerBase):
     drops the whole cache.  While no jammer is installed the signature is
     ``(jam epoch, ())``, so the epoch alone stands for it and no signature
     tuple is built per lookup; an int never equals the full signature a
-    jammer brings, so adding or removing one still drops the cache.
+    jammer brings, so adding or removing one still drops the cache.  The
+    first fan-out row refill of each signature fills the cache with every
+    geometric pair at once (:meth:`delivery_probability_batch`).
     """
 
     name = "phy"
@@ -283,8 +285,8 @@ class PhyLayer(LayerBase):
         self.channel = channel
         self._pair_cache: Dict[Tuple, float] = {}
         self._pair_era: Optional[Tuple] = None
-        # The topology_version whose neighbour pairs the shadowing memo holds.
-        self._shadow_era = -1
+        # The pair-cache era whose whole-world fill has run.
+        self._filled_era: Optional[Tuple] = None
 
     @staticmethod
     def propagation_s(sender: "NetNode", receiver: "NetNode") -> float:
@@ -326,70 +328,79 @@ class PhyLayer(LayerBase):
         """Delivery probability for every receiver of one transmission.
 
         Bit-identical to calling :meth:`delivery_probability` per
-        receiver; cache misses go through the channel's batch kernel in
-        one call instead of one call per receiver.  When
-        ``receivers`` is the sender's fan-out row the vector is kept on it:
-        every broadcast of the row's era after the first reads it back
-        whole (a jammer edit refills it), filled from the pair cache so a
-        unicast and a broadcast over one pair agree on ``p``.
+        receiver.  When ``receivers`` is the sender's fan-out row the vector
+        is kept on it: every broadcast of the row's era after the first
+        reads it back whole (a jammer edit refills it), filled from the pair
+        cache so a unicast and a broadcast over one pair agree on ``p``.
 
-        The first row refill of a ``topology_version`` era primes the
-        channel's shadowing memo with every geometric neighbour pair it
-        lacks, in one batch (same bits as the per-link draw), so the floods
-        that follow construct no generator per link.
+        The first row refill of a pair-cache era (``topology_version`` and
+        jamming) fills the cache whole (:meth:`_fill_pair_cache`), so the
+        refills that follow are dict hits.  What misses (an era whose fill
+        would pass ``_PAIR_CACHE_MAX``, a cache reset at the cap, a non-row
+        batch) goes through the channel's batch kernel in one call.
         """
         row = receivers if type(receivers) is _FanoutRow else None
         if row is not None:
             jam_sig = self.channel.jam_signature()
             if row.jam_sig == jam_sig:
                 return row.probs
-            network, channel = self.ctx.network, self.channel
-            if self._shadow_era != network.topology_version:
-                self._shadow_era = network.topology_version
-                if channel.shadowing_sigma_db > 0:
-                    # Both directions: with mixed tx power only the stronger
-                    # end may list a pair.  Held pairs stay out: a mobile
-                    # world starts an era every sweep.
-                    neighbors = network.neighbors
-                    missing = {
-                        (a, b) if a < b else (b, a)
-                        for a in network.nodes
-                        for b in neighbors(a, include_down=True)
-                    }.difference(channel._shadow_cache)
-                    channel.prime_shadowing(missing)
         cache = self._live_pair_cache()
+        if row is not None and self._filled_era != self._pair_era:
+            self._filled_era = self._pair_era
+            self._fill_pair_cache(cache)
         sid = sender.id
-        spos = sender.position
-        spow = sender.tx_power_dbm
-        get = cache.get
-        out: List[Any] = []
-        miss_idx: List[int] = []
-        miss_keys: List[Tuple] = []
-        miss_pos: List[Any] = []
-        miss_ids: List[int] = []
-        for i, receiver in enumerate(receivers):
-            key = (sid, receiver.id)
-            p = get(key)
-            out.append(p)
-            if p is None:
-                miss_idx.append(i)
-                miss_keys.append(key)
-                miss_pos.append(receiver.position)
-                miss_ids.append(receiver.id)
-        if miss_idx:
+        keys = [(sid, receiver.id) for receiver in receivers]
+        out = list(map(cache.get, keys))
+        if None in out:
+            miss_idx = [i for i, p in enumerate(out) if p is None]
             probs = self.channel.delivery_probability_batch(
-                spow, spos, miss_pos, miss_ids, sid
+                sender.tx_power_dbm,
+                sender.position,
+                [receivers[i].position for i in miss_idx],
+                [receivers[i].id for i in miss_idx],
+                sid,
             )
             if len(cache) + len(probs) >= _PAIR_CACHE_MAX:
                 cache.clear()
-            for i, key, p in zip(miss_idx, miss_keys, probs):
-                cache[key] = p
+            for i, p in zip(miss_idx, probs):
+                cache[keys[i]] = p
                 out[i] = p
         if row is None:
             return out
         row.probs = np.asarray(out) if len(out) >= _NP_VERDICT_MIN else out
         row.jam_sig = jam_sig
         return row.probs
+
+    def _fill_pair_cache(self, cache: Dict[Tuple, float]) -> None:
+        """Both directions of every geometric pair, in one whole-world pass.
+
+        The pairs are the network's screen (``Network._neighbor_pairs``), a
+        pair only its stronger end reaches included.  Their shadowing is
+        seeded in one batch where the memo lacks it, then one
+        :meth:`~repro.net.channel.Channel.delivery_probability_pairs` call
+        gives both directions' ``p``, the bits the per-sender batch gives.
+        Pairs that alone would pass ``_PAIR_CACHE_MAX`` are left to the
+        misses.
+        """
+        channel = self.channel
+        lower, higher = self.ctx.network._neighbor_pairs()
+        a_ids, b_ids = [n.id for n in lower], [n.id for n in higher]
+        if channel.shadowing_sigma_db > 0:
+            memo = channel._shadow_cache
+            missing = [key for key in zip(a_ids, b_ids) if key not in memo]
+            if missing:
+                channel.prime_shadowing(missing)
+        if not a_ids or 2 * len(a_ids) >= _PAIR_CACHE_MAX:
+            return
+        if len(cache) + 2 * len(a_ids) >= _PAIR_CACHE_MAX:
+            cache.clear()
+        forward, backward = channel.delivery_probability_pairs(
+            (a_ids, b_ids),
+            ([n.position for n in lower], [n.position for n in higher]),
+            ([n.tx_power_dbm for n in lower], [n.tx_power_dbm for n in higher]),
+        )
+        cache.update(zip(zip(a_ids, b_ids), forward.tolist()))
+        cache.update(zip(zip(b_ids, a_ids), backward.tolist()))
 
 
 class MacLayer(LayerBase):

@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.net.node import NetNode, Network
+from repro.net.node import NetNode, Network, _candidate_pairs, _cell_table, _cells, _members
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -301,62 +301,6 @@ def _screen(network: Network, nodes: List[NetNode], link_p: Dict[int, Dict[int, 
         link_p[a][b] = p
 
 
-#: Cells per widest range in ``_candidate_pairs``' grid: a node scans the
-#: ``2k + 1`` by ``2k + 1`` cells its own range needs, not the widest's.
-_CELLS_PER_RANGE = 4
-#: Nodes screened per numpy step: tens of thousands of candidates, a few
-#: MiB of arrays at most.
-_SCREEN_NODES = 256
-
-
-def _candidate_pairs(
-    network: Network, nodes: List[NetNode], ids: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(i, j)`` index arrays into ``nodes``, whose ids are ``ids``: each
-    node ``i`` with every ``j`` of higher id that :meth:`Network.neighbors`
-    of ``i`` lists, in node order and then ascending id.
-
-    Cells are a quarter of the widest range and a hair more, so node
-    ``i``'s neighbours lie within ``k = ceil(limit * (1 + 1e-9) / cell)``
-    cells of its own.  Squared distances screen those blocks in numpy; a
-    pair within a billionth of its limit is decided again by the scan's
-    own ``math.hypot(dx, dy) <= limit``.
-    """
-    if len(nodes) < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    margin_db = -network.neighbor_margin_db
-    ranges = {
-        power: network.channel.comm_range_m(power, margin_db=margin_db)
-        for power in {node.tx_power_dbm for node in nodes}
-    }
-    limit = np.array([ranges[node.tx_power_dbm] for node in nodes])
-    cell = max(float(limit.max()), 1.0) * (1.0 + 1e-9) / _CELLS_PER_RANGE
-    blocks = np.ceil(limit * (1.0 + 1e-9) / cell).astype(np.int64)
-    xs, ys, cx, cy = _cells(network, ids.tolist(), cell)
-    gx, gy, width, height, table = _cell_table(cx, cy)
-    rows, cands = [], []
-    for k in np.flatnonzero(np.bincount(blocks)).tolist():
-        scanned = np.flatnonzero(blocks == k)
-        for start in range(0, scanned.size, _SCREEN_NODES):
-            s = scanned[start:start + _SCREEN_NODES]
-            row, cand = _block_members(s, k, gx, gy, width, height, table)
-            row = s[row]
-            up = ids[cand] > ids[row]
-            row, cand = row[up], cand[up]
-            dx, dy = xs[row] - xs[cand], ys[row] - ys[cand]
-            d2, lim2 = dx * dx + dy * dy, limit[row] * limit[row]
-            near = d2 <= lim2
-            for e in np.flatnonzero(abs(d2 - lim2) <= 1e-9 * lim2).tolist():
-                near[e] = math.hypot(float(dx[e]), float(dy[e])) <= float(limit[row[e]])
-            rows.append(row[near])
-            cands.append(cand[near])
-    row, cand = np.concatenate(rows), np.concatenate(cands)
-    rank = np.empty_like(ids)
-    rank[np.argsort(ids)] = np.arange(ids.size)
-    order = np.argsort(row * ids.size + rank[cand])
-    return row[order], cand[order]
-
-
 def _first_seen_order(lower: np.ndarray, higher: np.ndarray) -> List[int]:
     """Positions of the pairs ``(lower[k], higher[k])``, grouped by lower end,
     groups in the order each lower end first appears in ``lower[0],
@@ -411,61 +355,6 @@ class GridPartition:
             f"GridPartition(n_shards={self.n_shards}, "
             f"cell_size_m={self.cell_size_m}, counts={self.counts()})"
         )
-
-
-_Table = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _cells(network: Network, ids: List[int], cell_size: float) -> Tuple[np.ndarray, ...]:
-    """``ids``' coordinates and grid cells ``floor(coordinate / cell_size)``, in numpy."""
-    positions = [network.nodes[i].position for i in ids]
-    xs = np.array([p.x for p in positions], dtype=float)
-    ys = np.array([p.y for p in positions], dtype=float)
-    cx, cy = (np.floor(v / cell_size).astype(np.int64) for v in (xs, ys))
-    return xs, ys, cx, cy
-
-
-def _cell_table(cx: np.ndarray, cy: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int, int, _Table]:
-    """The occupancy table of a non-empty set of grid cells.
-
-    Returns each node's column and row on a ``width`` by ``height`` grid
-    whose lowest occupied column and row are 0, the grid's size, and the
-    table :func:`_members` reads: the occupied cells ``row * width +
-    column`` ascending, where each one's nodes start in the node order (and
-    where the last one's end), and that order, node indices sorted by cell.
-    Only occupied cells take space, however sparse the grid.
-    """
-    gx, gy = cx - cx.min(), cy - cy.min()
-    width, height = int(gx.max()) + 1, int(gy.max()) + 1
-    flat = gy * width + gx
-    order = np.argsort(flat, kind="stable")
-    first = np.flatnonzero(np.diff(flat[order], prepend=-1))
-    return gx, gy, width, height, (flat[order[first]], np.r_[first, flat.size], order)
-
-
-def _members(lo: np.ndarray, hi: np.ndarray, table: _Table) -> Tuple[np.ndarray, np.ndarray]:
-    """``(i, node)`` for each node in the cells ``lo[i] <= cell < hi[i]``,
-    by cell and then ascending."""
-    cells, bounds, order = table
-    first, end = bounds[np.searchsorted(cells, lo)], bounds[np.searchsorted(cells, hi)]
-    n = end - first
-    which = np.repeat(np.arange(n.size), n)
-    return which, order[np.arange(which.size) + np.repeat(first - (np.cumsum(n) - n), n)]
-
-
-def _block_members(
-    s: np.ndarray, k: int, gx: np.ndarray, gy: np.ndarray, width: int, height: int, table: _Table
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(row, node)``: for each ``s[row]``, every other node in the ``2k + 1``
-    by ``2k + 1`` cells around its own, by row, then by cell and ascending."""
-    y = gy[s, None] + np.arange(-k, k + 1)
-    inside = (y >= 0) & (y < height)
-    lo = np.where(inside, y * width + np.maximum(gx[s, None] - k, 0), 0)
-    hi = np.where(inside, y * width + np.minimum(gx[s, None] + k, width - 1) + 1, 0)
-    segment, cand = _members(lo.ravel(), hi.ravel(), table)
-    row = segment // (2 * k + 1)
-    other = cand != s[row]
-    return row[other], cand[other]
 
 
 def partition_network(

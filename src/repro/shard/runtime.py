@@ -41,18 +41,11 @@ import repro.net.packet as packet_module
 from repro.faults.faults import LinkFlapFault, NodeChurnFault
 from repro.net.channel import Channel
 from repro.net.mac import ContentionMac
-from repro.net.node import Network
+from repro.net.node import Network, _block_members, _cell_table, _cells
 from repro.net.packet import Packet, PacketKind
 from repro.net.registry import StackSpec, compose
 from repro.net.stack import SPEED_OF_LIGHT_M_S, FastPathDispatcher
-from repro.net.topology import (
-    GridPartition,
-    _block_members,
-    _cell_table,
-    _cells,
-    min_cross_shard_distance_m,
-    partition_network,
-)
+from repro.net.topology import GridPartition, min_cross_shard_distance_m, partition_network
 from repro.obs import wire_from_env
 from repro.scenarios.builder import ScenarioBuilder
 from repro.shard.dispatch import Handoff, ShardHops, ShardTraceLog

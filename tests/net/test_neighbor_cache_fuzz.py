@@ -5,11 +5,14 @@ range, up or down) that live until the next topology change, and up-only
 lists filtered from them that a liveness flip drops.  The state machine
 below drives every mutator in random order and, after each step, compares
 both views against ``frozen_neighbors``: a scan over all nodes that uses
-neither the cache nor the spatial grid.  Random floats never land a node
-exactly on a cell border or exactly at another node's range limit, so two
+neither the cache nor the screen's cells.  Random floats never land a node
+exactly on a cell border, exactly at another node's range limit, or where
+``math.hypot`` and a squared distance disagree about that limit, so three
 rules place them there.  Mutations of ``Network`` this was shown to catch:
 ``<`` for ``<=`` in the scan, one of the nine cells dropped, and
-``set_position`` leaving the old cell rows in place.
+``set_position`` leaving the old cell rows in place (all three against the
+per-node scan the screen replaced), and the screen's ``math.hypot`` recheck
+at the limit dropped.
 
 The transmit path keeps one more memo on top of those lists: the per-sender
 fan-out row (``StackContext.fanout_row``: the live neighbours' nodes, plus
@@ -31,12 +34,20 @@ and the channel's path-loss memo cap each at 1-5, so both reset mid-run.
 Mutations of the pair cache this was shown to catch: the era without the
 jam term, the era without ``topology_version``, and the cap's reset skipped.
 
-Under every probability sits the shadowing memo, which the first row refill
-of each ``topology_version`` era fills in one batch
-(``Channel.prime_shadowing``) and a unicast miss fills one link at a time.
-Every entry is held to ``frozen_shadowing_db`` (a fresh generator per link)
-by ``float.hex``, and once an era's fill has run, the memo must hold every
-geometric neighbour pair.
+The first row refill of each pair-cache era (``topology_version`` and
+jamming) fills the pair cache whole: both directions of every geometric
+pair, a pair only its stronger end lists included.  Once every row has been
+refilled, and while no cap reset can have dropped an entry, the cache must
+hold both directions of every pair ``frozen_neighbors`` lists, each equal to
+``frozen_delivery_probability`` by ``float.hex``.  Mutations of the fill this
+was shown to catch: one direction filled, and the fill keyed on
+``topology_version`` alone (a jammer edit leaves the lazy refills only).
+
+Under every probability sits the shadowing memo, which that fill seeds in
+one batch (``Channel.prime_shadowing``) and a unicast miss one link at a
+time.  Every entry is held to ``frozen_shadowing_db`` (a fresh generator per
+link) by ``float.hex``, and once the current era's fill has run, the memo
+must hold every geometric neighbour pair.
 """
 
 import math
@@ -54,7 +65,7 @@ from hypothesis.stateful import (
 from repro.net import channel as channel_mod
 from repro.net import stack as stack_mod
 from repro.net.channel import Jammer
-from repro.net.node import Network
+from repro.net.node import Network, _screen_cell_m
 from repro.net.stack import SPEED_OF_LIGHT_M_S
 from repro.sim import Simulator
 from repro.util.geometry import Point
@@ -64,10 +75,21 @@ from tests.net.frozen_oracles import (
     frozen_neighbors,
     frozen_shadowing_db,
 )
+from tests.net.test_topology_build_oracle import boundary_point
 
 coords = st.floats(-200.0, 500.0, allow_nan=False, allow_infinity=False)
 points = st.builds(Point, coords, coords)
 tx_powers = st.sampled_from([10.0, 17.5, 20.0])
+
+
+def cell_border(k, cell):
+    """The lowest float ``x`` with ``floor(x / cell) == k``, as the screen bins."""
+    x = k * cell
+    while math.floor(x / cell) < k:
+        x = math.nextafter(x, math.inf)
+    while math.floor(math.nextafter(x, -math.inf) / cell) >= k:
+        x = math.nextafter(x, -math.inf)
+    return x
 
 
 class NeighborCacheMachine(RuleBasedStateMachine):
@@ -98,16 +120,23 @@ class NeighborCacheMachine(RuleBasedStateMachine):
     def create_node(self, position, tx_power_dbm):
         self._create(position, tx_power_dbm)
 
-    @rule(kx=st.integers(-1, 2), ky=st.integers(-1, 2), tx_power_dbm=tx_powers)
+    @rule(kx=st.integers(-4, 8), ky=st.integers(-4, 8), tx_power_dbm=tx_powers)
     def create_node_on_a_cell_border(self, kx, ky, tx_power_dbm):
-        # A border of the grid as it stands (it moves only if this node's
-        # range is the widest yet); a small multiple of the edge is exact.
-        network = self.network
-        if network._grid_dirty:
-            network._rebuild_grid()
-        cell = network._cell_size
-        assert network._cell_of(Point(kx * cell, ky * cell)) == (kx, ky)
-        self._create(Point(kx * cell, ky * cell), tx_power_dbm)
+        # The lowest corner of a cell of the screen once this node is in
+        # (the cells move only if its range is the widest yet).
+        powers = [n.tx_power_dbm for n in self.network.nodes.values()] + [tx_power_dbm]
+        cell = _screen_cell_m(max(self._range_m(p) for p in powers))
+        self._create(Point(cell_border(kx, cell), cell_border(ky, cell)), tx_power_dbm)
+
+    @precondition(lambda self: self.network.nodes)
+    @rule(data=st.data(), angle=st.floats(0.0, 2 * math.pi), tx_power_dbm=tx_powers)
+    def create_node_where_hypot_decides(self, data, angle, tx_power_dbm):
+        # About the anchor's limit away, nudged to where math.hypot and a
+        # squared distance disagree on <= limit when a nudge gets there.
+        anchor = self.network.node(self._some_node(data))
+        limit = self._range_m(anchor.tx_power_dbm)
+        point = boundary_point(anchor.position.x, anchor.position.y, limit, angle)
+        self._create(point, tx_power_dbm)
 
     @rule(y=coords, tx_power_dbm=tx_powers, other_power_dbm=tx_powers, flip=st.booleans())
     def create_pair_exactly_at_limit(self, y, tx_power_dbm, other_power_dbm, flip):
@@ -216,6 +245,17 @@ class NeighborCacheMachine(RuleBasedStateMachine):
             assert [float(p).hex() for p in probs] == [self._frozen_p(sender, n) for n in expected]
             assert stack.queue.busy_neighbors(sender) == sum(n.busy_tx for n in expected)
         self._assert_pair_cache_capped()
+        n = len(network.nodes)
+        if n * (n - 1) < stack_mod._PAIR_CACHE_MAX:
+            # No reset can have dropped an entry: the era's fill left both
+            # directions of every geometric pair.
+            cache = stack.phy._pair_cache
+            for a in sorted(network.nodes):
+                for b in frozen_neighbors(network, a, True):
+                    for tx, rx in ((a, b), (b, a)):
+                        assert (tx, rx) in cache, (tx, rx)
+                        sender, receiver = network.nodes[tx], network.nodes[rx]
+                        assert cache[(tx, rx)].hex() == self._frozen_p(sender, receiver)
 
     @invariant()
     def unicast_answers_match_a_cache_free_world(self):
@@ -249,7 +289,9 @@ class NeighborCacheMachine(RuleBasedStateMachine):
                 channel.seed, channel.shadowing_sigma_db, a, b
             ).hex()
         assert {pair: value.hex() for pair, value in memo.items()} == self.shadow_hex
-        if network.stack.phy._shadow_era == network.topology_version:
+        phy = network.stack.phy
+        phy._live_pair_cache()  # the era token as of now
+        if phy._filled_era == phy._pair_era:
             # This era's fill ran: it left every geometric neighbour pair.
             for a in network.nodes:
                 assert all((a, b) in memo for b in network.neighbors(a, include_down=True) if a < b)

@@ -1,10 +1,10 @@
-"""The broadcast path's shadowing fill: one batch per topology era.
+"""The broadcast path's shadowing fill: one batch per era.
 
-``PhyLayer.delivery_probability_batch`` primes the channel's shadowing memo
-with every geometric neighbour pair it lacks the first time a fan-out row is
-refilled in a ``topology_version`` era, so a flood seeds its links in one
-``Channel.prime_shadowing`` batch instead of constructing one generator per
-link.  Unicast never refills a row, so a unicast-only world keeps the lazy
+The first fan-out row refill of a pair-cache era (``topology_version`` and
+jamming) fills the PHY pair cache whole, and first primes the channel's
+shadowing memo with every geometric neighbour pair it lacks, so a flood
+seeds its links in one ``Channel.prime_shadowing`` batch instead of
+constructing one generator per link.  Unicast never refills a row, so a unicast-only world keeps the lazy
 per-link fill.  Every value is held to ``frozen_shadowing_db`` (a fresh
 generator per link) by ``float.hex``.  Mutations of the fill these were
 shown to catch: the era keyed on ``liveness_version``, the fill run from the

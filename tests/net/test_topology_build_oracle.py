@@ -11,17 +11,21 @@ per-node build fills its table; the whole-world build keeps the table of
 its last screen, which must hold the per-node build's values as
 ``float.hex`` for exactly the pairs that screen found, in screen order.
 
-Seeded mutations of ``src/repro/net/topology.py`` that this property was
-shown to catch: screening with the higher id's range instead of the lower
-id's, dropping the ``math.hypot`` recheck of pairs at a range limit, and
-priming shadowing in pair order instead of first-sight order.
+Seeded mutations of the build and its screen (``_candidate_pairs`` in
+``src/repro/net/node.py``) that this property was shown to catch: screening
+with the higher id's range instead of the lower id's, dropping the
+``math.hypot`` recheck of pairs at a range limit, and priming shadowing in
+pair order instead of first-sight order.  A failure names the first entry
+that differs (:func:`assert_same`), so a red run stays as quick and small
+as a green one.
 """
 
 import math
+import reprlib
 from typing import Dict, List, Optional
 
 import networkx as nx
-from hypothesis import event, given, settings
+from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
 from repro.net.channel import Channel, Jammer
@@ -178,6 +182,24 @@ def state(net: Network, topo: TopologySnapshot) -> tuple:
     )
 
 
+def assert_same(actual, expected, path: str = "value") -> None:
+    """``assert actual == expected`` that names the first differing entry.
+
+    A plain ``assert`` over a whole world's structures makes pytest diff
+    every entry of both, which on a failure took minutes and gigabytes;
+    this walks nested lists and tuples to the first entry that differs and
+    reports that one, shortened.
+    """
+    if actual == expected:
+        return
+    if isinstance(actual, (list, tuple)) and isinstance(expected, (list, tuple)):
+        for k, (a, e) in enumerate(zip(actual, expected)):
+            if a != e:
+                assert_same(a, e, f"{path}[{k}]")
+        raise AssertionError(f"{path}: {len(actual)} entries, expected {len(expected)}")
+    raise AssertionError(f"{path}: {reprlib.repr(actual)} != {reprlib.repr(expected)}")
+
+
 def table_items(table) -> list:
     return [(a, [(b, p.hex()) for b, p in row.items()]) for a, row in table.items()]
 
@@ -195,7 +217,9 @@ def screen_table(net: Network, topo: TopologySnapshot, filled) -> list:
     })
 
 
-@settings(max_examples=120, deadline=None)
+# No explain phase: it traces every line of both builds through the whole
+# shrink, which made a red run take minutes and most of a gigabyte.
+@settings(max_examples=120, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
 @given(
     worlds(),
     st.booleans(),
@@ -220,17 +244,19 @@ def test_the_whole_world_build_equals_the_per_node_build(spec, include_down, min
         earlier_net = make_world(earlier)
         earlier_topo = build_topology(earlier_net, link_p=tables[1])
         per_node_build(make_world(earlier), link_p=tables[0])
-        assert table_items(tables[1]) == screen_table(earlier_net, earlier_topo, tables[0])
+        assert_same(
+            table_items(tables[1]), screen_table(earlier_net, earlier_topo, tables[0]), "table"
+        )
         new_kept = table_items(tables[1])
     old_net, new_net = make_world(spec), make_world(spec)
     kwargs = dict(include_down=include_down, min_delivery_probability=min_p)
     old = per_node_build(old_net, link_p=tables[0], **kwargs)
     new = build_topology(new_net, link_p=tables[1], **kwargs)
-    assert state(new_net, new) == state(old_net, old)
+    assert_same(state(new_net, new), state(old_net, old), "state")
     screened = new_kept is None or not set(new.graph) <= {a for a, _ in new_kept}
     event("screened" if screened else "kept the earlier screen")
     kept = screen_table(new_net, new, tables[0]) if screened else new_kept
-    assert table_items(tables[1]) == kept
+    assert_same(table_items(tables[1]), kept, "table")
 
 
 def test_boundary_points_reach_the_disagreeing_last_bit():
