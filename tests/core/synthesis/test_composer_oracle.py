@@ -15,6 +15,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +32,12 @@ from repro.net.node import Network
 from repro.net.topology import build_topology
 from repro.service import SnapshotHub
 from repro.service.snapshot import SnapshotAsset, SnapshotBattery
-from repro.things.asset import Affiliation
+from repro.things.asset import Affiliation, AssetInventory
 from repro.things.capabilities import CapabilityProfile, SensingModality
 from repro.util.geometry import Point, Region, distance
 
 MODALITIES = frozenset({SensingModality.SEISMIC, SensingModality.ACOUSTIC})
+CAMERA = frozenset({SensingModality.CAMERA})
 FIELD_M = 600.0
 
 
@@ -295,6 +298,18 @@ def test_duplicated_candidate_is_recruited_once():
     )
 
 
+def test_two_assets_under_one_id_are_scored_as_the_id_table_holds_them():
+    # The greedy recruits the near twin, but coverage is measured on the
+    # asset the id table keeps for that id: the last one, far off.
+    pool, area, topology = make_world(6, 12, degenerate_area=False, sink_down=False, n_failed=0)
+    near = make_asset(950, 1, area.center, range_m=150.0)
+    far = make_asset(950, 1, Point(area.x_min - 900.0, area.y_min), range_m=150.0)
+    for candidates in ([*pool, near, far], tuple([*pool, near, far])):
+        comp = _compose_both(candidates, area, topology, n_sensors=1, coverage_target=0.05)
+        assert comp.sensors == [950]
+        assert comp.coverage == 0.0
+
+
 def test_budget_runs_out_before_the_coverage_target():
     pool, area, topology = make_world(7, 30, degenerate_area=False, sink_down=False, n_failed=0)
     short = [a for a in pool if a.profile.sensing_range_m <= 30.0]
@@ -369,6 +384,118 @@ def test_zero_width_area_and_out_of_reach_sensors():
     # sample points of one column at most, never none by a rounding slip.
     edge = [a for a in pool if a.id == 901]
     assert coverage_fraction(edge, area) == reference_coverage(edge, area)
+
+
+# ------------------------------------------------ one composer across epochs
+
+
+def requirements_over(area, modalities, *, n_sensors, coverage_target):
+    goal = MissionGoal(MissionType.SURVEIL, area, min_coverage=0.5, modalities=modalities)
+    return dataclasses.replace(
+        compile_goal(goal), n_sensors=n_sensors, coverage_target=coverage_target
+    )
+
+
+def live_world(rng, n_nodes):
+    """A live inventory on a ``Network``, published through a ``SnapshotHub``."""
+    network = Network(Simulator(seed=int(rng.integers(2**31))))
+    inventory = AssetInventory(network)
+    for _ in range(n_nodes):
+        sensing = [MODALITIES, CAMERA, MODALITIES | CAMERA][int(rng.integers(3))]
+        profile = CapabilityProfile(
+            "oracle",
+            sensing=sensing,
+            sensing_range_m=float(rng.choice([0.0, 30.0, 80.0, 150.0])),
+            compute_flops=float(rng.choice([0.0, 1e6, 1e8])),
+        )
+        inventory.create(
+            profile, Point(*rng.uniform(0.0, FIELD_M, 2)), with_battery=bool(rng.random() < 0.7)
+        )
+    return network, inventory, SnapshotHub(inventory, min_refresh_s=3600.0)
+
+
+def change_the_world(kind, rng, network, inventory):
+    """One of the changes a republish follows: churn, capture, drain or a move."""
+    assets = inventory.all()
+    asset = assets[int(rng.integers(len(assets)))]
+    if kind == "churn":
+        if network.node(asset.node_id).up:
+            network.fail_node(asset.node_id)
+        else:
+            network.restore_node(asset.node_id)
+    elif kind == "capture":
+        asset.captured = not asset.captured
+    elif kind == "drain" and asset.battery is not None:
+        # A share above what is left depletes the battery, which fails its node.
+        share = float(rng.choice([0.01, 0.4, 2.0]))
+        asset.battery.drain_radio(share * asset.battery.capacity_j / asset.battery.tx_j_per_bit, 0.0)
+    elif kind == "move":
+        network.set_position(asset.node_id, Point(*rng.uniform(0.0, FIELD_M, 2)))
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_nodes=st.integers(4, 30),
+    energy_aware=st.booleans(),
+    changes=st.lists(st.sampled_from(["churn", "capture", "drain", "move"]), min_size=1, max_size=6),
+    n_sensors=st.integers(1, 4),
+    coverage_target=st.sampled_from([0.3, 0.6, 1.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_composer_across_epochs_and_pools_equals_a_fresh_reference(
+    seed, n_nodes, energy_aware, changes, n_sensors, coverage_target
+):
+    """Every answer of one long-lived composer equals a fresh reference's.
+
+    Per epoch it composes: two modality sets over one area and a second
+    area on the epoch's tuple pool; the same tuple with the last epoch's
+    topology; a list pool refilled in place, before and after some of it is
+    dropped, on one topology; and one tuple of live assets, before and
+    after one of their nodes moves.
+    """
+    rng = np.random.default_rng(seed)
+    network, inventory, hub = live_world(rng, n_nodes)
+    areas = []
+    for _ in range(2):
+        x0, y0 = rng.uniform(0.0, FIELD_M / 2.0, 2)
+        areas.append(Region(x0, y0, x0 + rng.uniform(50.0, FIELD_M / 2.0), y0 + rng.uniform(50.0, FIELD_M / 2.0)))
+    wants = [
+        requirements_over(area, modalities, n_sensors=n_sensors, coverage_target=coverage_target)
+        for area, modalities in ((areas[0], MODALITIES), (areas[0], CAMERA), (areas[1], MODALITIES))
+    ]
+    composer = GreedyComposer(energy_aware=energy_aware)
+    live = tuple(inventory.all())
+    listed = []
+
+    def check(requirements, candidates, topology):
+        got = composer.compose(requirements, candidates, topology)
+        want = ReferenceComposer(energy_aware=energy_aware).compose(
+            requirements, list(candidates), topology
+        )
+        assert got == want
+
+    last = None
+    for kind in [None] + changes:
+        if kind is not None:
+            change_the_world(kind, rng, network, inventory)
+        snapshot = hub.publish()
+        pool, topology = tuple(snapshot.pool()), snapshot.topology
+        if not pool:
+            continue
+        for requirements in wants:
+            check(requirements, pool, topology)
+        if last is not None:
+            check(wants[0], pool, last.topology)
+        listed[:] = pool
+        check(wants[0], listed, topology)
+        del listed[:: 2 + int(rng.integers(3))]
+        if listed:
+            check(wants[0], listed, topology)
+        check(wants[1], live, topology)
+        mover = live[int(rng.integers(len(live)))]
+        network.set_position(mover.node_id, Point(*rng.uniform(0.0, FIELD_M, 2)))
+        check(wants[1], live, topology)
+        last = snapshot
 
 
 # ------------------------------------------------- the ledger's 1k inventory
@@ -476,3 +603,48 @@ def test_ledger_inventory_full_composites_are_pinned(seed):
         churn()
     digest = hashlib.blake2b(repr(sorted(composites.items())).encode(), digest_size=8)
     assert digest.hexdigest() == LEDGER_COMPOSITES[seed]
+
+
+def test_threads_through_one_composer_get_the_serial_answers():
+    """The service composes on executor threads through one composer: three
+    threads (more than this suite's runners have cores), two on one epoch's
+    pool and one on the other's at once, each round with a fresh composer
+    whose tables they race to fill."""
+    hub, goals, churn = ledger_world(12)
+    requirements = [compile_goal(goal) for goal in goals]
+    epochs = []
+    for _ in range(2):
+        snapshot = hub.publish()
+        epochs.append((tuple(snapshot.pool()), snapshot.topology))
+        churn()
+    serial = [
+        [GreedyComposer().compose(req, list(pool), topology) for req in requirements]
+        for pool, topology in epochs
+    ]
+
+    def compose_all(composer, epoch, start, out):
+        start.wait(timeout=60)
+        pool, topology = epochs[epoch]
+        out.extend(composer.compose(req, pool, topology) for req in requirements)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over mid-compose
+    try:
+        for round_ in range(60):
+            composer = GreedyComposer()
+            picks = (0, 0, 1) if round_ % 2 else (1, 1, 0)
+            start = threading.Barrier(len(picks))
+            outs = [[] for _ in picks]
+            threads = [
+                threading.Thread(target=compose_all, args=(composer, epoch, start, out))
+                for epoch, out in zip(picks, outs)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            for epoch, out in zip(picks, outs):
+                assert out == serial[epoch], (round_, picks)
+    finally:
+        sys.setswitchinterval(interval)
