@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -153,9 +152,6 @@ def coverage_fraction(sensors: Sequence[Asset], area: Region) -> float:
     return covered.bit_count() / _GRID_POINTS
 
 
-_position = operator.attrgetter("position")
-
-
 class _SensorTable:
     """The candidates of one pool that sense one modality set, in pool order,
     with their discs gathered once."""
@@ -173,7 +169,7 @@ class _SensorTable:
     def current(self) -> bool:
         """Does every sensor still stand where its disc was gathered?  A live
         asset in a kept pool moves with its node."""
-        return list(map(_position, self.sensors)) == self.discs.positions
+        return [a.position for a in self.sensors] == self.discs.positions
 
     def carry(self, old: "_SensorTable", old_masks: List[int]) -> Tuple[List[int], List[int]]:
         """``old_masks`` (one per sensor of ``old``) moved onto this table.
